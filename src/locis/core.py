@@ -35,7 +35,7 @@ class Language:
     and signatures list symbols in declaration order.
     """
 
-    __slots__ = ("symbols", "arities", "_key")
+    __slots__ = ("symbols", "arities", "unary_symbols", "_key")
 
     def __init__(self, symbols):
         symbols = tuple((str(name), int(arity)) for name, arity in symbols)
@@ -50,16 +50,13 @@ class Language:
             seen.add(name)
         self.symbols = symbols
         self.arities = {name: arity for name, arity in symbols}
+        self.unary_symbols = tuple(n for n, a in symbols if a == 1)
         self._key = symbols
 
     def arity(self, symbol):
         if symbol not in self.arities:
             raise UnknownSymbol(symbol, self)
         return self.arities[symbol]
-
-    @property
-    def unary_symbols(self):
-        return tuple(n for n, a in self.symbols if a == 1)
 
     def __contains__(self, symbol):
         return symbol in self.arities
@@ -353,7 +350,8 @@ class PointedBall:
     radius: int
 
     def __post_init__(self):
-        assert self.center in self.structure, "center must belong to the ball"
+        if self.center not in self.structure:
+            raise InvariantViolation("ball-center", "center must belong to the ball")
 
     def __len__(self):
         return len(self.structure)

@@ -374,44 +374,210 @@ def pointed_iso(A, B):
 
 # ---------------------------------------------------------------------------
 # Canonical signatures.
+#
+# The search runs on an integer form of the ball: members are indexed
+# 0..n-1 in BFS order, and inc[u] lists u's tuples as (slot, args), where
+# args are member indices and slot ranks the pair (symbol name, positions of
+# u in the tuple). Entries (slot, *argument colors) therefore sort exactly
+# as (symbol name, positions, argument colors) would.
 
 
-def _refine(colors, elements, incident_of):
-    """One round of color refinement; returns (new_colors, changed)."""
-    keys = {}
-    for u in elements:
-        summary = []
-        for sym, t in incident_of(u):
-            summary.append((sym, tuple(i for i, x in enumerate(t) if x == u), tuple(colors[x] for x in t)))
-        summary.sort()
-        keys[u] = (colors[u], tuple(summary))
-    ordered = sorted(set(keys.values()))
-    remap = {k: i for i, k in enumerate(ordered)}
-    new_colors = {u: remap[keys[u]] for u in elements}
-    changed = any(new_colors[u] != colors[u] for u in elements) or len(ordered) != len(
-        set(colors.values())
-    )
-    return new_colors, changed
+def _incidence_table(M):
+    """Per element of M: (slot, symbol index, unary bit, tuple) per incident tuple.
+
+    Slots rank the pairs (symbol name, positions of the element) over all of
+    M, so they also order the pairs of any ball of M. Unary symbols get bits
+    with the first declared one most significant, so profile bitmasks order
+    as the 0/1 flag tuples of Structure.unary_profile do.
+    """
+    unary = M.language.unary_symbols
+    bit = {name: 1 << (len(unary) - 1 - i) for i, name in enumerate(unary)}
+    sym = {name: i for i, (name, _) in enumerate(M.language.symbols)}
+    keyed = {
+        e: [
+            ((name, tuple([i for i, x in enumerate(t) if x == e])), t)
+            for name, t in M.incident(e)
+        ]
+        for e in M.elements
+    }
+    slot = {key: i for i, key in enumerate(sorted({key for ks in keyed.values() for key, _ in ks}))}
+    return {
+        e: [(slot[key], sym[key[0]], bit.get(key[0], 0), t) for key, t in ks]
+        for e, ks in keyed.items()
+    }
 
 
-def _refine_to_stable(colors, elements, incident_of):
+def _ball_form(M, table, dist, h):
+    """Integer form of the ball of M whose members are the keys of dist.
+
+    dist maps each member to its distance from the center, in BFS order, and
+    holds every element within distance h. The ball's tuples are those of M
+    with every argument a member; only members at distance h can have tuples
+    leaving it. Returns (init, inc, rows): initial colors ranking (distance,
+    unary profile), each member's incidences, and each symbol's tuples in
+    declaration order.
+    """
+    index = {e: i for i, e in enumerate(dist)}
+    rows = [[] for _ in M.language.symbols]
+    inc = []
+    seeds = []
+    for e, d in dist.items():
+        entries = []
+        profile = 0
+        for slot, si, bit, t in table[e]:
+            if d == h and not all(x in index for x in t):
+                continue
+            profile |= bit
+            args = tuple([index[x] for x in t])
+            if t[0] == e:
+                rows[si].append(args)
+            entries.append((slot, args))
+        inc.append(entries)
+        seeds.append((d, profile))
+    seed_rank = {key: i for i, key in enumerate(sorted(set(seeds)))}
+    return [seed_rank[key] for key in seeds], inc, rows
+
+
+def _refine(colors, inc):
+    """One round of color refinement: (new colors, number of cells).
+
+    An element's key is its color followed by the sorted entries (slot,
+    argument colors) of its tuples; the new colors rank the distinct keys,
+    so cells keep their relative order and split in place.
+    """
+    keys = [
+        (colors[u], tuple(sorted([(s, *[colors[x] for x in args]) for s, args in entries])))
+        for u, entries in enumerate(inc)
+    ]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys], len(rank)
+
+
+def _equitable(colors, inc):
+    """Refine until a round changes no color or the coloring is discrete."""
+    n = len(colors)
     while True:
-        colors, changed = _refine(colors, elements, incident_of)
-        if not changed:
-            return colors
-        if len(set(colors.values())) == len(elements):
-            return colors
+        new, cells = _refine(colors, inc)
+        if new == colors or cells == n:
+            return new, cells
+        colors = new
 
 
-def _serialize(structure, labeling):
-    parts = [repr(structure.language._key).encode()]
-    parts.append(str(len(structure.elements)).encode())
-    for name, _ in structure.language.symbols:
-        rows = sorted(
-            tuple(labeling[x] for x in t) for t in structure.tuples_by_symbol[name]
-        )
-        parts.append((name + ":" + repr(rows)).encode())
+def _serialize(language, rows, labels):
+    parts = [repr(language._key).encode(), str(len(labels)).encode()]
+    for (name, _), ts in zip(language.symbols, rows):
+        relabeled = sorted(tuple([labels[x] for x in t]) for t in ts)
+        parts.append((name + ":" + repr(relabeled)).encode())
     return b"|".join(parts)
+
+
+class _Node:
+    """A search-tree node: its coloring, target cell and pruning state."""
+
+    __slots__ = ("colors", "cell", "next", "gens", "seen", "covered")
+
+    def __init__(self, colors):
+        self.colors = colors
+        counts = Counter(colors)
+        target = min(c for c, k in counts.items() if k > 1)
+        self.cell = [u for u, c in enumerate(colors) if c == target]
+        self.next = 0
+        self.gens = []  # stored automorphisms fixing the node's prefix pointwise
+        self.seen = 0  # how many stored automorphisms were checked for that
+        self.covered = set()  # orbit of the explored children under gens
+
+    def child(self, prefix, autos):
+        """The next child not in the orbit of an explored one, or None."""
+        fresh = [g for g in autos[self.seen :] if all(g[p] == p for p in prefix)]
+        self.seen = len(autos)
+        if fresh:
+            self.gens.extend(fresh)
+            _close(self.covered, list(self.covered), self.gens)
+        while self.next < len(self.cell):
+            w = self.cell[self.next]
+            self.next += 1
+            if w not in self.covered:
+                self.covered.add(w)
+                _close(self.covered, [w], self.gens)
+                return w
+        return None
+
+
+def _close(orbit, todo, gens):
+    """Grow `orbit` to its closure under gens, starting from the elements in todo."""
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = g[x]
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+
+
+def _canonical_code(language, init, inc, rows):
+    """Least leaf code of the individualization-refinement search tree.
+
+    Leaves whose code equals the first or the best leaf's give an
+    automorphism; the search stores it. A child is skipped when it lies in
+    the orbit of an explored sibling under the stored automorphisms that fix
+    the node's individualized prefix pointwise, and the search returns to
+    the node where the two paths diverge when the automorphism maps the one
+    branch onto the other: automorphic subtrees yield the same leaf codes.
+    """
+    n = len(init)
+    colors, cells = _equitable(init, inc)
+    if cells == n:
+        return _serialize(language, rows, colors)
+    first = best = None  # (code, labels, path)
+    autos = []
+    path = []
+    stack = [_Node(colors)]
+    while stack:
+        w = stack[-1].child(path, autos)
+        if w is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(w)
+        colors = list(stack[-1].colors)
+        colors[w] = n + 1
+        colors, cells = _equitable(colors, inc)
+        if cells < n:
+            stack.append(_Node(colors))
+            continue
+        code = _serialize(language, rows, colors)
+        ref = None
+        if first is None:
+            first = best = (code, colors, list(path))
+        elif code == first[0]:
+            ref = first
+        elif code == best[0]:
+            ref = best
+        elif code < best[0]:
+            best = (code, colors, list(path))
+        back = len(path) - 1
+        if ref is not None:
+            owner = [0] * n
+            for x, label in enumerate(ref[1]):
+                owner[label] = x
+            g = [owner[label] for label in colors]
+            autos.append(g)
+            d = 0
+            for a, b in zip(path, ref[2]):
+                if a != b:
+                    break
+                d += 1
+            if d < back and g[path[d]] == ref[2][d] and all(g[p] == p for p in path[:d]):
+                back = d
+        del stack[back + 1 :]
+        del path[back:]
+    return best[0]
+
+
+def _ball_signature(M, table, dist, h):
+    init, inc, rows = _ball_form(M, table, dist, h)
+    return BallSignature(_canonical_code(M.language, init, inc, rows))
 
 
 def signature(A):
@@ -420,46 +586,18 @@ def signature(A):
     Individualization-refinement with the center pinned and BFS distance
     seeded into the initial colors (both are pointed-isomorphism
     invariants). The canonical form is the minimum serialization over the
-    refined labeling search tree.
+    leaves of the refined labeling search tree. The search stores the
+    automorphisms that equal leaf codes reveal and skips every branch that
+    one of them maps onto an explored branch, which leaves that minimum
+    unchanged.
     """
     S = A.structure
-    elements = S.elements
-    _, dist = _grow_layers(View(S), A.center, len(elements))
-    if len(dist) != len(elements):
+    dist = S.ball_elements(A.center, len(S))
+    if len(dist) != len(S):
         raise InvariantViolation(
             "ball-connected", "pointed ball has elements unreachable from its center"
         )
-    incident_of = S.incident
-
-    init = {}
-    seed = sorted({(dist[u], S.unary_profile(u)) for u in elements})
-    seed_id = {k: i for i, k in enumerate(seed)}
-    for u in elements:
-        init[u] = seed_id[(dist[u], S.unary_profile(u))]
-
-    best = [None]
-
-    def descend(colors):
-        colors = _refine_to_stable(colors, elements, incident_of)
-        cells = {}
-        for u in elements:
-            cells.setdefault(colors[u], []).append(u)
-        if len(cells) == len(elements):
-            labeling = {u: colors[u] for u in elements}
-            code = _serialize(S, labeling)
-            if best[0] is None or code < best[0]:
-                best[0] = code
-            return
-        target_color = min(c for c, cell in cells.items() if len(cell) > 1)
-        cell = sorted(cells[target_color])
-        fresh = len(elements) + 1
-        for u in cell:
-            branched = dict(colors)
-            branched[u] = fresh
-            descend(branched)
-
-    descend(init)
-    return BallSignature(best[0])
+    return _ball_signature(S, _incidence_table(S), dist, len(S))
 
 
 # ---------------------------------------------------------------------------
@@ -606,15 +744,29 @@ def class_ids(M, h, extended=False):
         if not extended:
             keys = {e: keys[e] for e in members}
         return {e: ("forest", k) for e, k in keys.items()}
-    return {e: signature(M.ball(e, h)) for e in members}
+    # Inside the ball, distances from its center equal window distances.
+    table = _incidence_table(M)
+    return {e: _ball_signature(M, table, M.ball_elements(e, h), h) for e in members}
+
+
+def _token_groups(M, h):
+    """(class token, sorted members) per pointed h-ball class."""
+    groups = {}
+    for e, token in class_ids(M, h).items():
+        groups.setdefault(token, []).append(e)
+    return sorted(((t, sorted(g)) for t, g in groups.items()), key=lambda tg: tg[1][0])
 
 
 def class_groups(M, h):
     """Members of each pointed h-ball class, as sorted member lists."""
-    groups = {}
-    for e, token in class_ids(M, h).items():
-        groups.setdefault(token, []).append(e)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    return [g for _, g in _token_groups(M, h)]
+
+
+def _group_signature(M, h, token, rep):
+    # Generic-path tokens are the signatures themselves.
+    if isinstance(token, BallSignature):
+        return token
+    return signature(M.ball(rep, h))
 
 
 def _linear_class_keys(M, h, kind, order):
@@ -646,15 +798,15 @@ def _linear_class_keys(M, h, kind, order):
 def census(M, h):
     """Isomorphism classes of (B(v,h), v) over all v with depth(v) >= h."""
     h = int(h)
-    groups = class_groups(M, h)
+    groups = _token_groups(M, h)
     if not groups:
         raise NoFaithfulElements(h)
     # Class tokens are exact, so one signature per group suffices; merge by
     # signature defensively anyway so the table is keyed purely by it.
     merged = {}
-    for members in groups:
+    for token, members in groups:
         rep = members[0]
-        sig = signature(M.ball(rep, h))
+        sig = _group_signature(M, h, token, rep)
         if sig in merged:
             old_mult, old_rep = merged[sig]
             merged[sig] = (old_mult + len(members), min(old_rep, rep))
@@ -662,7 +814,7 @@ def census(M, h):
             merged[sig] = (len(members), rep)
     table = [CensusEntry(sig, m, r) for sig, (m, r) in merged.items()]
     table.sort(key=lambda e: e.signature.code)
-    return CensusTable(radius=h, entries=table, censused=sum(len(g) for g in groups))
+    return CensusTable(radius=h, entries=table, censused=sum(len(g) for _, g in groups))
 
 
 # ---------------------------------------------------------------------------
@@ -691,7 +843,7 @@ def lip_check(M, h):
     as a failure with a witness element: no window-independent constant is
     compatible with the observed recurrence gap.
     """
-    groups = class_groups(M, h)
+    groups = _token_groups(M, h)
     if not groups:
         raise WindowExhausted(f"no faithful elements at radius {h}")
     depths = M.depths()
@@ -708,7 +860,7 @@ def lip_check(M, h):
     per_class = []
     worst_k = 0
     witness = None
-    for members in groups:
+    for token, members in groups:
         rep = members[0]
         # Multi-source BFS distance to the nearest class member.
         dist = {e: math.inf for e in M.elements}
@@ -723,7 +875,7 @@ def lip_check(M, h):
                 if dist[v] > d:
                     dist[v] = d
                     queue.append(v)
-        sig = signature(M.ball(rep, h))
+        sig = _group_signature(M, h, token, rep)
         if closed:
             k_c = max(dist[e] for e in M.elements)
             if k_c is math.inf:

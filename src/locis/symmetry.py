@@ -200,8 +200,6 @@ def find_symmetries(
     """
     if anchor is None:
         anchor = M.deepest_element()
-    if anchor is None:
-        raise WindowExhausted("empty structure")
     depth_x = M.depth(anchor)
     if depth_x < displacement:
         raise WindowExhausted(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locis.core import Language, Structure, faithful_radius, validate_structure
+from locis.core import Language, PointedBall, Structure, faithful_radius, validate_structure
 from locis.errors import (
     ArityMismatch,
     DanglingElement,
@@ -186,6 +186,11 @@ class TestBalls:
     def test_negative_radius(self):
         with pytest.raises(InvariantViolation):
             path(3).ball("1", -1)
+
+    def test_pointed_ball_center_must_belong(self):
+        ball = path(3).ball("1", 1).structure
+        with pytest.raises(InvariantViolation):
+            PointedBall(structure=ball, center="7", radius=1)
 
 
 class TestRestrictAndEquality:

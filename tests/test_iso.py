@@ -10,6 +10,7 @@ classes correspond to factors of length 2h+1, so there are 2h+2 of them).
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -326,3 +327,136 @@ def test_windowed_search_equals_extracted_search(sqrt2):
             windowed = windowed_pointed_iso(M, a, M, b, h)
             extracted = pointed_iso(M.ball(a, h), M.ball(b, h))
             assert (windowed.status == "iso") == (extracted is not None)
+
+
+# ---------------------------------------------------------------------------
+# Canonical signatures on symmetric balls
+
+
+def undirected_graph(edges):
+    """Closed structure of an undirected graph over one symmetric relation."""
+    elements = sorted({v for e in edges for v in e})
+    tuples = [("E", (a, b)) for a, b in edges] + [("E", (b, a)) for a, b in edges]
+    return Structure(Language([("E", 2)]), elements, tuples)
+
+
+def star(leaves):
+    return undirected_graph([("c", f"l{i}") for i in range(leaves)])
+
+
+def rook(n):
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    return undirected_graph(
+        [
+            (f"r{i}_{j}", f"r{k}_{m}")
+            for (i, j) in cells
+            for (k, m) in cells
+            if (i, j) < (k, m) and (i == k or j == m)
+        ]
+    )
+
+
+def shrikhande():
+    steps = {(1, 0), (0, 1), (1, 1), (3, 0), (0, 3), (3, 3)}
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    return undirected_graph(
+        [
+            (f"s{i}_{j}", f"s{k}_{m}")
+            for (i, j) in cells
+            for (k, m) in cells
+            if (i, j) < (k, m) and ((k - i) % 4, (m - j) % 4) in steps
+        ]
+    )
+
+
+def golden_balls(sqrt2):
+    periods, cmap = checkerboard_colormap()
+    grid = gen_grid((4, 4), mode="window", periods=periods, colormap=cmap)
+    lang = Language([("T", 3), ("White", 1), ("Black", 1)])
+    ternary = Structure(
+        lang,
+        [str(i) for i in range(6)],
+        [
+            ("T", ("0", "1", "2")),
+            ("T", ("2", "1", "0")),
+            ("T", ("1", "3", "3")),
+            ("T", ("3", "4", "5")),
+            ("T", ("5", "5", "0")),
+            ("White", ("0",)),
+            ("White", ("3",)),
+            ("Black", ("1",)),
+            ("Black", ("3",)),
+            ("Black", ("5",)),
+        ],
+    )
+    # A hub joined to two copies of a 4-regular graph: swapping the copies
+    # fixes the hub, refinement leaves cells that are not orbits, and the
+    # first leaf of the search is not the least one.
+    H = [(0, 1), (0, 2), (0, 4), (0, 7), (1, 3), (1, 4), (1, 8), (2, 3), (2, 5)]
+    H += [(2, 7), (3, 6), (3, 8), (4, 6), (4, 8), (5, 6), (5, 7), (5, 8), (6, 7)]
+    hub = undirected_graph(
+        [(f"c{j}_{a}", f"c{j}_{b}") for j in range(2) for a, b in H]
+        + [("hub", f"c{j}_0") for j in range(2)]
+    )
+    return {
+        "star7_centre": star(7).ball("c", 1),
+        "star7_leaf": star(7).ball("l0", 1),
+        "rook4": rook(4).ball("r0_0", 1),
+        "shrikhande": shrikhande().ball("s0_0", 1),
+        "grid": grid.ball("0_0", 3),
+        "column": gen_sturmian(sqrt2, 0, 12).ball("0", 8),
+        "ternary_unary": ternary.ball("1", 6),
+        "hub_regular": hub.ball("hub", 3),
+    }
+
+
+# Digests of the codes the exhaustive (unpruned) search produced: pruning
+# must leave every code byte-identical.
+GOLDEN = {
+    "star7_centre": "dc001a04c21840bb",
+    "star7_leaf": "82a63d210fc0dab4",
+    "rook4": "cdc626b463bbd5a3",
+    "shrikhande": "fc0814c6302b781b",
+    "grid": "e19b0b3f5a90b028",
+    "column": "d8c43bd5b2a68fec",
+    "ternary_unary": "6e33f528ce999c50",
+    "hub_regular": "76ac53a671d8a9d1",
+}
+
+
+class TestSymmetricSignatures:
+    def test_golden_codes(self, sqrt2):
+        got = {name: signature(ball).hex() for name, ball in golden_balls(sqrt2).items()}
+        assert got == GOLDEN
+
+    def test_stars_and_circulants_match_brute_force(self):
+        balls = []
+        for k in range(1, 7):
+            S = star(k)
+            balls += [S.ball("c", 1), S.ball("l0", 1), S.ball("l0", 2)]
+        # circulant graphs: cycles, the octahedron C6(1,2) and C7(1,2)
+        for k, steps in [(3, (1,)), (4, (1,)), (5, (1,)), (6, (1,)), (6, (1, 2)), (7, (1, 2))]:
+            C = undirected_graph([(f"v{i}", f"v{(i + s) % k}") for i in range(k) for s in steps])
+            balls += [C.ball("v0", 1), C.ball("v0", k)]
+        keys = [brute_pointed_canonical(b.structure, b.center) for b in balls]
+        sigs = [signature(b) for b in balls]
+        for i in range(len(balls)):
+            for j in range(len(balls)):
+                assert (sigs[i] == sigs[j]) == (keys[i] == keys[j])
+
+    def test_rook_and_shrikhande_two_balls_separate(self):
+        A = rook(4).ball("r0_0", 2)
+        B = shrikhande().ball("s0_0", 2)
+        # both are the whole 16-vertex graph with layers 1, 6, 9
+        layers = [
+            Counter(G.structure.ball_elements(G.center, 2).values()) for G in (A, B)
+        ]
+        assert layers[0] == layers[1] == Counter({0: 1, 1: 6, 2: 9})
+        assert signature(A) != signature(B)
+
+    def test_large_symmetric_balls_complete(self):
+        S = star(12)
+        assert signature(S.ball("l0", 2)) == signature(S.ball("l7", 2))
+        assert signature(S.ball("c", 2)) != signature(S.ball("l0", 2))
+        R = rook(6)
+        assert signature(R.ball("r0_0", 2)) == signature(R.ball("r3_5", 2))
