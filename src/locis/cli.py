@@ -492,12 +492,6 @@ def _build_parser():
         prog="locis",
         description="Finite-window analyses of uniformly locally finite relational structures.",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker-pool size (accepted for interface stability; execution is sequential)",
-    )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add(name, handler, **kwargs):

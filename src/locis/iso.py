@@ -693,6 +693,25 @@ def _forest_layout(M):
     return parent
 
 
+def _layout(M):
+    """The window's fast-path layout, detected once and memoized on M.
+
+    ("path" | "cycle", order, word) for a directed path or cycle, where
+    word[i] encodes the unary profile of order[i] as one character;
+    ("forest", parent) for a uniform labeled forest; None otherwise.
+    """
+    if "layout" not in M._cache:
+        linear = _linear_layout(M)
+        if linear is not None:
+            kind, order = linear
+            layout = (kind, order, "".join(_profile_char(M, e) for e in order))
+        else:
+            parent = _forest_layout(M)
+            layout = None if parent is None else ("forest", parent)
+        M._cache["layout"] = layout
+    return M._cache["layout"]
+
+
 def _forest_class_keys(M, h, parent, extended=False):
     """Upward label words of length h.
 
@@ -734,13 +753,12 @@ def class_ids(M, h, extended=False):
     """
     depths = M.depths()
     members = [e for e in M.elements if depths[e] >= h]
-    layout = _linear_layout(M)
-    if layout is not None:
-        keys = _linear_class_keys(M, h, *layout)
+    layout = _layout(M)
+    if layout is not None and layout[0] != "forest":
+        keys = _linear_class_keys(M, h, layout)
         return {e: ("lin", keys[e]) for e in members}
-    parent = _forest_layout(M)
-    if parent is not None:
-        keys = _forest_class_keys(M, h, parent, extended=extended)
+    if layout is not None:
+        keys = _forest_class_keys(M, h, layout[1], extended=extended)
         if not extended:
             keys = {e: keys[e] for e in members}
         return {e: ("forest", k) for e, k in keys.items()}
@@ -769,9 +787,9 @@ def _group_signature(M, h, token, rep):
     return signature(M.ball(rep, h))
 
 
-def _linear_class_keys(M, h, kind, order):
+def _linear_class_keys(M, h, layout):
     """Exact h-class keys for censusable elements of a path/cycle window."""
-    word = "".join(_profile_char(M, e) for e in order)
+    kind, order, word = layout
     n = len(order)
     depths = M.depths()
     keys = {}
@@ -779,9 +797,8 @@ def _linear_class_keys(M, h, kind, order):
         for i, e in enumerate(order):
             if depths[e] < h:
                 continue
-            lo = max(0, i - h)
-            hi = min(n - 1, i + h)
-            keys[e] = (i - lo, word[lo : hi + 1])
+            lo = i - h if i > h else 0
+            keys[e] = (i - lo, word[lo : i + h + 1])
     else:
         doubled = word + word
         for i, e in enumerate(order):
@@ -836,6 +853,57 @@ class LipReport:
         return f"LIP fails at h={self.radius}: witness {self.witness}"
 
 
+def _window_bound(M):
+    """Largest finite depth, or the element count of a closed window."""
+    finite = [d for d in M.depths().values() if d is not math.inf]
+    return int(max(finite)) if finite else len(M.elements)
+
+
+def _least_recurrence_k(M, members, count_unreached=True):
+    """Least k with every element of depth >= k within k of a member.
+
+    Returns (k or None, dist), where dist is every element's distance to
+    the nearest member. f(k), the largest distance over elements of depth
+    >= k, is non-increasing, so f(k) <= k holds exactly for k from the
+    answer up to the window bound. Elements of infinite depth count at the
+    bound; in a window with a frontier, count_unreached=False skips them
+    instead (they sit in components the frontier cannot reach).
+    """
+    adj = M.adjacency()
+    depths = M.depths()
+    dist = {e: math.inf for e in M.elements}
+    queue = deque(members)
+    for m in members:
+        dist[m] = 0
+    while queue:
+        u = queue.popleft()
+        d = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] > d:
+                dist[v] = d
+                queue.append(v)
+    bound = _window_bound(M)
+    skip = not count_unreached and not M.is_closed()
+    buckets = {}
+    for e in M.elements:
+        d = depths[e]
+        if d is math.inf:
+            if skip:
+                continue
+            d = bound
+        buckets.setdefault(d, []).append(e)
+    least = None
+    running = 0  # f(k)
+    for k in range(bound, -1, -1):
+        for e in buckets.get(k, ()):
+            if dist[e] > running:
+                running = dist[e]
+        if running > k:
+            break
+        least = k
+    return least, dist
+
+
 def lip_check(M, h):
     """Least k such that every faithful k-ball contains every h-class.
 
@@ -847,70 +915,25 @@ def lip_check(M, h):
     if not groups:
         raise WindowExhausted(f"no faithful elements at radius {h}")
     depths = M.depths()
-    adj = M.adjacency()
-    finite_depths = [d for d in depths.values() if d is not math.inf]
-    closed = not finite_depths
-    if closed:
-        window_bound = len(M.elements)
-        k_cap = window_bound
-    else:
-        window_bound = int(max(finite_depths))
-        k_cap = window_bound // 2
+    closed = M.is_closed()
+    window_bound = _window_bound(M)
+    k_cap = window_bound if closed else window_bound // 2
 
     per_class = []
     worst_k = 0
     witness = None
     for token, members in groups:
         rep = members[0]
-        # Multi-source BFS distance to the nearest class member.
-        dist = {e: math.inf for e in M.elements}
-        queue = deque()
-        for m in members:
-            dist[m] = 0
-            queue.append(m)
-        while queue:
-            u = queue.popleft()
-            d = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] > d:
-                    dist[v] = d
-                    queue.append(v)
+        k_c, dist = _least_recurrence_k(M, members, count_unreached=False)
         sig = _group_signature(M, h, token, rep)
-        if closed:
-            k_c = max(dist[e] for e in M.elements)
-            if k_c is math.inf:
-                k_c = None  # disconnected window: class unreachable somewhere
-        else:
-            # f(k) = max distance-to-class over elements of depth >= k is
-            # non-increasing; find the least k with f(k) <= k.
-            buckets = {}
-            for e in M.elements:
-                d = depths[e]
-                if d is math.inf:
-                    continue
-                d = int(min(d, window_bound))
-                buckets.setdefault(d, []).append(e)
-            f = [0] * (window_bound + 1)
-            running = 0
-            for k in range(window_bound, -1, -1):
-                for e in buckets.get(k, ()):
-                    if dist[e] > running:
-                        running = dist[e]
-                f[k] = running
-            k_c = None
-            for k in range(0, window_bound + 1):
-                if f[k] <= k:
-                    k_c = k
-                    break
         if k_c is None or k_c > k_cap:
             if witness is None:
-                probe = k_cap if not closed else window_bound
                 bad = None
-                for e in sorted(M.elements):
+                for e in M.elements:
                     d = depths[e]
-                    if d is not math.inf and d < probe:
+                    if d is not math.inf and d < k_cap:
                         continue
-                    if dist[e] > probe:
+                    if dist[e] > k_cap:
                         bad = e
                         break
                 witness = (sig, rep, bad)

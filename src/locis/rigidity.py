@@ -10,10 +10,9 @@ no s-equivalent pair, and re-anchor on a copy of the step ball near it.
 from __future__ import annotations
 
 import json
-import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import (
     CharacterizationFails,
@@ -22,7 +21,15 @@ from .errors import (
     VerificationFailed,
     WindowExhausted,
 )
-from .iso import PartialIso, class_ids, extraction_compare, lip_check, windowed_pointed_iso
+from .iso import (
+    PartialIso,
+    _layout,
+    _least_recurrence_k,
+    class_ids,
+    extraction_compare,
+    lip_check,
+    windowed_pointed_iso,
+)
 from . import textio
 
 
@@ -42,23 +49,9 @@ class QReport:
 def property_Q_check(M, r, s):
     """True at (r,s) iff every faithful anchor has an s-equivalent pair
     of distinct elements within its r-ball."""
-    depths = M.depths()
-    anchors = [e for e in M.elements if depths[e] >= r + s]
-    if not anchors:
-        raise WindowExhausted(f"no anchors of depth {r + s}", r + s)
-    ids = class_ids(M, s)
-    for x in anchors:
-        seen = {}
-        pair = None
-        for y in sorted(M.ball_elements(x, r)):
-            tok = ids[y]
-            if tok in seen:
-                pair = (seen[tok], y)
-                break
-            seen[tok] = y
-        if pair is None:
-            return QReport(r, s, False, x, len(anchors))
-    return QReport(r, s, True, None, len(anchors))
+    anchors = sum(1 for d in M.depths().values() if d >= r + s)
+    x = _pair_free_anchor(M, class_ids(M, s), r, r + s)
+    return QReport(r, s, x is None, x, anchors)
 
 
 @dataclass
@@ -171,65 +164,22 @@ class RigidLimitTrace:
         return path
 
 
-def _ball_window(M, center, h):
-    dist = {center: 0}
-    frontier = [center]
-    for level in range(1, h + 1):
-        nxt = []
-        adj = M.adjacency()
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = level
-                    nxt.append(v)
-        if not nxt:
-            break
-        frontier = nxt
-    members = set(dist)
-    rim = {e for e, d in dist.items() if d == h}
-    return M.restrict(members, frontier=rim)
+def _pair_free_anchor(M, ids, radius, need):
+    """Id-least element of depth >= need whose radius-ball holds no two
+    elements with equal tokens in ids; None when every such element has a
+    pair. Elements without a token never form a pair.
+
+    One linear pass on path and cycle layouts, one ball per anchor
+    otherwise. Raises WindowExhausted when no element has depth >= need.
+    """
+    layout = _layout(M)
+    if layout is not None and layout[0] != "forest":
+        return _linear_pair_free_anchor(M, ids, layout, radius, need)
+    return _ball_pair_free_anchor(M, ids, radius, need)
 
 
-def _recurrence_k(M, members):
-    """Least k with every depth->=k element within k of a member, or None."""
-    adj = M.adjacency()
+def _ball_pair_free_anchor(M, ids, radius, need):
     depths = M.depths()
-    dist = {e: math.inf for e in M.elements}
-    queue = deque()
-    for m in members:
-        dist[m] = 0
-        queue.append(m)
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] > d:
-                dist[v] = d
-                queue.append(v)
-    finite = [d for d in depths.values() if d is not math.inf]
-    bound = int(max(finite)) if finite else len(M.elements)
-    buckets = {}
-    for e in M.elements:
-        d = depths[e]
-        d = bound if d is math.inf else int(min(d, bound))
-        buckets.setdefault(d, []).append(e)
-    running = 0
-    f = [0] * (bound + 1)
-    for k in range(bound, -1, -1):
-        for e in buckets.get(k, ()):
-            if dist[e] > running:
-                running = dist[e]
-        f[k] = running
-    for k in range(bound + 1):
-        if f[k] <= k:
-            return k
-    return None
-
-
-def _distinct_anchor(M, ids, depths, r2, s):
-    """First anchor (canonical order) whose 2*r2-ball is pairwise
-    s-distinguished; None when every anchor has an equivalent pair."""
-    need = 2 * r2 + s
     found_any = False
     for x in M.elements:
         if depths[x] < need:
@@ -237,8 +187,10 @@ def _distinct_anchor(M, ids, depths, r2, s):
         found_any = True
         seen = set()
         ok = True
-        for y in M.ball_elements(x, 2 * r2):
-            tok = ids[y]
+        for y in M.ball_elements(x, radius):
+            tok = ids.get(y)
+            if tok is None:
+                continue
             if tok in seen:
                 ok = False
                 break
@@ -250,11 +202,63 @@ def _distinct_anchor(M, ids, depths, r2, s):
     return None
 
 
-def _search_separation(M, r2, s_floor, depths):
+def _linear_pair_free_anchor(M, ids, layout, radius, need):
+    """Position i is bad iff some token repeats inside [i-radius, i+radius].
+
+    It suffices to look at each position k and the previous position j
+    holding its token: the pair lies in the ball of i exactly when
+    k - radius <= i <= j + radius, so every such interval is marked in a
+    difference array. On a cycle, positions are cyclic and j may wrap
+    around; a ball with 2*radius + 1 >= n is the whole cycle.
+    """
+    kind, order, _ = layout
+    n = len(order)
+    cyclic = kind == "cycle"
+    toks = [ids.get(e) for e in order]
+    if cyclic and 2 * radius + 1 >= n:
+        present = [t for t in toks if t is not None]
+        bad = [len(set(present)) != len(present)] * n
+    else:
+        last = {}
+        if cyclic:
+            # each token's last position, one turn back, precedes its first
+            for k, tok in enumerate(toks):
+                if tok is not None:
+                    last[tok] = k - n
+        cover = [0] * (n + 1)
+        for k, tok in enumerate(toks):
+            if tok is None:
+                continue
+            j = last.get(tok)
+            last[tok] = k
+            if j is None or k - j > 2 * radius:
+                continue
+            lo, hi = k - radius, j + radius
+            if not cyclic:
+                lo, hi = max(lo, 0), min(hi, n - 1)
+            else:
+                lo, hi = lo % n, hi % n
+                if lo > hi:
+                    cover[lo] += 1
+                    cover[n] -= 1
+                    lo = 0
+            cover[lo] += 1
+            cover[hi + 1] -= 1
+        bad = [c > 0 for c in accumulate(cover[:n])]
+    if M.max_depth() < need:
+        raise WindowExhausted(f"no anchors of depth {need}", need)
+    depths = M.depths()
+    good = [e for e, b in zip(order, bad) if not b and depths[e] >= need]
+    return min(good) if good else None
+
+
+def _search_separation(M, r2, s_floor):
     """Smallest s >= s_floor admitting a pairwise-distinguished anchor.
 
     Distinctness is monotone in s, so the minimal s is located by doubling
-    then bisection; each candidate is re-validated directly.
+    then bisection; each candidate is re-validated directly. A probe costs
+    one class_ids call plus O(n) on path and cycle layouts, or one
+    2*r2-ball per anchor on other windows.
     """
     max_depth = M.max_depth() if not M.is_closed() else len(M.elements)
     s_max = int(max_depth) - 2 * r2
@@ -262,8 +266,7 @@ def _search_separation(M, r2, s_floor, depths):
         raise WindowExhausted(f"window too shallow for separation beyond r={r2}", 2 * r2 + s_floor)
 
     def probe(s):
-        ids = class_ids(M, s)
-        return _distinct_anchor(M, ids, depths, r2, s)
+        return _pair_free_anchor(M, class_ids(M, s), 2 * r2, 2 * r2 + s)
 
     lo_bad = s_floor - 1
     hi = s_floor
@@ -294,12 +297,14 @@ def rigid_limit(M, steps, seed, verify=True):
     pair in its 2r-ball are found, smallest s first; (c) the next anchor is
     the nearest copy of the step ball inside the separated anchor's r-ball,
     and the copy map is recorded.
+
+    Step (b) bisects over s with one separation probe per candidate: O(n)
+    on path and cycle windows, one ball BFS per anchor otherwise.
     """
     if seed not in M:
         raise InvariantViolation("membership", f"{seed!r} is not an element")
-    depths = M.depths()
     x, r, s = seed, 0, 0
-    trace = [TraceStep(x, 0, 0, _ball_window(M, x, 0))]
+    trace = [TraceStep(x, 0, 0, M.restrict([x], frontier=[x]))]
     for n in range(steps):
         h = r + s
         ids_h = class_ids(M, h)
@@ -307,12 +312,12 @@ def rigid_limit(M, steps, seed, verify=True):
             raise WindowExhausted(f"step {n}: anchor lost faithfulness at {h}", h)
         token = ids_h[x]
         members = sorted(e for e, t in ids_h.items() if t == token)
-        khat = _recurrence_k(M, members)
+        khat, _ = _least_recurrence_k(M, members)
         if khat is None:
             raise WindowExhausted(f"step {n + 1}: no recurrence radius inside the window")
         r2 = max(r + 1, khat)
 
-        sep = _search_separation(M, r2, s + 1, depths)
+        sep = _search_separation(M, r2, s + 1)
         if sep is None:
             raise CharacterizationFails(
                 f"step {n + 1} separation",
@@ -321,7 +326,7 @@ def rigid_limit(M, steps, seed, verify=True):
             )
         s2, xstar = sep
 
-        near = _ball_distances(M, xstar, r2)
+        near = M.ball_elements(xstar, r2)
         cands = sorted(
             (d, y) for y, d in near.items() if ids_h.get(y) == token
         )
@@ -338,30 +343,15 @@ def rigid_limit(M, steps, seed, verify=True):
         theta.verify()
         trace[-1].theta = dict(link.mapping)
 
-        trace.append(TraceStep(xn1, r2, s2, _ball_window(M, xn1, r2 + s2)))
+        ball = M.ball_elements(xn1, r2 + s2)
+        rim = [e for e, d in ball.items() if d == r2 + s2]
+        trace.append(TraceStep(xn1, r2, s2, M.restrict(ball, frontier=rim)))
         x, r, s = xn1, r2, s2
 
     result = RigidLimitTrace(trace)
     if verify:
         result.verification = _post_verify(M, result)
     return result
-
-
-def _ball_distances(M, center, h):
-    adj = M.adjacency()
-    dist = {center: 0}
-    frontier = [center]
-    for level in range(1, h + 1):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = level
-                    nxt.append(v)
-        if not nxt:
-            break
-        frontier = nxt
-    return dist
 
 
 def _post_verify(M, trace):

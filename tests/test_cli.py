@@ -302,9 +302,11 @@ class TestReportPlumbing:
         stored = json.loads(open(rp).read())
         assert stored == doc
 
-    def test_workers_flag_accepted(self, board_file, capsys):
-        code, doc = run(capsys, "--workers", "4", "census", board_file, "--h", "1")
-        assert code == 0
+    def test_workers_flag_rejected(self, board_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--workers", "4", "census", board_file, "--h", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""  # no report
 
     def test_console_script_entry_point(self, tmp_path):
         out = str(tmp_path / "w.locis")

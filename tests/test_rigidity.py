@@ -6,7 +6,10 @@ separates once the class radius outgrows the recurrence gap. The trace
 steps are re-verified from the saved artifacts, not from in-memory state.
 """
 
+import hashlib
 import json
+import os
+import random
 
 import pytest
 
@@ -24,7 +27,34 @@ from locis.generators import (
     gen_kary_tree,
     gen_sturmian,
 )
-from locis.rigidity import property_Q_check, rigid_limit, rigidity_characterization
+from locis.iso import _layout, _least_recurrence_k, class_ids, lip_check
+from locis.rigidity import (
+    _ball_pair_free_anchor,
+    _pair_free_anchor,
+    property_Q_check,
+    rigid_limit,
+    rigidity_characterization,
+)
+
+
+def colored_line(rng, n, colors, cycle=False, frontier=()):
+    """A Succ path (or cycle) on n elements, each with one of `colors`
+    unary colors drawn from rng."""
+    lang = Language([("Succ", 2)] + [(f"C{c}", 1) for c in range(colors)])
+    ids = [f"v{i:03d}" for i in range(n)]
+    rng.shuffle(ids)  # id order differs from position order
+    tuples = [("Succ", (ids[i], ids[i + 1])) for i in range(n - 1)]
+    if cycle:
+        tuples.append(("Succ", (ids[-1], ids[0])))
+    tuples += [(f"C{rng.randrange(colors)}", (e,)) for e in ids]
+    return Structure(lang, ids, tuples, frontier=[ids[i] for i in frontier])
+
+
+def pair_free_outcome(probe, M, ids, radius, need):
+    try:
+        return probe(M, ids, radius, need)
+    except WindowExhausted:
+        return "exhausted"
 
 
 def period2_line(width=80):
@@ -60,6 +90,109 @@ class TestPropertyQ:
         M = gen_sturmian(sqrt2, 0, 10)
         with pytest.raises(WindowExhausted):
             property_Q_check(M, r=8, s=6)
+
+
+class TestLinearProbe:
+    """The one-pass probe on path and cycle layouts against the per-anchor
+    ball loop, which stays the reference."""
+
+    RS = [(0, 1), (1, 1), (1, 3), (2, 2), (3, 4), (5, 1)]
+
+    def windows(self):
+        rng = random.Random(20091)
+        for trial in range(40):
+            colors = 1 + trial % 3
+            n = rng.randrange(3, 60)
+            if trial % 2 == 0:
+                yield colored_line(rng, n, colors, frontier=(0, n - 1))
+            else:
+                # closed cycles, and cycles cut open by one frontier element
+                cut = (rng.randrange(n),) if trial % 4 == 1 else ()
+                yield colored_line(rng, n, colors, cycle=True, frontier=cut)
+
+    def test_agrees_with_ball_loop_on_random_paths_and_cycles(self):
+        rng = random.Random(3)
+        kinds = set()
+        whole_cycle_balls = 0
+        for M in self.windows():
+            kind = _layout(M)[0]
+            kinds.add(kind)
+            for r, s in self.RS:
+                ids = class_ids(M, s)
+                # elements without a token never form a pair
+                sparse = {e: t for e, t in ids.items() if rng.random() < 0.7}
+                for radius, need in ((2 * r, 2 * r + s), (r, r + s), (r, 0)):
+                    for toks in (ids, sparse):
+                        got = pair_free_outcome(_pair_free_anchor, M, toks, radius, need)
+                        want = pair_free_outcome(_ball_pair_free_anchor, M, toks, radius, need)
+                        assert got == want, (kind, len(M), r, s, radius)
+                    if kind == "cycle" and 2 * radius + 1 >= len(M) and got != "exhausted":
+                        whole_cycle_balls += 1
+        assert kinds == {"path", "cycle"}
+        assert whole_cycle_balls > 0
+
+    def test_outcomes_cover_found_none_and_exhausted(self):
+        outcomes = set()
+        for M in self.windows():
+            for r, s in self.RS:
+                got = pair_free_outcome(_pair_free_anchor, M, class_ids(M, s), 2 * r, 2 * r + s)
+                outcomes.add(got if got in (None, "exhausted") else "found")
+        assert outcomes == {"found", None, "exhausted"}
+
+    def test_no_deep_anchor_is_exhaustion_on_both(self):
+        M = colored_line(random.Random(5), 12, 2, frontier=(0, 11))
+        ids = class_ids(M, 2)
+        for probe in (_pair_free_anchor, _ball_pair_free_anchor):
+            with pytest.raises(WindowExhausted):
+                probe(M, ids, 6, 8)
+
+    def test_striped_line_has_pairs_everywhere(self):
+        M = period2_line(width=400)
+        assert _layout(M)[0] == "path"
+        for r, s in self.RS[1:]:
+            ids = class_ids(M, s)
+            assert _pair_free_anchor(M, ids, 2 * r, 2 * r + s) is None
+            assert _ball_pair_free_anchor(M, ids, 2 * r, 2 * r + s) is None
+
+    def test_property_q_matches_ball_loop_on_paths(self):
+        rng = random.Random(77)
+        for trial in range(30):
+            n = rng.randrange(10, 80)
+            M = colored_line(rng, n, 1 + trial % 3, frontier=(0, n - 1))
+            for r, s in self.RS:
+                want = pair_free_outcome(_ball_pair_free_anchor, M, class_ids(M, s), r, r + s)
+                if want == "exhausted":
+                    with pytest.raises(WindowExhausted):
+                        property_Q_check(M, r, s)
+                    continue
+                rep = property_Q_check(M, r, s)
+                assert rep.witness_anchor == want
+                assert rep.holds == (want is None)
+                depths = M.depths()
+                assert rep.anchors_tested == sum(depths[e] >= r + s for e in M.elements)
+
+
+class TestRecurrence:
+    def test_unreached_components_are_skipped_by_lip_only(self):
+        # A frontier path plus a closed 2-cycle the frontier cannot reach:
+        # lip_check skips the cycle's infinite-depth elements, the rigid
+        # limit's recurrence radius counts them at the window bound.
+        lang = Language([("Succ", 2), ("White", 1), ("Black", 1)])
+        path = [f"p{i}" for i in range(9)]
+        tuples = [("Succ", (a, b)) for a, b in zip(path, path[1:])]
+        tuples += [("Succ", ("qa", "qb")), ("Succ", ("qb", "qa"))]
+        tuples += [("Black" if i % 3 == 0 else "White", (e,)) for i, e in enumerate(path)]
+        tuples += [("White", ("qa",)), ("White", ("qb",))]
+        M = Structure(lang, path + ["qa", "qb"], tuples, frontier=("p0", "p8"))
+        rep = lip_check(M, 1)
+        assert [(rep_, k) for _, rep_, k in rep.per_class] == [
+            ("p1", 1), ("p2", 2), ("p3", 2), ("qa", None)
+        ]
+        assert rep.witness[1:] == ("qa", "p2")
+        assert rep.window_bound == 4
+        members = ["p1", "p4", "p7"]
+        assert _least_recurrence_k(M, members, count_unreached=False)[0] == 1
+        assert _least_recurrence_k(M, members)[0] is None
 
 
 class TestCharacterization:
@@ -130,6 +263,20 @@ class TestRigidLimit:
             assert stored == trace.steps[n].window
             assert entry["anchor"] == trace.steps[n].anchor
         assert manifest["verification"]["class_presence"] == [True, True, True]
+
+    def test_saved_trace_bytes_are_pinned(self, sqrt2, tmp_path):
+        # Digest of the files RigidLimitTrace.save writes, taken from the
+        # per-anchor implementation before the linear probe replaced it.
+        M = gen_sturmian(sqrt2, 0, 2000)
+        out = tmp_path / "trace"
+        rigid_limit(M, 3, "0").save(out)
+        digest = hashlib.sha256()
+        for name in sorted(os.listdir(out)):
+            digest.update(name.encode())
+            digest.update((out / name).read_bytes())
+        assert digest.hexdigest() == (
+            "453cb86c7b1283a507bd0c1f5d355959ba38f053b2f59c6eda6bddd0db8e22de"
+        )
 
     def test_periodic_line_characterization_fails(self):
         M = period2_line(width=400)
