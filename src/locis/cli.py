@@ -55,10 +55,6 @@ def _parse_ints(text):
     return tuple(int(p) for p in text.split(",") if p)
 
 
-def _hex(sig):
-    return sig.hex()
-
-
 def _structure_stats(M):
     import hashlib
 
@@ -69,10 +65,6 @@ def _structure_stats(M):
         "frontier": len(M.frontier),
         "content": digest,
     }
-
-
-def _load(path):
-    return textio.load(path)
 
 
 def _emit(args, doc):
@@ -168,7 +160,7 @@ def _cmd_gen(args):
 
 def _cmd_validate(args):
     try:
-        M = _load(args.path)
+        M = textio.load(args.path)
     except LocisError as exc:
         return report_document(
             "validate",
@@ -193,7 +185,7 @@ def _cmd_validate(args):
 
 
 def _cmd_ball(args):
-    M = _load(args.path)
+    M = textio.load(args.path)
     center = args.center if args.center is not None else M.deepest_element()
     pb = M.ball(center, args.h)
     textio.save(pb.structure, args.out)
@@ -210,11 +202,11 @@ def _cmd_ball(args):
 
 
 def _cmd_census(args):
-    M = _load(args.path)
+    M = textio.load(args.path)
     table = census(M, args.h)
     entries = [
         {
-            "signature": _hex(e.signature),
+            "signature": e.signature.hex(),
             "multiplicity": e.multiplicity,
             "representative": e.representative,
         }
@@ -230,19 +222,19 @@ def _cmd_census(args):
 
 
 def _cmd_lip(args):
-    M = _load(args.path)
+    M = textio.load(args.path)
     rep = lip_check(M, args.h)
     body = {
         "k": rep.k,
         "per_class": [
-            {"signature": _hex(sig), "representative": r, "k_c": k}
+            {"signature": sig.hex(), "representative": r, "k_c": k}
             for sig, r, k in rep.per_class
         ],
     }
     if rep.witness is not None:
         sig, r, bad = rep.witness
         body["witness"] = {
-            "signature": _hex(sig),
+            "signature": sig.hex(),
             "representative": r,
             "uncovered_element": bad,
         }
@@ -256,8 +248,8 @@ def _cmd_lip(args):
 
 
 def _cmd_compare(args):
-    M = _load(args.left)
-    N = _load(args.right)
+    M = textio.load(args.left)
+    N = textio.load(args.right)
     rep = extraction_compare(M, N, args.h)
     verdict = "holds_up_to_bounds" if rep.locally_isomorphic() else "fails_with_witness"
     body = {
@@ -277,25 +269,22 @@ def _cmd_compare(args):
 
 
 def _cmd_algebra(args):
-    M = _load(args.path)
+    M = textio.load(args.path)
     bounds = {"window": len(M), "check": args.check}
     if args.check == "equational":
         rep = equational_check(M)
-        verdict = "holds_up_to_bounds" if rep.holds else "fails_with_witness"
         body = {"witness": list(rep.witness) if rep.witness else None}
     elif args.check == "commutativity":
         bounds["max_len"] = args.max_len
         rep = strong_commutativity_check(M, args.max_len)
-        verdict = "holds_up_to_bounds" if rep.holds else "fails_with_witness"
         body = {"anchors": rep.anchors}
         if rep.witness:
             x, v, w = rep.witness
             body["witness"] = {"element": x, "v": str(v), "w": str(w)}
     else:  # regularity
         bounds["max_len"] = args.max_len
-        family = [M] + [_load(p) for p in args.others]
+        family = [M] + [textio.load(p) for p in args.others]
         rep = strong_regularity_check(family, args.max_len)
-        verdict = "holds_up_to_bounds" if rep.holds else "fails_with_witness"
         body = {"family": 1 + len(args.others)}
         if rep.witness:
             mi_f, x, mi_m, y, w = rep.witness
@@ -307,12 +296,12 @@ def _cmd_algebra(args):
                 "word": str(w),
             }
     return report_document(
-        "algebra", verdict, bounds, body, inputs=[args.path] + list(args.others or [])
+        "algebra", rep.verdict, bounds, body, inputs=[args.path] + list(args.others or [])
     )
 
 
 def _cmd_symmetries(args):
-    M = _load(args.path)
+    M = textio.load(args.path)
     rep = find_symmetries(
         M,
         args.displacement,
@@ -366,7 +355,7 @@ def _cmd_symmetries(args):
 
 
 def _cmd_periods(args):
-    M = _load(args.path)
+    M = textio.load(args.path)
     rep = detect_periodicity(M, args.rank_bound, radius=args.radius)
     if rep.orbit_cover == "covers_interior":
         verdict = "holds_up_to_bounds"
@@ -392,7 +381,7 @@ def _cmd_periods(args):
 
 
 def _cmd_rigidity(args):
-    M = _load(args.path)
+    M = textio.load(args.path)
     radii = _parse_radii(args.radii)
     rep = rigidity_characterization(M, radii, args.s, lip_radius=args.lip_radius)
     if rep.verdict == "characterization_holds_up_to_bounds":
@@ -424,7 +413,7 @@ def _cmd_rigidity(args):
 
 
 def _cmd_rigid_limit(args):
-    M = _load(args.path)
+    M = textio.load(args.path)
     seed = args.seed if args.seed is not None else M.deepest_element()
     try:
         trace = rigid_limit(M, args.steps, seed, verify=not args.no_verify)
@@ -456,7 +445,7 @@ def _cmd_rigid_limit(args):
 
 
 def _cmd_quotient(args):
-    M = _load(args.path)
+    M = textio.load(args.path)
     radius = args.radius if args.radius is not None else len(M)
     rep = find_symmetries(
         M, args.displacement, radius, include_reversals=False, include_identity=False

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -186,29 +185,35 @@ class Structure:
             self._incident = {e: tuple(v) for e, v in inc.items()}
         return self._incident[element]
 
+    def distances(self, sources, limit=None):
+        """Gaifman distance to the nearest source, for every element within
+        `limit` of one (every reachable element when limit is None).
+
+        Breadth-first over adjacency(); the dict lists elements in discovery
+        order, sources first.
+        """
+        adj = self.adjacency()
+        dist = dict.fromkeys(sources, 0)
+        layer, d = list(dist), 0
+        while layer and (limit is None or d < limit):
+            d += 1
+            nxt = []
+            for u in layer:
+                for v in adj[u]:
+                    if v not in dist:
+                        dist[v] = d
+                        nxt.append(v)
+            layer = nxt
+        return dist
+
     def depths(self):
         """Distance from each element to the nearest frontier element.
 
         math.inf everywhere when the frontier is empty (closed window).
         """
         if self._depth is None:
-            if not self.frontier:
-                self._depth = {e: math.inf for e in self.elements}
-            else:
-                adj = self.adjacency()
-                dist = {e: math.inf for e in self.elements}
-                queue = deque()
-                for e in self.frontier:
-                    dist[e] = 0
-                    queue.append(e)
-                while queue:
-                    u = queue.popleft()
-                    d = dist[u] + 1
-                    for v in adj[u]:
-                        if dist[v] > d:
-                            dist[v] = d
-                            queue.append(v)
-                self._depth = dist
+            dist = self.distances(self.frontier)
+            self._depth = {e: dist.get(e, math.inf) for e in self.elements}
         return self._depth
 
     def depth(self, element):
@@ -238,18 +243,7 @@ class Structure:
         return [e for e in self.elements if depths[e] >= h]
 
     def is_connected(self):
-        if len(self.elements) <= 1:
-            return True
-        adj = self.adjacency()
-        seen = {self.elements[0]}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == len(self.elements)
+        return len(self.distances(self.elements[:1])) == len(self.elements)
 
     def local_finiteness_witness(self):
         """(max |B(u,1)|, witness u) over interior elements; (0, None) if none.
@@ -274,19 +268,7 @@ class Structure:
         """BFS element set of B(center, h), without the faithfulness check."""
         if center not in self._eset:
             raise DanglingElement(center, ("ball", center))
-        adj = self.adjacency()
-        dist = {center: 0}
-        queue = deque([center])
-        while queue:
-            u = queue.popleft()
-            d = dist[u]
-            if d == h:
-                continue
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = d + 1
-                    queue.append(v)
-        return dist
+        return self.distances((center,), h)
 
     def ball(self, center, h):
         """Extract (B(center,h), center) as a standalone closed structure."""
@@ -298,14 +280,7 @@ class Structure:
         d = self.depth(center)
         if d < h:
             raise UnfaithfulRadius(center, h, d)
-        dist = self.ball_elements(center, h)
-        members = frozenset(dist)
-        tuples = []
-        for e in members:
-            for name, t in self.incident(e):
-                if all(a in members for a in t):
-                    tuples.append((name, t))
-        sub = Structure(self.language, members, tuples, frontier=())
+        sub = self.restrict(self.ball_elements(center, h), frontier=())
         return PointedBall(structure=sub, center=center, radius=h)
 
     def restrict(self, members, frontier):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import PointedBall, Structure
@@ -32,7 +32,8 @@ class View:
 
     Reversal turns every tuple (x_1,...,x_k) into (x_k,...,x_1). A pointed
     isomorphism onto a reversed view is an orientation-reversing symmetry
-    approximant (a mirror). Gaifman adjacency and depths are unaffected.
+    approximant (a mirror). Gaifman adjacency and depths, which reversal
+    leaves unchanged, are read from the base structure.
     """
 
     __slots__ = ("base", "reverse")
@@ -40,16 +41,6 @@ class View:
     def __init__(self, base, reverse=False):
         self.base = base
         self.reverse = reverse
-
-    @property
-    def language(self):
-        return self.base.language
-
-    def adj(self, u):
-        return self.base.adjacency()[u]
-
-    def depth(self, u):
-        return self.base.depth(u)
 
     def unary_profile(self, u):
         return self.base.unary_profile(u)
@@ -175,22 +166,13 @@ class EngineResult:
     mapping: dict | None = None
 
 
-def _grow_layers(view, center, limit):
-    dist = {center: 0}
-    layers = [[center]]
-    frontier = [center]
-    for level in range(1, limit + 1):
-        nxt = []
-        for u in frontier:
-            for v in view.adj(u):
-                if v not in dist:
-                    dist[v] = level
-                    nxt.append(v)
-        if not nxt:
-            break
-        nxt.sort()
-        layers.append(nxt)
-        frontier = nxt
+def _grow_layers(M, center, limit):
+    dist = M.distances((center,), limit)
+    layers = [[] for _ in range(max(dist.values()) + 1)]
+    for u, d in dist.items():
+        layers[d].append(u)
+    for layer in layers:
+        layer.sort()
     return layers, dist
 
 
@@ -235,8 +217,8 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
         certifiable = target_radius
     certifiable = int(certifiable)
 
-    layers_a, dist_a = _grow_layers(va, a, certifiable)
-    layers_b, dist_b = _grow_layers(vb, b, certifiable)
+    layers_a, dist_a = _grow_layers(M, a, certifiable)
+    layers_b, dist_b = _grow_layers(N, b, certifiable)
 
     # Set-level prechecks, layer by layer. A mismatch at a faithful layer
     # certifies death at that radius.
@@ -862,26 +844,16 @@ def _window_bound(M):
 def _least_recurrence_k(M, members, count_unreached=True):
     """Least k with every element of depth >= k within k of a member.
 
-    Returns (k or None, dist), where dist is every element's distance to
-    the nearest member. f(k), the largest distance over elements of depth
-    >= k, is non-increasing, so f(k) <= k holds exactly for k from the
-    answer up to the window bound. Elements of infinite depth count at the
+    Returns (k or None, dist), where dist maps every element a member
+    reaches to its distance from the nearest member; the others are at
+    distance inf. f(k), the largest distance over elements of depth >= k,
+    is non-increasing, so f(k) <= k holds exactly for k from the answer up
+    to the window bound. Elements of infinite depth count at the
     bound; in a window with a frontier, count_unreached=False skips them
     instead (they sit in components the frontier cannot reach).
     """
-    adj = M.adjacency()
     depths = M.depths()
-    dist = {e: math.inf for e in M.elements}
-    queue = deque(members)
-    for m in members:
-        dist[m] = 0
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] > d:
-                dist[v] = d
-                queue.append(v)
+    dist = M.distances(members)
     bound = _window_bound(M)
     skip = not count_unreached and not M.is_closed()
     buckets = {}
@@ -896,8 +868,9 @@ def _least_recurrence_k(M, members, count_unreached=True):
     running = 0  # f(k)
     for k in range(bound, -1, -1):
         for e in buckets.get(k, ()):
-            if dist[e] > running:
-                running = dist[e]
+            d = dist.get(e, math.inf)
+            if d > running:
+                running = d
         if running > k:
             break
         least = k
@@ -933,7 +906,7 @@ def lip_check(M, h):
                     d = depths[e]
                     if d is not math.inf and d < k_cap:
                         continue
-                    if dist[e] > k_cap:
+                    if dist.get(e, math.inf) > k_cap:
                         bad = e
                         break
                 witness = (sig, rep, bad)

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 
+from .core import Structure
 from .errors import (
     CharacterizationFails,
     HypothesisUnverified,

@@ -40,11 +40,6 @@ class SymmetryReport:
         return [p for p in self.found if p.reversed_target]
 
 
-def _full_limit(M, x, y):
-    d = min(M.depth(x), M.depth(y))
-    return len(M) if d is math.inf else int(d)
-
-
 _PROBE_RADIUS = 6
 
 
@@ -234,7 +229,7 @@ def find_symmetries(
                     detail.append((y, rev, "dead", layer))
                     continue
                 # chain-certified survivor; exhibit a concrete map
-                limit = _full_limit(M, x, y)
+                limit = _full_limit_pair(M, x, M, y)
                 full = windowed_pointed_iso(M, x, M, y, limit, rev)
                 if full.status == "iso":
                     p = PartialIso(M, M, full.mapping, x, limit, rev)
@@ -246,7 +241,7 @@ def find_symmetries(
                 else:
                     detail.append((y, rev, "alive_at_window_limit", full.radius))
                 continue
-            limit = _full_limit(M, x, y)
+            limit = _full_limit_pair(M, x, M, y)
             probe = min(_PROBE_RADIUS, radius, limit)
             first = windowed_pointed_iso(M, x, M, y, probe, rev)
             if first.status == "dead":
@@ -261,12 +256,9 @@ def find_symmetries(
                 continue
             p = PartialIso(M, M, full.mapping, x, limit, rev)
             p.verify()
-            if limit >= radius:
-                found.append(p)
-                detail.append((y, rev, "found", limit))
-            else:
-                found.append(p)
-                detail.append((y, rev, "alive_at_window_limit", limit))
+            found.append(p)
+            outcome = "found" if limit >= radius else "alive_at_window_limit"
+            detail.append((y, rev, outcome, limit))
     fully = [d for d in detail if d[2] == "found"]
     alive = [d for d in detail if d[2] == "alive_at_window_limit"]
     if fully:
@@ -490,26 +482,17 @@ def _word_between(M, a, b, bound):
 
     if a == b:
         return Word(())
-    adj = M.adjacency()
-    parent = {a: None}
-    frontier = [a]
-    for _ in range(bound):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        if b in parent:
-            break
-        frontier = nxt
-        if not frontier:
-            return None
-    if b not in parent:
+    dist = M.ball_elements(a, bound)
+    if b not in dist:
         return None
+    # Walk back from b. The neighbour one step closer with the least BFS
+    # rank is the one that discovered it.
+    rank = {e: i for i, e in enumerate(dist)}
+    adj = M.adjacency()
     path = [b]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
+    while path[-1] != a:
+        d = dist[path[-1]] - 1
+        path.append(min((v for v in adj[path[-1]] if dist.get(v) == d), key=rank.__getitem__))
     path.reverse()
     steps = []
     for u, v in zip(path, path[1:]):

@@ -148,6 +148,29 @@ class TestAdjacency:
         assert witness in {"1", "2", "3"}
 
 
+class TestDistances:
+    def test_sources_only_at_limit_zero(self):
+        M = path(6)
+        assert M.distances(["4", "1"], 0) == {"4": 0, "1": 0}
+
+    def test_no_sources(self):
+        assert path(6).distances([]) == {}
+
+    def test_discovery_order_sources_first(self):
+        M = path(7)
+        dist = M.distances(["5", "1"])
+        assert list(dist)[:2] == ["5", "1"]
+        assert list(dist.values()) == sorted(dist.values())
+        assert dist == {"0": 1, "1": 0, "2": 1, "3": 2, "4": 1, "5": 0, "6": 1}
+
+    def test_is_connected(self):
+        assert path(5).is_connected()
+        assert mk([], n=0).is_connected()
+        assert mk([], n=1).is_connected()
+        assert not mk([("P", ("0", "1")), ("Q", ("2", "3"))]).is_connected()
+        assert not mk([("P", ("0", "1")), ("P", ("2", "2"))]).is_connected()
+
+
 class TestBalls:
     def test_ball_matches_hand_bfs(self):
         M = path(9)
@@ -262,3 +285,29 @@ def test_depths_are_bfs_distances(M):
                 break
             h += 1
         assert depths[u] == h
+
+
+def _oracle_distances(M, sources, limit):
+    """Distance to the nearest source via the hand BFS, within limit."""
+    reach = len(M.elements) if limit is None else limit
+    out = {}
+    for h in range(reach, -1, -1):
+        for s in sources:
+            for e in bfs_ball(M, s, h):
+                out[e] = h
+    return out
+
+
+@given(
+    random_window(),
+    st.lists(st.integers(min_value=0, max_value=6), max_size=3),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+)
+@settings(max_examples=150, deadline=None)
+def test_distances_agree_with_bfs(M, picks, limit):
+    sources = [M.elements[i % len(M.elements)] for i in picks]
+    dist = M.distances(sources, limit)
+    assert dist == _oracle_distances(M, sources, limit)
+    assert list(dist.values()) == sorted(dist.values())
+    component = bfs_ball(M, M.elements[0], len(M.elements))
+    assert M.is_connected() == (component == set(M.elements))

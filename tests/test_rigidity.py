@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import random
+import typing
 
 import pytest
 
@@ -29,6 +30,7 @@ from locis.generators import (
 )
 from locis.iso import _layout, _least_recurrence_k, class_ids, lip_check
 from locis.rigidity import (
+    TraceStep,
     _ball_pair_free_anchor,
     _pair_free_anchor,
     property_Q_check,
@@ -294,3 +296,8 @@ class TestRigidLimit:
         M = gen_sturmian(sqrt2, 0, 40)
         with pytest.raises(WindowExhausted):
             rigid_limit(M, 3, "0")
+
+
+def test_trace_step_annotations_resolve():
+    hints = typing.get_type_hints(TraceStep)
+    assert hints["window"] is Structure

@@ -31,12 +31,15 @@ from locis.generators import (
 )
 from locis.iso import PartialIso, class_ids, extraction_compare, windowed_pointed_iso
 from locis.symmetry import (
+    _word_between,
     detect_periodicity,
     extend_partial_iso,
     extend_to_automorphism,
     find_symmetries,
     periodic_isomorphism,
 )
+
+from conftest import mk
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +350,41 @@ class TestExtendPartialIso:
         assert exc.witness in M.elements
         if exc.word is not None:
             assert len(exc.word) <= 2 * 1 + 3
+
+
+class TestWordBetween:
+    # Words pinned from the breadth-first parent-pointer search the connecting
+    # word was first computed with.
+    GRID_WORDS = {
+        "1_0": (1, "E1:1>2"),
+        "1_1": (2, "E2:1>2,E1:1>2"),
+        "-1_-1": (2, "E1:2>1,E2:2>1"),
+        "-2_1": (3, "E1:2>1,E2:1>2,E1:2>1"),
+        "2_2": (4, "E2:1>2,E2:1>2,E1:1>2,E1:1>2"),
+        "2_-2": (4, "E2:2>1,E2:2>1,E1:1>2,E1:1>2"),
+    }
+
+    def test_grid_words_and_bound(self):
+        M = gen_grid((2, 2))
+        for b, (dist, word) in self.GRID_WORDS.items():
+            assert _word_between(M, "0_0", b, dist - 1) is None
+            for bound in (dist, dist + 1):
+                assert str(_word_between(M, "0_0", b, bound)) == word
+
+    def test_same_endpoint_is_empty_word(self):
+        M = gen_grid((2, 2))
+        for bound in (0, 3):
+            assert _word_between(M, "1_-1", "1_-1", bound).steps == ()
+
+    def test_tie_break_is_discovery_order_not_id_order(self):
+        # Both 0-1-9-5 and 0-2-3-5 are shortest; 9 is discovered before 3
+        # (through 1), though "3" < "9".
+        M = mk([("P", ("0", "1")), ("P", ("1", "9")), ("P", ("9", "5")),
+                ("Q", ("0", "2")), ("Q", ("2", "3")), ("Q", ("3", "5"))])
+        assert str(_word_between(M, "0", "5", 3)) == "P:1>2,P:1>2,P:1>2"
+        assert str(_word_between(M, "5", "0", 3)) == "Q:2>1,Q:2>1,Q:2>1"
+        assert _word_between(M, "0", "5", 2) is None
+        assert _word_between(M, "0", "4", 9) is None  # unreachable
 
 
 # ---------------------------------------------------------------------------
