@@ -208,6 +208,8 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     """
     if M.language != N.language:
         raise LanguageMismatch(M.language, N.language)
+    if target_radius < 0:
+        raise InvariantViolation("radius", f"negative radius {target_radius}")
     va = View(M)
     vb = View(N, reverse)
     depth_a = M.depth(a)
@@ -675,6 +677,40 @@ def _forest_layout(M):
     return parent
 
 
+def _tiling_layout(M):
+    """Slot-labelled level map of a two-relation tiling window, if M is one.
+
+    Applicable when the language has two binary symbols and no colors, the
+    first relation (levels) links every element to at most one successor
+    that receives at most two links, some receive two, and the second forms
+    simple same-level chains (rows). This is the shape of half-plane binary
+    tilings: the pointed h-ball of a tile is decided by which child slot
+    each chain element occupies, read off the row relation. Returns (parent,
+    forked): parent maps each tile whose slot is witnessed inside the window
+    to (level successor, 0 when its row successor shares it, 1 when its row
+    predecessor does); forked holds the tiles with two level predecessors.
+    """
+    syms = M.language.symbols
+    if len(syms) != 2 or M.language.unary_symbols or any(a != 2 for _, a in syms):
+        return None
+    for (a_name, _), (r_name, _) in (syms, syms[::-1]):
+        levels, rows = M.tuples_by_symbol[a_name], M.tuples_by_symbol[r_name]
+        a_out = dict(levels)
+        a_in = Counter(v for _, v in levels)
+        if len(a_out) < len(levels) or 2 not in a_in.values() or max(a_in.values()) > 2:
+            continue
+        if len({u for u, _ in rows}) < len(rows) or len({v for _, v in rows}) < len(rows):
+            continue
+        parent = {}
+        for u, v in rows:
+            p = a_out.get(u)
+            if p is not None and a_out.get(v) == p:
+                parent[u] = (p, 0)  # a witnessed slot 0 wins over slot 1
+                parent.setdefault(v, (p, 1))
+        return parent, {v for v, links in a_in.items() if links == 2}
+    return None
+
+
 def _layout(M):
     """The window's fast-path layout, detected once and memoized on M.
 
@@ -694,6 +730,45 @@ def _layout(M):
     return M._cache["layout"]
 
 
+def _chain_layout(M):
+    """The window's upward chain map, detected once and memoized on M.
+
+    (parent, forked) on forest and tiling windows, None otherwise. parent
+    maps an element to (successor, label) along the chain whose label words
+    decide pointed balls. forked holds the anchors whose reversed candidates
+    die at radius 1: on a forest over two or more symbols every element (a
+    reversed map would need one in-edge per child label at the image, and
+    forest nodes have one parent), on a tiling the tiles with two level
+    predecessors (their children would need two distinct level successors at
+    the image, and tiles have one). A plain path is a forest here although
+    _layout reads it as a path, so the forest map is detected again then.
+    """
+    if "chain" not in M._cache:
+        layout = _layout(M)
+        if layout is None or layout[0] == "forest":
+            parent = None if layout is None else layout[1]
+        else:
+            parent = _forest_layout(M)
+        if parent is not None:
+            forked = M._eset if len(M.language.symbols) >= 2 else frozenset()
+            M._cache["chain"] = (parent, forked)
+        else:
+            M._cache["chain"] = _tiling_layout(M)
+    return M._cache["chain"]
+
+
+def _chain_word(parent, e, length):
+    """The first `length` labels up the chain from e, fewer where it leaves parent."""
+    labels = []
+    for _ in range(length):
+        hop = parent.get(e)
+        if hop is None:
+            break
+        e, label = hop
+        labels.append(label)
+    return labels
+
+
 def _forest_class_keys(M, h, parent, extended=False):
     """Upward label words of length h.
 
@@ -707,19 +782,9 @@ def _forest_class_keys(M, h, parent, extended=False):
     for e in M.elements:
         if not extended and depths[e] < h:
             continue
-        labels = []
-        cur = e
-        ok = True
-        for _ in range(h):
-            hop = parent.get(cur)
-            if hop is None:
-                ok = False
-                break
-            p, si = hop
-            labels.append(si)
-            cur = p
-        if ok:
-            keys[e] = tuple(labels)
+        word = _chain_word(parent, e, h)
+        if len(word) == h:
+            keys[e] = tuple(word)
     return keys
 
 
@@ -733,6 +798,8 @@ def class_ids(M, h, extended=False):
     stays depth-bounded. Tokens are comparable within one call; use
     signatures to compare across structures.
     """
+    if h < 0:
+        raise InvariantViolation("radius", f"negative radius {h}")
     depths = M.depths()
     members = [e for e in M.elements if depths[e] >= h]
     layout = _layout(M)

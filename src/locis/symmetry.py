@@ -21,7 +21,13 @@ from .errors import (
     VerificationFailed,
     WindowExhausted,
 )
-from .iso import PartialIso, _forest_layout, extraction_compare, windowed_pointed_iso
+from .iso import (
+    PartialIso,
+    _chain_layout,
+    _chain_word,
+    extraction_compare,
+    windowed_pointed_iso,
+)
 
 
 @dataclass
@@ -41,18 +47,6 @@ class SymmetryReport:
 
 
 _PROBE_RADIUS = 6
-
-
-def _ancestor_word(parent, e, length):
-    labels = []
-    cur = e
-    while len(labels) < length:
-        hop = parent.get(cur)
-        if hop is None:
-            break
-        cur, si = hop
-        labels.append(si)
-    return labels
 
 
 def _word_step(wx, wy, radius):
@@ -79,99 +73,6 @@ def _word_step(wx, wy, radius):
     return None
 
 
-def _forest_prefilter(M, parent, word_x, y, rev, radius):
-    """Certified outcome for a candidate on a uniform-forest window.
-
-    A pointed map carries the parent chain of the anchor to the parent
-    chain of y label for label, so the upward words decide the candidate. A
-    reversed map would need one in-edge per child label at the image, and
-    forest nodes have a single parent, killing every reversed candidate at
-    radius 1 when the language has two or more labels.
-    """
-    if rev:
-        return ("dead", 1) if len(M.language.symbols) >= 2 else None
-    return _word_step(word_x, _ancestor_word(parent, y, radius + 1), radius)
-
-
-def _tiling_layout(M):
-    """Chain maps for a two-relation layout where the first relation links
-    every element to at most one successor that receives at most two links
-    (levels), and the second forms simple same-level chains (rows).
-
-    This is the shape of half-plane binary tilings: the pointed h-ball of a
-    tile is decided by which child slot each chain element occupies, read
-    off the row relation, so candidates can be certified along chains that
-    outrun the window's ball depth by far.
-    """
-    syms = M.language.symbols
-    if len(syms) != 2 or M.language.unary_symbols:
-        return None
-    if any(a != 2 for _, a in syms):
-        return None
-    for a_name, r_name in ((syms[0][0], syms[1][0]), (syms[1][0], syms[0][0])):
-        a_out, a_in = {}, {}
-        ok = True
-        for u, v in M.tuples_by_symbol[a_name]:
-            if u in a_out:
-                ok = False
-                break
-            a_out[u] = v
-            a_in.setdefault(v, []).append(u)
-        if not ok or not any(len(v) == 2 for v in a_in.values()):
-            continue
-        if any(len(v) > 2 for v in a_in.values()):
-            continue
-        r_out, r_prev = {}, {}
-        for u, v in M.tuples_by_symbol[r_name]:
-            if u in r_out or v in r_prev:
-                ok = False
-                break
-            r_out[u] = v
-            r_prev[v] = u
-        if ok:
-            return a_out, a_in, r_out, r_prev
-    return None
-
-
-def _tiling_bits(layout, e, length):
-    """Child-slot bits along the level chain, stopping at the first element
-    whose slot is not witnessed inside the window."""
-    a_out, _, r_out, r_prev = layout
-    bits = []
-    cur = e
-    while len(bits) < length:
-        p = a_out.get(cur)
-        if p is None:
-            break
-        z = r_out.get(cur)
-        if z is not None and a_out.get(z) == p:
-            bits.append(0)
-        else:
-            w = r_prev.get(cur)
-            if w is not None and a_out.get(w) == p:
-                bits.append(1)
-            else:
-                break
-        cur = p
-    return bits
-
-
-def _tiling_prefilter(M, layout, word_x, x, y, rev, radius):
-    """Certified outcome for a candidate on a two-relation tiling window.
-
-    The child-slot bits along the level chain decide the pointed ball, as
-    in the forest case. A reversed candidate would have to send the
-    anchor's two children to distinct level-successors of the image, and
-    elements carry at most one, a death at radius 1.
-    """
-    a_out, a_in, _, _ = layout
-    if rev:
-        if len(a_in.get(x, ())) == 2:
-            return ("dead", 1)
-        return None
-    return _word_step(word_x, _tiling_bits(layout, y, radius + 1), radius)
-
-
 def find_symmetries(
     M,
     displacement,
@@ -193,6 +94,10 @@ def find_symmetries(
     identity candidate (anchor, forward) is skipped unless requested, so
     reported maps are nontrivial.
     """
+    if displacement < 0 or radius < 0:
+        raise InvariantViolation(
+            "radius", f"negative displacement {displacement} or radius {radius}"
+        )
     if anchor is None:
         anchor = M.deepest_element()
     depth_x = M.depth(anchor)
@@ -203,14 +108,11 @@ def find_symmetries(
     x = anchor
     candidates = sorted(M.ball_elements(x, displacement))
     orientations = [False] + ([True] if include_reversals else [])
-    forest = _forest_layout(M)
-    tiling = _tiling_layout(M) if forest is None else None
-    word_x = None
-    if radius >= 1:
-        if forest is not None:
-            word_x = _ancestor_word(forest, x, radius + 1)
-        elif tiling is not None:
-            word_x = _tiling_bits(tiling, x, radius + 1)
+    # a chain death at radius 1 says nothing about radius 0
+    chain = _chain_layout(M) if radius >= 1 else None
+    if chain is not None:
+        parent, forked = chain
+        word_x = _chain_word(parent, x, radius + 1)
     found = []
     detail = []
     for y in candidates:
@@ -218,35 +120,21 @@ def find_symmetries(
             if y == x and not rev and not include_identity:
                 continue
             step = None
-            if word_x is not None:
-                if forest is not None:
-                    step = _forest_prefilter(M, forest, word_x, y, rev, radius)
-                else:
-                    step = _tiling_prefilter(M, tiling, word_x, x, y, rev, radius)
-            if step is not None:
-                outcome, layer = step
-                if outcome == "dead":
-                    detail.append((y, rev, "dead", layer))
-                    continue
-                # chain-certified survivor; exhibit a concrete map
-                limit = _full_limit_pair(M, x, M, y)
-                full = windowed_pointed_iso(M, x, M, y, limit, rev)
-                if full.status == "iso":
-                    p = PartialIso(M, M, full.mapping, x, limit, rev)
-                    p.verify()
-                    found.append(p)
-                    detail.append((y, rev, "found", layer))
-                elif full.status == "dead":
-                    detail.append((y, rev, "dead", full.radius))
-                else:
-                    detail.append((y, rev, "alive_at_window_limit", full.radius))
+            if chain is not None:
+                if not rev:
+                    step = _word_step(word_x, _chain_word(parent, y, radius + 1), radius)
+                elif x in forked:
+                    step = ("dead", 1)
+            if step is not None and step[0] == "dead":
+                detail.append((y, rev, "dead", step[1]))
                 continue
             limit = _full_limit_pair(M, x, M, y)
-            probe = min(_PROBE_RADIUS, radius, limit)
-            first = windowed_pointed_iso(M, x, M, y, probe, rev)
-            if first.status == "dead":
-                detail.append((y, rev, "dead", first.radius))
-                continue
+            if step is None:
+                probe = min(_PROBE_RADIUS, radius, limit)
+                first = windowed_pointed_iso(M, x, M, y, probe, rev)
+                if first.status == "dead":
+                    detail.append((y, rev, "dead", first.radius))
+                    continue
             full = windowed_pointed_iso(M, x, M, y, limit, rev)
             if full.status == "dead":
                 detail.append((y, rev, "dead", full.radius))
@@ -257,8 +145,11 @@ def find_symmetries(
             p = PartialIso(M, M, full.mapping, x, limit, rev)
             p.verify()
             found.append(p)
-            outcome = "found" if limit >= radius else "alive_at_window_limit"
-            detail.append((y, rev, outcome, limit))
+            if step is not None:  # chain-certified past the window's ball depth
+                detail.append((y, rev, "found", step[1]))
+            else:
+                outcome = "found" if limit >= radius else "alive_at_window_limit"
+                detail.append((y, rev, outcome, limit))
     fully = [d for d in detail if d[2] == "found"]
     alive = [d for d in detail if d[2] == "alive_at_window_limit"]
     if fully:

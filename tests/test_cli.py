@@ -129,6 +129,13 @@ class TestBallAndCensus:
         assert code == 0
         assert doc["result"]["classes"] == 10  # 2h+2
 
+    def test_census_negative_radius_is_an_error(self, board_file, capsys):
+        code = main(["census", board_file, "--h", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
 
 class TestLipAndCompare:
     def test_lip_holds_on_columns(self, sturmian_file, capsys):
@@ -224,6 +231,13 @@ class TestSymmetriesCommand:
         assert code == 2
         assert doc["verdict"] == "inconclusive"
         assert doc["result"]["survivors"]
+
+    def test_negative_displacement_is_an_error(self, board_file, capsys):
+        code = main(["symmetries", board_file, "--displacement", "-1", "--radius", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
 
 class TestPeriodsRigidityQuotient:

@@ -17,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locis.core import Language, Structure
-from locis.errors import LanguageMismatch, NoFaithfulElements, VerificationFailed
+from locis.errors import (
+    InvariantViolation,
+    LanguageMismatch,
+    NoFaithfulElements,
+    VerificationFailed,
+)
 from locis.generators import (
     AddressSequence,
     QuadraticIrrational,
@@ -138,6 +143,11 @@ class TestEngineVerdicts:
         with pytest.raises(LanguageMismatch):
             windowed_pointed_iso(A, "0", B, "0", 1)
 
+    def test_negative_radius_rejected(self):
+        M = gen_grid((4, 4), mode="torus")
+        with pytest.raises(InvariantViolation):
+            windowed_pointed_iso(M, "0_0", M, "1_1", -2)
+
     def test_verify_rejects_tampered_mapping(self):
         M = gen_grid((3, 3), mode="torus")
         iso = pointed_iso(M.ball("0_0", 4), M.ball("1_1", 4))
@@ -200,6 +210,13 @@ class TestCensus:
         M = mk([("P", ("0", "1"))], n=2, frontier=("0", "1"))
         with pytest.raises(NoFaithfulElements):
             census(M, 1)
+
+    def test_negative_radius_rejected(self):
+        # class_ids guards census, lip, compare and the rigidity probes too
+        M = gen_grid((4, 4), mode="torus")
+        for fn in (class_ids, census):
+            with pytest.raises(InvariantViolation):
+                fn(M, -1)
 
     def test_signatures_comparable_across_structures(self, sqrt2):
         # the same infinite structure seen through two windows yields

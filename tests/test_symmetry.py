@@ -6,6 +6,7 @@ every candidate by itself. Period detection and seed extension are checked
 against coordinate arithmetic on colored tori.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -29,7 +30,14 @@ from locis.generators import (
     gen_kary_tree,
     gen_sturmian,
 )
-from locis.iso import PartialIso, class_ids, extraction_compare, windowed_pointed_iso
+from locis.iso import (
+    PartialIso,
+    _chain_layout,
+    _layout,
+    class_ids,
+    extraction_compare,
+    windowed_pointed_iso,
+)
 from locis.symmetry import (
     _word_between,
     detect_periodicity,
@@ -148,6 +156,80 @@ def test_tiling_certificates_match_engine(addr):
     assert set(got) == set(want)
     for key in want:
         assert (got[key] == "found") == (want[key] == "iso"), (key, got[key], want[key])
+
+
+def outcome_digest(rep):
+    found = sorted(
+        (sorted(p.mapping.items()), p.certified_radius, p.reversed_target) for p in rep.found
+    )
+    return hashlib.sha256(repr((rep.verdict, rep.candidates, found)).encode()).hexdigest()
+
+
+def childless_leaf(M):
+    parents = {t[0] for _, t in M.all_tuples()}
+    return min(e for e in M.elements if M.depth(e) == 0 and e not in parents)
+
+
+def tm_tree():
+    return gen_kary_tree(2, AddressSequence.parse("tm12"), depth=30, halo=6)
+
+
+def tm_tiling():
+    return gen_binary_hyperbolic(AddressSequence.parse("tm"), 8, 16, 4)
+
+
+def sqrt2_column():
+    return gen_sturmian(QuadraticIrrational.parse("(0+1*sqrt(2))/1"), 0, 30)
+
+
+# (window, anchor, displacement, radius, include_identity, verdict, digest)
+GOLDEN = {
+    # two-symbol forest, a depth-0 leaf with no child in the window: the
+    # reversed self-candidate still dies at radius 1
+    "forest_leaf": (tm_tree, childless_leaf, 0, 5, False, "none_found",
+                    "1322efd7c263e608d51aac5383dacd3ce3ab47cc627aef160753ca30ac647a1e"),
+    "tiling_forked": (tm_tiling, lambda M: "L0o0", 2, 4, False, "none_found",
+                      "9b5fb5d8a6cc2ddbbed4f781fcab80af1562147c18a201149ce4daa01b4a2fa4"),
+    # bottom-row tile: no level predecessors, so reversals reach the engine
+    "tiling_unforked": (tm_tiling, lambda M: "L-4o0", 0, 3, True, "found",
+                        "9ec848c243964c5e2eb43cf170cffa3832e8b78e9bcc67ee18bf51efefd677b4"),
+    # a forest for the chain words, a path for class_ids
+    "plain_path": (lambda: gen_grid((12,), mode="window"), lambda M: None, 2, 3, False,
+                   "found", "89bff8ec0ae7966bbbb0f6dbef2681ba28522f2af00c7c543675888ddd362a33"),
+    # colored: no chain layout, every candidate goes through the engine
+    "column": (sqrt2_column, lambda M: "0", 2, 5, False, "found",
+               "1912facf342691c83205c27d4fe8d7e56a2cd239b6c482974cd004aa9c630cb1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_outcomes_are_pinned_across_layouts(case):
+    build, pick, displacement, radius, identity, verdict, digest = GOLDEN[case]
+    M = build()
+    rep = find_symmetries(M, displacement, radius, include_identity=identity, anchor=pick(M))
+    assert rep.verdict == verdict
+    assert outcome_digest(rep) == digest
+
+
+def test_chain_layout_reads_a_plain_path_as_a_forest():
+    M = gen_grid((12,), mode="window")
+    assert _layout(M)[0] == "path"
+    parent, forked = _chain_layout(M)
+    assert len(parent) == len(M) - 1
+    assert all(label == 0 for _, label in parent.values())
+    assert not forked  # one symbol: reversals are left to the engine
+    chain = M._cache["chain"]
+    find_symmetries(M, 2, 3)
+    find_symmetries(M, 1, 4)
+    assert M._cache["chain"] is chain
+
+
+def test_negative_bounds_rejected():
+    M = gen_grid((4, 4), mode="torus")
+    with pytest.raises(InvariantViolation):
+        find_symmetries(M, -1, 3, anchor="0_0")
+    with pytest.raises(InvariantViolation):
+        find_symmetries(M, 1, -3, anchor="0_0")
 
 
 # ---------------------------------------------------------------------------
