@@ -731,30 +731,27 @@ def _layout(M):
 
 
 def _chain_layout(M):
-    """The window's upward chain map, detected once and memoized on M.
+    """The window's upward chain map: (parent, forked), or None.
 
-    (parent, forked) on forest and tiling windows, None otherwise. parent
-    maps an element to (successor, label) along the chain whose label words
-    decide pointed balls. forked holds the anchors whose reversed candidates
-    die at radius 1: on a forest over two or more symbols every element (a
-    reversed map would need one in-edge per child label at the image, and
-    forest nodes have one parent), on a tiling the tiles with two level
-    predecessors (their children would need two distinct level successors at
-    the image, and tiles have one). A plain path is a forest here although
-    _layout reads it as a path, so the forest map is detected again then.
+    Defined on forest and tiling windows. parent maps an element to
+    (successor, label) along the chain whose label words decide pointed
+    balls. forked holds the anchors whose reversed candidates die at radius
+    1: on a forest over two or more symbols every element (a reversed map
+    would need one in-edge per child label at the image, and forest nodes
+    have one parent), on a tiling the tiles with two level predecessors
+    (their children would need two distinct level successors at the image,
+    and tiles have one). Forest maps come from _layout's memo; a plain path
+    is a forest here although _layout reads it as a path, so its forest map
+    is detected on each call, as is a tiling's.
     """
-    if "chain" not in M._cache:
-        layout = _layout(M)
-        if layout is None or layout[0] == "forest":
-            parent = None if layout is None else layout[1]
-        else:
-            parent = _forest_layout(M)
-        if parent is not None:
-            forked = M._eset if len(M.language.symbols) >= 2 else frozenset()
-            M._cache["chain"] = (parent, forked)
-        else:
-            M._cache["chain"] = _tiling_layout(M)
-    return M._cache["chain"]
+    layout = _layout(M)
+    if layout is None or layout[0] == "forest":
+        parent = None if layout is None else layout[1]
+    else:
+        parent = _forest_layout(M)
+    if parent is not None:
+        return parent, (M._eset if len(M.language.symbols) >= 2 else frozenset())
+    return _tiling_layout(M)
 
 
 def _chain_word(parent, e, length):

@@ -218,10 +218,6 @@ def test_chain_layout_reads_a_plain_path_as_a_forest():
     assert len(parent) == len(M) - 1
     assert all(label == 0 for _, label in parent.values())
     assert not forked  # one symbol: reversals are left to the engine
-    chain = M._cache["chain"]
-    find_symmetries(M, 2, 3)
-    find_symmetries(M, 1, 4)
-    assert M._cache["chain"] is chain
 
 
 def test_negative_bounds_rejected():
