@@ -225,8 +225,14 @@ class CommutativityReport:
         return "holds_up_to_bounds" if self.holds else "fails_with_witness"
 
 
+def _check_max_len(max_len):
+    if max_len < 0:
+        raise InvariantViolation("max-len", f"negative word length bound {max_len}")
+
+
 def strong_commutativity_check(M, max_len):
     """xvw = xwv for all faithful x and words with |v|+|w| <= max_len."""
+    _check_max_len(max_len)
     eq = equational_check(M)
     if not eq.holds:
         raise NotEquational(eq.witness)
@@ -278,6 +284,7 @@ class RegularityReport:
 
 def strong_regularity_check(family, max_len):
     """Fixed-point status of every word agrees across the whole family."""
+    _check_max_len(max_len)
     if not family:
         return RegularityReport(True, max_len, None, ())
     lang = family[0].language

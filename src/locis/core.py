@@ -74,9 +74,10 @@ class Language:
 class Structure:
     """A finite window: elements, tuples, and a frontier of truncated elements.
 
-    Immutable after construction. Derived data (adjacency, depths) is computed
-    lazily and cached; recomputation is idempotent, so concurrent readers are
-    safe.
+    `tuples` is any iterable of (symbol, argument sequence) pairs and is
+    consumed once, so a generator streams straight in. Immutable after
+    construction. Derived data (adjacency, depths) is computed lazily and
+    cached; recomputation is idempotent, so concurrent readers are safe.
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -84,42 +85,59 @@ class Structure:
             language = Language(language)
         self.language = language
 
-        elements = [str(e) for e in elements]
-        eset = set(elements)
+        # Each check runs at C level; the loops behind them only name the
+        # offending id or tuple, in input order.
+        elements = list(map(str, elements))
+        eset = frozenset(elements)
         if len(eset) != len(elements):
             raise InvariantViolation("elements-unique", "duplicate element ids")
-        for e in elements:
-            if not ELEMENT_RE.match(e):
-                raise InvariantViolation("element-id", f"bad element id {e!r}")
-        self.elements = tuple(sorted(eset))
-        self._eset = frozenset(eset)
+        if not all(map(ELEMENT_RE.match, elements)):
+            bad = next(e for e in elements if not ELEMENT_RE.match(e))
+            raise InvariantViolation("element-id", f"bad element id {bad!r}")
+        # Sorting the input order, not the set's, makes sorted input linear.
+        elements.sort()
+        self.elements = tuple(elements)
+        self._eset = eset
 
-        frontier = frozenset(str(e) for e in frontier)
-        for e in frontier:
-            if e not in self._eset:
-                raise DanglingElement(e, ("frontier", e))
-        self.frontier = frontier
+        frontier = list(map(str, frontier))
+        if not eset.issuperset(frontier):
+            bad = next(e for e in frontier if e not in eset)
+            raise DanglingElement(bad, ("frontier", bad))
+        self.frontier = frozenset(frontier)
 
-        by_symbol = {name: set() for name, _ in language.symbols}
-        for item in tuples:
-            symbol, args = item[0], tuple(str(a) for a in item[1])
-            if symbol not in language.arities:
-                raise UnknownSymbol(symbol, language)
-            if len(args) != language.arities[symbol]:
-                raise ArityMismatch(symbol, language.arities[symbol], len(args))
-            for a in args:
-                if a not in self._eset:
-                    raise DanglingElement(a, (symbol, args))
-            by_symbol[symbol].add(args)
-        # Duplicate tuples collapse via the set; canonical order is
-        # (declaration index, argument vector).
+        # Insertion-ordered dicts deduplicate; sorting their keys, which are
+        # in input order, is linear on canonical (sorted) input. Canonical
+        # order is (declaration index, argument vector).
+        by_symbol = {name: {} for name, _ in language.symbols}
+        arities = language.arities
+        within = eset.issuperset
+        for symbol, args in tuples:
+            args = tuple(args)
+            bucket = by_symbol.get(symbol)
+            if bucket is None or len(args) != arities[symbol] or not within(args):
+                args = self._checked_args(symbol, args)
+                bucket = by_symbol[symbol]
+            bucket[args] = None
         self.tuples_by_symbol = {name: tuple(sorted(ts)) for name, ts in by_symbol.items()}
-        self._tuple_sets = {name: frozenset(ts) for name, ts in by_symbol.items()}
+        self._tuple_sets = by_symbol  # membership tests only
 
         self._adj = None
         self._incident = None
         self._depth = None
         self._cache = {}
+
+    def _checked_args(self, symbol, args):
+        """Arguments of a tuple that failed the fast checks, converted with
+        str(); raises the core exception that names what is wrong."""
+        args = tuple(map(str, args))
+        if symbol not in self.language.arities:
+            raise UnknownSymbol(symbol, self.language)
+        if len(args) != self.language.arities[symbol]:
+            raise ArityMismatch(symbol, self.language.arities[symbol], len(args))
+        for a in args:
+            if a not in self._eset:
+                raise DanglingElement(a, (symbol, args))
+        return args
 
     # -- basic queries ---------------------------------------------------
 
@@ -160,17 +178,21 @@ class Structure:
         """Gaifman adjacency: u ~ v iff they co-occur in some tuple."""
         if self._adj is None:
             adj = {e: set() for e in self.elements}
-            for _, ts in self.tuples_by_symbol.items():
+            for name, arity in self.language.symbols:
+                ts = self.tuples_by_symbol[name]
+                if arity == 2:
+                    for a, b in ts:
+                        if a != b:
+                            adj[a].add(b)
+                            adj[b].add(a)
+                    continue
                 for t in ts:
-                    if len(t) < 2:
-                        continue
                     distinct = set(t)
                     if len(distinct) < 2:
                         continue
                     for a in distinct:
                         adj[a].update(distinct)
-            for e, s in adj.items():
-                s.discard(e)
+                        adj[a].discard(a)
             self._adj = {e: tuple(sorted(s)) for e, s in adj.items()}
         return self._adj
 
@@ -178,8 +200,16 @@ class Structure:
         """All tuples containing the element, as (symbol, args) pairs."""
         if self._incident is None:
             inc = {e: [] for e in self.elements}
-            for name, _ in self.language.symbols:
-                for t in self.tuples_by_symbol[name]:
+            for name, arity in self.language.symbols:
+                ts = self.tuples_by_symbol[name]
+                if arity == 2:
+                    for t in ts:
+                        a, b = t
+                        inc[a].append((name, t))
+                        if b != a:
+                            inc[b].append((name, t))
+                    continue
+                for t in ts:
                     for a in set(t):
                         inc[a].append((name, t))
             self._incident = {e: tuple(v) for e, v in inc.items()}

@@ -78,6 +78,8 @@ def rigidity_characterization(M, radii, s, lip_radius=1):
     radii = sorted(set(int(r) for r in radii))
     if not radii:
         raise InvariantViolation("radii", "empty radius list")
+    if radii[0] < 0:
+        raise InvariantViolation("radius", f"negative radius {radii[0]}")
     lip = lip_check(M, lip_radius)
     if lip.verdict != "holds_up_to_bounds":
         raise HypothesisUnverified("local isomorphism property", lip.witness)
@@ -302,6 +304,8 @@ def rigid_limit(M, steps, seed, verify=True):
     Step (b) bisects over s with one separation probe per candidate: O(n)
     on path and cycle windows, one ball BFS per anchor otherwise.
     """
+    if steps < 0:
+        raise InvariantViolation("steps", f"negative step count {steps}")
     if seed not in M:
         raise InvariantViolation("membership", f"{seed!r} is not an element")
     x, r, s = seed, 0, 0

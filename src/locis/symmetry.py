@@ -214,6 +214,8 @@ def detect_periodicity(M, rank_bound, radius=None, automorphisms=None):
     A weakly connected set A is grown from the deepest anchor, one orbit per
     element; when the orbits of A cover the deep interior, rank = |A|.
     """
+    if radius is not None and radius < 0:
+        raise InvariantViolation("radius", f"negative radius {radius}")
     if automorphisms is None:
         if radius is None:
             if M.is_closed():

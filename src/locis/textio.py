@@ -22,6 +22,16 @@ order. Element ids match [A-Za-z0-9_.+-]+. dump() emits the canonical form:
 elements and frontier sorted lexicographically, tuples sorted by (symbol
 declaration index, argument vector). parse() accepts entries in any order,
 so dump(parse(s)) == s exactly when s is canonical.
+
+Loading takes linear time and splits the text into no list of lines. Lines
+are those of str.splitlines(), stripped of whitespace. One compiled pattern
+per section matches each of its lines whole, so a section is clean exactly
+when the pattern matches once per line; only when it does not is the first
+bad line looked for and its number counted. The tuples stream straight into
+Structure, which sorts them in input order, so a canonical file sorts in
+linear time. The first syntax error in the document is the one reported,
+and it comes before any error the Structure constructor finds (unknown
+symbol, arity, dangling id).
 """
 
 from __future__ import annotations
@@ -29,12 +39,39 @@ from __future__ import annotations
 import re
 
 from .core import ELEMENT_RE, Language, Structure
-from .errors import ParseError
+from .errors import LocisError, ParseError
 
 HEADER = "%locis structure v1"
 _SECTIONS = ("language", "elements", "frontier", "tuples")
-_SYMBOL_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)/(\d+)\Z")
-_TUPLE_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((.*)\)\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_ID = r"[A-Za-z0-9_.+-]+"  # ELEMENT_RE
+_TUPLE_LINE = re.compile(rf"({_NAME})\((.*)\)\Z")
+# The line breaks of str.splitlines() other than "\n"; loads maps each to "\n".
+_BREAKS = re.compile(r"\r\n?|[\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# The colon that ends a line; the line is a section header unless a comment.
+_COLON_EOL = re.compile(r":[^\S\n]*$", re.M)
+
+
+def _line(entry):
+    """A whole line of a section: an entry (whose groups are `entry`'s), a
+    comment or a blank. The whitespace class is what str.strip() removes,
+    short of the newline."""
+    return re.compile(rf"^[^\S\n]*(?:{entry}[^\S\n]*|#[^\n]*)?$", re.M)
+
+
+_LINES = {
+    "preamble": _line(r"([^\s#][^\n]*?)"),  # any entry; loads checks it
+    "language": _line(rf"({_NAME})/(\d+)"),
+    "elements": _line(rf"({_ID})"),
+    "frontier": _line(rf"({_ID})"),
+    "tuples": _line(rf"({_NAME})\(((?:{_ID}(?:,{_ID})*)?)\)"),
+}
+_REASONS = {
+    "language": "expected name/arity",
+    "elements": "bad element id",
+    "frontier": "bad element id",
+    "tuples": "expected symbol(elem,...)",
+}
 
 
 def dumps(M):
@@ -52,61 +89,124 @@ def dumps(M):
     return "\n".join(lines) + "\n"
 
 
+def _parse_error(text, pos, reason):
+    """ParseError for the line of `text` that starts at offset `pos`."""
+    eol = text.find("\n", pos)
+    raw = text[pos:] if eol < 0 else text[pos:eol]
+    return ParseError(text.count("\n", 0, pos) + 1, raw, reason)
+
+
+def _bad_line(section, text, pos, end):
+    """ParseError for the first line of text[pos:end] that the pattern of
+    `section` does not match."""
+    for m in _LINES[section].finditer(text, pos, end):
+        if m.start() != pos:
+            break
+        pos = m.end() + 1
+    err = _parse_error(text, pos, _REASONS[section])
+    shape = _TUPLE_LINE.match(err.line.strip()) if section == "tuples" else None
+    if shape:  # a tuple line but for its element ids
+        bad = next(a for a in shape.group(2).split(",") if not ELEMENT_RE.match(a))
+        err = _parse_error(text, pos, f"bad element id {bad!r} in tuple")
+    return err
+
+
+def _check_lines(section, text, pos, end, matches):
+    """Raise the first bad line of text[pos:end], if there is one.
+
+    A line pattern matches a whole line or nothing, so a body is clean
+    exactly when `matches`, its pattern's match count, is one per line; the
+    bad line is looked for only when it is not. (An empty body at the end of
+    a text without a final newline has no line and no match.)
+    """
+    if matches <= text.count("\n", pos, end) and pos < end:
+        raise _bad_line(section, text, pos, end)
+
+
+def _entries(section, text, pos, end):
+    """Match objects of the entry lines of text[pos:end], in order, then a
+    ParseError if some line is bad."""
+    matches = 0
+    for m in _LINES[section].finditer(text, pos, end):
+        matches += 1
+        if m.lastindex:
+            yield m
+    _check_lines(section, text, pos, end, matches)
+
+
+def _ids(section, text, pos, end):
+    """The element ids of an elements or frontier section body."""
+    ids = _LINES[section].findall(text, pos, end)
+    _check_lines(section, text, pos, end, len(ids))
+    return filter(None, ids)  # a comment or blank line gives ""
+
+
+def _tuple_pairs(entries):
+    """(symbol, argument list) for each tuple line."""
+    for m in entries:
+        args = m[2]
+        yield m[1], args.split(",") if args else ()
+
+
 def loads(text):
-    symbols = []
-    elements = []
-    frontier = []
-    tuples = []
-    section = None
+    """Parse one document; see the module docstring for the error order."""
+    # Make "\n" the only line break. Testing for the others is a few fast
+    # scans; the rewrite copies the text.
+    if not text.isascii() or any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e"):
+        text = _BREAKS.sub("\n", text)
+    heads = []  # (start, end, name) of each section header line
+    for m in _COLON_EOL.finditer(text):
+        start = text.rfind("\n", 0, m.start()) + 1
+        name = text[start : m.start()].lstrip()
+        if not name.startswith("#"):
+            heads.append((start, m.end(), name))
+    stops = [start for start, _, _ in heads] + [len(text)]
+
     saw_header = False
-    seen_sections = []
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_header:
-            if line != HEADER:
-                raise ParseError(line_no, raw, f"expected header {HEADER!r}")
-            saw_header = True
-            continue
-        if line.endswith(":"):
-            name = line[:-1]
-            if name not in _SECTIONS:
-                raise ParseError(line_no, raw, f"unknown section {name!r}")
-            if name in seen_sections:
-                raise ParseError(line_no, raw, f"duplicate section {name!r}")
-            seen_sections.append(name)
-            section = name
-            continue
-        if section is None:
-            raise ParseError(line_no, raw, "entry before any section")
-        if section == "language":
-            m = _SYMBOL_LINE.match(line)
-            if not m:
-                raise ParseError(line_no, raw, "expected name/arity")
-            symbols.append((m.group(1), int(m.group(2))))
-        elif section in ("elements", "frontier"):
-            if not ELEMENT_RE.match(line):
-                raise ParseError(line_no, raw, "bad element id")
-            (elements if section == "elements" else frontier).append(line)
-        else:
-            m = _TUPLE_LINE.match(line)
-            if not m:
-                raise ParseError(line_no, raw, "expected symbol(elem,...)")
-            args = m.group(2).split(",") if m.group(2) else []
-            for a in args:
-                if not ELEMENT_RE.match(a):
-                    raise ParseError(line_no, raw, f"bad element id {a!r} in tuple")
-            tuples.append((m.group(1), args))
-
+    for m in _entries("preamble", text, 0, stops[0]):
+        if saw_header:
+            raise _parse_error(text, m.start(), "entry before any section")
+        if m[1] != HEADER:
+            raise _parse_error(text, m.start(), f"expected header {HEADER!r}")
+        saw_header = True
     if not saw_header:
+        if heads:
+            raise _parse_error(text, heads[0][0], f"expected header {HEADER!r}")
         raise ParseError(0, "", "empty document")
-    if "language" not in seen_sections:
-        raise ParseError(0, "", "missing language section")
-    # Validation errors (unknown symbols, arity, dangling ids) surface as the
-    # structured core exceptions, not ParseError.
-    return Structure(Language(symbols), elements, tuples, frontier=frontier)
+
+    sections = {}
+    tuples = ()
+    try:
+        for (start, end, name), stop in zip(heads, stops[1:]):
+            if name not in _SECTIONS:
+                raise _parse_error(text, start, f"unknown section {name!r}")
+            if name in sections:
+                raise _parse_error(text, start, f"duplicate section {name!r}")
+            pos = min(end + 1, stop)
+            if name == "language":
+                sections[name] = [(m[1], int(m[2])) for m in _entries(name, text, pos, stop)]
+            elif name == "tuples":
+                sections[name] = tuples = _tuple_pairs(_entries(name, text, pos, stop))
+            else:
+                sections[name] = _ids(name, text, pos, stop)
+        if "language" not in sections:
+            raise ParseError(0, "", "missing language section")
+        # Validation errors (unknown symbols, arity, dangling ids) surface as
+        # the structured core exceptions, not ParseError.
+        return Structure(
+            Language(sections["language"]),
+            sections.get("elements", ()),
+            tuples,
+            frontier=sections.get("frontier", ()),
+        )
+    except LocisError:
+        # A bad tuple line surfaces only when the stream reaches it. Every
+        # error that can be at hand here comes from a later line, from a
+        # missing section or from the constructor, so the bad line goes
+        # first: finish the stream, which raises it.
+        for _ in tuples:
+            pass
+        raise
 
 
 def save(M, path):

@@ -6,10 +6,12 @@ library's engines are checked against something with no shared code.
 """
 
 import itertools
+import re
 
 import pytest
 
-from locis.core import Language, Structure
+from locis.core import ELEMENT_RE, Language, Structure
+from locis.errors import ParseError
 
 LANG2 = Language([("P", 2), ("Q", 2)])
 
@@ -27,6 +29,65 @@ def mk(tuples, n=None, frontier=(), language=LANG2):
         tuples,
         frontier=frontier,
     )
+
+
+_SYMBOL_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)/(\d+)\Z")
+_TUPLE_LINE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((.*)\)\Z")
+
+
+def reference_loads(text):
+    """Structure file parser, one line at a time over text.splitlines().
+
+    The grammar of locis.textio spelled out line by line: the first error in
+    document order wins, and every syntax error precedes the core exceptions
+    the Structure constructor raises.
+    """
+    header = "%locis structure v1"
+    symbols, elements, frontier, tuples = [], [], [], []
+    section, saw_header, seen_sections = None, False, []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not saw_header:
+            if line != header:
+                raise ParseError(line_no, raw, f"expected header {header!r}")
+            saw_header = True
+            continue
+        if line.endswith(":"):
+            name = line[:-1]
+            if name not in ("language", "elements", "frontier", "tuples"):
+                raise ParseError(line_no, raw, f"unknown section {name!r}")
+            if name in seen_sections:
+                raise ParseError(line_no, raw, f"duplicate section {name!r}")
+            seen_sections.append(name)
+            section = name
+            continue
+        if section is None:
+            raise ParseError(line_no, raw, "entry before any section")
+        if section == "language":
+            m = _SYMBOL_LINE.match(line)
+            if not m:
+                raise ParseError(line_no, raw, "expected name/arity")
+            symbols.append((m.group(1), int(m.group(2))))
+        elif section in ("elements", "frontier"):
+            if not ELEMENT_RE.match(line):
+                raise ParseError(line_no, raw, "bad element id")
+            (elements if section == "elements" else frontier).append(line)
+        else:
+            m = _TUPLE_LINE.match(line)
+            if not m:
+                raise ParseError(line_no, raw, "expected symbol(elem,...)")
+            args = m.group(2).split(",") if m.group(2) else []
+            for a in args:
+                if not ELEMENT_RE.match(a):
+                    raise ParseError(line_no, raw, f"bad element id {a!r} in tuple")
+            tuples.append((m.group(1), args))
+    if not saw_header:
+        raise ParseError(0, "", "empty document")
+    if "language" not in seen_sections:
+        raise ParseError(0, "", "missing language section")
+    return Structure(Language(symbols), elements, tuples, frontier=frontier)
 
 
 def bfs_ball(M, center, h):

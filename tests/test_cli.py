@@ -24,6 +24,15 @@ def run(capsys, *argv):
     return code, doc
 
 
+def assert_user_error(capsys, *argv):
+    """Exit 1 with an `error:` line on stderr and no report."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 @pytest.fixture
 def sturmian_file(tmp_path, capsys):
     path = str(tmp_path / "sturmian.locis")
@@ -130,11 +139,7 @@ class TestBallAndCensus:
         assert doc["result"]["classes"] == 10  # 2h+2
 
     def test_census_negative_radius_is_an_error(self, board_file, capsys):
-        code = main(["census", board_file, "--h", "-1"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error:")
-        assert captured.out == ""
+        assert_user_error(capsys, "census", board_file, "--h", "-1")
 
 
 class TestLipAndCompare:
@@ -201,6 +206,12 @@ class TestAlgebraCommand:
         assert doc["verdict"] == "fails_with_witness"
         assert doc["result"]["witness"]["word"]
 
+    @pytest.mark.parametrize("check", ["commutativity", "regularity"])
+    def test_negative_max_len_is_an_error(self, board_file, capsys, check):
+        # Without the check, commutativity reported holds_up_to_bounds over
+        # 36 anchors with no word checked.
+        assert_user_error(capsys, "algebra", board_file, "--check", check, "--max-len", "-2")
+
 
 class TestSymmetriesCommand:
     def test_mirror_found(self, sturmian_file, capsys):
@@ -233,11 +244,7 @@ class TestSymmetriesCommand:
         assert doc["result"]["survivors"]
 
     def test_negative_displacement_is_an_error(self, board_file, capsys):
-        code = main(["symmetries", board_file, "--displacement", "-1", "--radius", "3"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error:")
-        assert captured.out == ""
+        assert_user_error(capsys, "symmetries", board_file, "--displacement", "-1", "--radius", "3")
 
 
 class TestPeriodsRigidityQuotient:
@@ -254,6 +261,16 @@ class TestPeriodsRigidityQuotient:
         assert code == 0
         assert doc["verdict"] == "fails_with_witness"
         assert doc["result"]["orbit_cover"] == "no_generators"
+
+    def test_periods_negative_radius_is_an_error(self, board_file, capsys):
+        # Not exit 2 "window too shallow": the bound itself is invalid.
+        assert_user_error(capsys, "periods", board_file, "--rank-bound", "2", "--radius", "-3")
+
+    def test_rigidity_negative_radius_is_an_error(self, board_file, capsys):
+        assert_user_error(capsys, "rigidity", board_file, "--radii=0,-2", "--s", "1")
+
+    def test_rigid_limit_negative_steps_is_an_error(self, sturmian_file, capsys):
+        assert_user_error(capsys, "rigid-limit", sturmian_file, "--steps", "-1", "--seed", "0")
 
     def test_rigidity_tree(self, tmp_path, capsys):
         path = str(tmp_path / "tmtree.locis")

@@ -7,7 +7,7 @@ from locis.core import Language, Structure
 from locis.errors import ArityMismatch, DanglingElement, ParseError, UnknownSymbol
 from locis.generators import AddressSequence, gen_kary_tree, gen_sturmian
 
-from conftest import mk
+from conftest import LANG2, mk, reference_loads
 
 
 def test_roundtrip_small():
@@ -88,3 +88,190 @@ def test_semantic_errors_surface_as_core_exceptions(suffix, exc):
     M = mk([("P", ("0", "1"))], n=2)
     with pytest.raises(exc):
         textio.loads(textio.dumps(M) + suffix + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against reference_loads, the line-by-line parser in
+# conftest: equal structures, or the same exception type and message (for a
+# ParseError: line number, reason and raw line).
+
+
+def outcome(load, text):
+    try:
+        return ("ok", load(text).content_key())
+    except Exception as exc:  # the exception is the outcome under comparison
+        return (type(exc).__name__, str(exc))
+
+
+def assert_same_outcome(text):
+    assert outcome(textio.loads, text) == outcome(reference_loads, text)
+
+
+def generated_windows():
+    from locis.generators import (
+        QuadraticIrrational,
+        checkerboard_colormap,
+        gen_binary_hyperbolic,
+        gen_cayley_free,
+        gen_grid,
+    )
+
+    periods, cmap = checkerboard_colormap()
+    return [
+        gen_sturmian(QuadraticIrrational.sqrt(2), 0, 12),
+        gen_kary_tree(2, AddressSequence.thue_morse(1, 2), depth=5, halo=3),
+        gen_kary_tree(3, AddressSequence.parse("periodic:122"), depth=4, halo=2),
+        gen_binary_hyperbolic(AddressSequence.thue_morse(), levels=5, half_width=6,
+                              support_radius=2),
+        gen_cayley_free(2, 3),
+        gen_grid((4, 4), mode="torus", periods=periods, colormap=cmap),
+        gen_grid((3,), mode="window"),
+        Structure(Language([("T", 3), ("U", 1)]), ["a", "b.1", "c-2"],
+                  [("T", ("a", "a", "b.1")), ("U", ("c-2",))]),
+        Structure(Language([("E", 2)]), [], []),
+    ]
+
+
+def test_canonical_dumps_of_every_generator_load_as_the_reference():
+    for M in generated_windows():
+        text = textio.dumps(M)
+        assert textio.loads(text) == reference_loads(text) == M
+
+
+def _noisy_variants(text):
+    lines = text.splitlines()
+    head, lang_at = lines[0], lines.index("language:")
+    el_at, fr_at, tu_at = (lines.index(s) for s in ("elements:", "frontier:", "tuples:"))
+    sections = {
+        "language": lines[lang_at:el_at],
+        "elements": lines[el_at:fr_at],
+        "frontier": lines[fr_at:tu_at],
+        "tuples": lines[tu_at:],
+    }
+    yield "\n".join(lines)  # no final newline
+    yield "\n".join(["# leading comment", "", head] + lines[1:] + ["", "# trailing:"])
+    yield "\n".join(f" \t{line}\t " for line in lines) + "\n"
+    yield "\n".join([head] + [f"{line}\n# c:\n  \n\t" for line in lines[1:]])
+    for sep in ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        yield sep.join(lines) + sep
+    yield "\n".join([head] + sections["tuples"] + sections["frontier"]
+                    + sections["language"] + sections["elements"]) + "\n"
+    yield "\n".join([head] + sections["elements"] + sections["language"]
+                    + sections["tuples"] + sections["frontier"])
+    body = lambda name: sections[name][1:]  # noqa: E731
+    yield "\n".join([head] + sections["language"]
+                    + ["elements:"] + body("elements")[::-1] + body("elements")[:2]
+                    + ["frontier:"] + body("frontier") * 2
+                    + ["tuples:"] + body("tuples")[::-1] + body("tuples")[:3]) + "\n"
+    yield "\n".join([head] + sections["language"] + sections["elements"]
+                    + ["frontier:", "tuples:"]) + "\n"
+    yield "\n".join([head] + sections["language"] + sections["elements"] + ["frontier:"])
+    yield "\n".join([head] + sections["language"] + sections["elements"])
+    yield "\u3000" + "\n\xa0".join(lines) + "\x1f\n"
+
+
+def test_noisy_documents_load_as_the_reference():
+    for M in generated_windows():
+        for text in _noisy_variants(textio.dumps(M)):
+            assert_same_outcome(text)
+
+
+CORRUPTIONS = [
+    "", "  ", "#", "# note:", ":", "x:", "language:", "elements:", "frontier:", "tuples:",
+    "%locis structure v1", "E/2", "E/x", "Z/1", "E/0", "E/2:", "a", "a b", "a:", "9",
+    "E(0,1)", "E(0,,1)", "E()", "E(0,1", "E(0,9999)", "Z(0)", "E(0)", "E(,)", "E(0,)",
+    "E(0,1))", "E((0,1)", "E(0,1) x", "Succ(0,1)", "Black(0)", "P1(0,1)",
+]
+
+
+def test_single_line_corruptions_fail_like_the_reference():
+    for M in (mk([("P", ("0", "1")), ("Q", ("1", "2"))], n=3, frontier=("0",)),
+              gen_sturmian(textio_sqrt2(), 0, 2)):
+        lines = textio.dumps(M).splitlines()
+        for i in range(len(lines) + 1):
+            for bad in CORRUPTIONS:
+                assert_same_outcome("\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n")
+                assert_same_outcome("\n".join(lines[:i] + [bad] + lines[i:]))
+
+
+def test_empty_and_headless_documents():
+    for text in ("", "\n\n", "# only a comment\n", "%locis structure v1\n",
+                 "%locis structure v1\nelements:\na\n", "language:\n", "a\n"):
+        assert_same_outcome(text)
+    with pytest.raises(ParseError) as exc:
+        textio.loads("# c\n  \n")
+    assert exc.value.line_no == 0
+
+
+# ---------------------------------------------------------------------------
+# Error precedence and positions.
+
+
+def test_syntax_error_after_a_dangling_first_tuple_wins():
+    # The tuples stream into the constructor, which meets the dangling id
+    # first; the malformed line further down must still be the error.
+    M = mk([("P", ("0", "1"))], n=2)
+    lines = textio.dumps(M).splitlines()
+    at = lines.index("tuples:") + 1
+    lines[at:at] = ["P(0,404)"] + ["P(1,0)"] * 50 + ["P(0,1"]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as exc:
+        textio.loads(text)
+    assert exc.value.line_no == at + 52
+    assert_same_outcome(text)
+
+
+def test_syntax_error_in_an_earlier_tuples_section_wins():
+    text = ("%locis structure v1\nlanguage:\nP/2\ntuples:\nP(0,1\nelements:\n0\nbad id\n"
+            "frontier:\n")
+    with pytest.raises(ParseError) as exc:
+        textio.loads(text)
+    assert exc.value.line_no == 5
+    assert_same_outcome(text)
+
+
+def test_malformed_line_deep_in_a_long_tuples_section_reports_its_line():
+    n = 10_000
+    M = Structure(Language([("S", 2)]), [str(i) for i in range(n + 1)],
+                  [("S", (str(i), str(i + 1))) for i in range(n)])
+    lines = textio.dumps(M).splitlines()
+    bad_at = lines.index("tuples:") + 1 + 7_654  # 0-based index of the tuple line
+    lines[bad_at] = lines[bad_at].replace(")", "]")
+    with pytest.raises(ParseError) as exc:
+        textio.loads("\n".join(lines) + "\n")
+    assert exc.value.line_no == bad_at + 1
+    assert exc.value.line == lines[bad_at]
+    assert exc.value.reason == "expected symbol(elem,...)"
+
+
+@pytest.mark.parametrize(
+    "tuples",
+    [
+        [("P", ("0", "1")), ("P", ("0", "7")), ("Z", ("0", "1")), ("P", ("0",))],
+        [("P", ("0", "1")), ("Z", ("0", "1")), ("P", ("0", "7"))],
+        [("P", ("0", "1")), ("P", ("0",)), ("Z", ("0", "1"))],
+        [("P", (0, 1)), ("Q", ["1", "0"]), ("P", ("1", "1", "1"))],
+    ],
+)
+def test_one_shot_generator_raises_the_first_error_of_the_list(tuples):
+    def first_error(source):
+        with pytest.raises(Exception) as exc:
+            Structure(LANG2, ["0", "1"], source)
+        return type(exc.value), str(exc.value)
+
+    assert first_error(tuples) == first_error(t for t in tuples)
+
+
+def test_first_dangling_frontier_id_in_input_order_is_named():
+    with pytest.raises(DanglingElement) as exc:
+        Structure(LANG2, ["0", "1"], [], frontier=iter(["1", "x", "0", "y"]))
+    assert exc.value.element == "x"
+
+
+def test_constructor_accepts_any_iterable_once():
+    pairs = [("P", (0, 1)), ("P", ["1", "0"]), ("Q", iter(("0", "0"))), ("P", ("0", "1"))]
+    M = Structure(LANG2, iter(["1", "0"]), iter(pairs), frontier=iter(["1"]))
+    assert M.elements == ("0", "1")
+    assert M.tuples_by_symbol == {"P": (("0", "1"), ("1", "0")), "Q": (("0", "0"),)}
+    assert M.frontier == frozenset({"1"})
+    assert M.has_tuple("P", ["1", "0"]) and not M.has_tuple("Q", ("0", "1"))
