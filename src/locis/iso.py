@@ -3,11 +3,16 @@ extraction comparison.
 
 The search engine works directly on parent windows: it grows BFS layers
 around both centers in lockstep and backtracks over layer-respecting
-assignments. A pointed isomorphism at radius r restricts to one at every
-r' < r, so candidates die monotonically; a death certified at a faithful
-layer rules the candidate out at every larger radius. The engine reports
-which of the three cases happened: iso found at the requested radius, death
-at a certified layer, or window exhaustion with the candidate still alive.
+assignments. Each element's candidates are drawn from a pivot tuple, one
+whose other arguments are already mapped: only the elements that complete
+its image are tried. Elements with no such tuple, the center among them,
+try their whole layer. A pointed isomorphism at radius r restricts to one
+at every r' < r, so candidates die monotonically; a death certified at a
+faithful layer rules the candidate out at every larger radius. The engine
+reports which of the three cases happened: iso found at the requested
+radius, death at a certified layer, or window exhaustion with the candidate
+still alive. A kill radius is tight: the balls are isomorphic at L-1 and not
+at L.
 """
 
 from __future__ import annotations
@@ -155,7 +160,8 @@ class EngineResult:
     """Outcome of a layered pointed-isomorphism search.
 
     status 'iso': mapping realizes a pointed isomorphism at the requested
-    radius. status 'dead': no pointed isomorphism at `radius` (certified on
+    radius. status 'dead': `radius` is the least dead radius: there is a
+    pointed isomorphism at radius-1 and none at `radius` (certified on
     faithful layers; monotonicity kills every larger radius too).
     status 'exhausted': an isomorphism exists at `radius`, but the window
     cannot certify the requested radius; mapping witnesses the alive state.
@@ -222,108 +228,126 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     layers_a, dist_a = _grow_layers(M, a, certifiable)
     layers_b, dist_b = _grow_layers(N, b, certifiable)
 
-    # Set-level prechecks, layer by layer. A mismatch at a faithful layer
-    # certifies death at that radius.
+    # Set-level prechecks, layer by layer. A mismatch at a faithful layer L
+    # certifies death at radius L; the DFS then runs through layer L-1 only,
+    # so that the reported radius is the least dead one.
     top = max(len(layers_a), len(layers_b))
+    mismatch = None
     for level in range(top):
         la = layers_a[level] if level < len(layers_a) else []
         lb = layers_b[level] if level < len(layers_b) else []
-        if len(la) != len(lb):
-            return EngineResult("dead", level)
-        pa, ta = _layer_summary(va, la, dist_a, level)
-        pb, tb = _layer_summary(vb, lb, dist_b, level)
-        if pa != pb or ta != tb:
-            return EngineResult("dead", level)
-    effective = min(certifiable, top - 1)
-    if effective < certifiable and len(layers_a) - 1 <= effective:
-        # Balls stopped growing inside the window: radius `effective` already
-        # determines every larger radius.
-        certifiable = target_radius
-        stalled = True
-    else:
-        stalled = False
-
-    order = []
-    for level, layer in enumerate(layers_a):
-        if level > effective:
+        if len(la) != len(lb) or (
+            _layer_summary(va, la, dist_a, level) != _layer_summary(vb, lb, dist_b, level)
+        ):
+            mismatch = level
             break
-        for u in layer:
-            order.append((u, level))
+    if mismatch is not None:
+        effective, stalled = mismatch - 1, False
+    else:
+        effective = min(certifiable, top - 1)
+        # Balls that stopped growing inside the window: radius `effective`
+        # already determines every larger radius.
+        stalled = effective < certifiable and len(layers_a) - 1 <= effective
 
-    cand_layers = {level: layers_b[level] for level in range(min(effective, len(layers_b) - 1) + 1)}
+    order = [(u, level) for level in range(effective + 1) for u in layers_a[level]]
+    n = len(order)
+
+    # The order is static, so when the search reaches u, exactly the
+    # elements before u are mapped. compatible() checks the tuples of u whose
+    # other arguments all come earlier, and candidates come from the first of
+    # them that has another argument, the pivot: the v worth trying complete
+    # the pivot's image in N, found among the tuples of one mapped argument's
+    # image. compatible() rejects every other v of the layer, so the search
+    # visits the same nodes in the same order as a scan of the whole layer,
+    # which positions without a pivot (the center among them) still use.
+    position = {u: idx for idx, (u, _) in enumerate(order)}
+    closing, pivots = [], []
+    for idx, (u, _) in enumerate(order):
+        mine = [(sym, t) for sym, t in va.incident(u) if all(position.get(x, n) <= idx for x in t)]
+        closing.append(mine)
+        pivot = None
+        for sym, t in mine:
+            others = [x for x in t if x != u]
+            if others:
+                pivot = (sym, others[0], tuple(None if x == u else x for x in t))
+                break
+        pivots.append(pivot)
 
     fwd = {}
     bwd = {}
 
-    def compatible(u, v):
+    def candidates(idx):
+        u, level = order[idx]
+        pivot = pivots[idx]
+        if pivot is None:
+            return layers_b[level]
+        sym, anchor, pattern = pivot
+        found = set()
+        for sym2, t in vb.incident(fwd[anchor]):
+            if sym2 != sym:
+                continue
+            v = None
+            for x, y in zip(pattern, t):
+                if x is None:
+                    if v is None:
+                        v = y
+                    elif y != v:
+                        break
+                elif fwd[x] != y:
+                    break
+            else:
+                if dist_b.get(v) == level and v not in bwd:
+                    found.add(v)
+        return sorted(found)
+
+    def compatible(idx, v):
+        u = order[idx][0]
         if va.unary_profile(u) != vb.unary_profile(v):
             return False
-        for sym, t in va.incident(u):
-            if all(x == u or x in fwd for x in t):
-                image = tuple(v if x == u else fwd[x] for x in t)
-                if not vb.has_tuple(sym, image):
-                    return False
-        for sym, t in vb.incident(v):
-            if all(x == v or x in bwd for x in t):
-                pre = tuple(u if x == v else bwd[x] for x in t)
-                if not va.has_tuple(sym, pre):
-                    return False
-        return True
+        for sym, t in closing[idx]:
+            if not vb.has_tuple(sym, tuple(v if x == u else fwd[x] for x in t)):
+                return False
+        # fwd is injective, so the images of u's checked tuples are distinct
+        # tuples of v among mapped elements; each of those has a preimage
+        # exactly when there are no more of them than checked tuples.
+        mapped = sum(all(x == v or x in bwd for x in t) for _, t in vb.incident(v))
+        return mapped == len(closing[idx])
 
-    # Iterative DFS over layer-respecting assignments. completed_layers
-    # tracks the deepest layer fully assigned on any branch; finishing layer
-    # L certifies an isomorphism at radius L.
-    n = len(order)
+    # Iterative DFS over layer-respecting assignments, in the static order
+    # above; each position tries the candidates of its pivot tuple, or its
+    # whole layer when it has none. best_complete tracks the deepest layer
+    # fully assigned on any branch; finishing layer L certifies an
+    # isomorphism at radius L, so an exhausted search is alive at
+    # best_complete and dead at best_complete + 1: the kill radius is tight.
     best_complete = -1
-    layer_end = {}
-    for idx, (u, level) in enumerate(order):
-        layer_end[idx] = level if idx + 1 == n or order[idx + 1][1] != level else None
-
-    iters = [None] * (n + 1)
+    iters = [None] * n
     idx = 0
-    iters[0] = iter(cand_layers[0]) if n else iter(())
-    chosen = [None] * n
-    found = None
-    while idx >= 0:
-        u, level = order[idx] if idx < n else (None, None)
-        if idx == n:
-            found = dict(fwd)
-            break
-        advanced = False
+    if n:
+        iters[0] = iter(candidates(0))
+    while 0 <= idx < n:
+        u, level = order[idx]
         for v in iters[idx]:
-            if v in bwd:
-                continue
-            if compatible(u, v):
+            if v not in bwd and compatible(idx, v):
                 fwd[u] = v
                 bwd[v] = u
-                chosen[idx] = v
-                if layer_end[idx] is not None and layer_end[idx] > best_complete:
-                    best_complete = layer_end[idx]
                 idx += 1
+                if idx == n or order[idx][1] != level:
+                    best_complete = max(best_complete, level)
                 if idx < n:
-                    iters[idx] = iter(cand_layers[order[idx][1]])
-                else:
-                    iters[idx] = iter(())
-                advanced = True
+                    iters[idx] = iter(candidates(idx))
                 break
-        if advanced:
-            if idx == n:
-                found = dict(fwd)
-                break
-            continue
-        idx -= 1
-        if idx >= 0:
-            v = chosen[idx]
-            u, _ = order[idx]
-            del fwd[u]
-            del bwd[v]
-            chosen[idx] = None
+        else:
+            idx -= 1
+            if idx >= 0:
+                del bwd[fwd.pop(order[idx][0])]
 
-    if found is not None:
-        certified = target_radius if (stalled or effective >= target_radius) else effective
-        if certified >= target_radius:
-            return EngineResult("iso", target_radius, found)
-        return EngineResult("exhausted", effective, found)
+    if idx == n:
+        if mismatch is not None:
+            # Alive through layer mismatch-1, dead at the mismatch.
+            return EngineResult("dead", mismatch)
+        if stalled or effective >= target_radius:
+            return EngineResult("iso", target_radius, fwd)
+        return EngineResult("exhausted", effective, fwd)
     # DFS exhausted: no isomorphism at best_complete + 1, which is within the
     # faithful region by construction.
     return EngineResult("dead", best_complete + 1)

@@ -31,7 +31,8 @@ bad line looked for and its number counted. The tuples stream straight into
 Structure, which sorts them in input order, so a canonical file sorts in
 linear time. The first syntax error in the document is the one reported,
 and it comes before any error the Structure constructor finds (unknown
-symbol, arity, dangling id).
+symbol, arity, dangling id). load() reads a file as ASCII; a non-ASCII byte
+is a ParseError on its line, before any other error.
 """
 
 from __future__ import annotations
@@ -214,6 +215,21 @@ def save(M, path):
         fh.write(dumps(M))
 
 
+def _read_ascii(path):
+    """The text of an ASCII file. A ParseError names the line that holds the
+    first other byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        pos = exc.start
+    head = _BREAKS.sub("\n", data[:pos].decode("ascii"))
+    start = head.rfind("\n") + 1
+    tail = re.split(rb"[\n\r\x0b\x0c\x1c-\x1e]", data[pos:], maxsplit=1)[0]
+    raw = head[start:] + tail.decode("utf-8", "backslashreplace")
+    raise ParseError(head.count("\n") + 1, raw, "non-ASCII byte")
+
+
 def load(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
+    return loads(_read_ascii(path))

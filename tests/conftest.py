@@ -6,12 +6,14 @@ library's engines are checked against something with no shared code.
 """
 
 import itertools
+import math
 import re
 
 import pytest
 
 from locis.core import ELEMENT_RE, Language, Structure
 from locis.errors import ParseError
+from locis.iso import EngineResult, View, _grow_layers, _layer_summary
 
 LANG2 = Language([("P", 2), ("Q", 2)])
 
@@ -106,6 +108,119 @@ def bfs_ball(M, center, h):
                                 nxt.append(v)
         frontier = nxt
     return set(seen)
+
+
+def reference_windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
+    """The layered engine with full-layer candidates.
+
+    Every unassigned v of u's layer is tried in sorted order, so it reaches
+    the same first leaf and the same deepest completed layer as
+    locis.iso.windowed_pointed_iso without drawing candidates from tuples. A
+    precheck mismatch at layer L runs the search through layer L-1 only, so
+    the kill radius is the least dead one.
+    """
+    va, vb = View(M), View(N, reverse)
+    certifiable = min(M.depth(a), N.depth(b), target_radius)
+    if certifiable is math.inf:
+        certifiable = target_radius
+    certifiable = int(certifiable)
+    layers_a, dist_a = _grow_layers(M, a, certifiable)
+    layers_b, dist_b = _grow_layers(N, b, certifiable)
+
+    def layer(layers, level):
+        return layers[level] if level < len(layers) else []
+
+    top = max(len(layers_a), len(layers_b))
+    mismatch = next(
+        (
+            level
+            for level in range(top)
+            if len(layer(layers_a, level)) != len(layer(layers_b, level))
+            or _layer_summary(va, layer(layers_a, level), dist_a, level)
+            != _layer_summary(vb, layer(layers_b, level), dist_b, level)
+        ),
+        None,
+    )
+    if mismatch is not None:
+        effective, stalled = mismatch - 1, False
+    else:
+        effective = min(certifiable, top - 1)
+        stalled = effective < certifiable and len(layers_a) - 1 <= effective
+    order = [(u, lv) for lv in range(effective + 1) for u in layers_a[lv]]
+    fwd, bwd = {}, {}
+    best = [-1]
+
+    def compatible(u, v):
+        if va.unary_profile(u) != vb.unary_profile(v):
+            return False
+        for sym, t in va.incident(u):
+            if all(x == u or x in fwd for x in t):
+                if not vb.has_tuple(sym, tuple(v if x == u else fwd[x] for x in t)):
+                    return False
+        for sym, t in vb.incident(v):
+            if all(x == v or x in bwd for x in t):
+                if not va.has_tuple(sym, tuple(u if x == v else bwd[x] for x in t)):
+                    return False
+        return True
+
+    def search(idx):
+        if idx == len(order):
+            return True
+        u, level = order[idx]
+        for v in layers_b[level]:
+            if v in bwd or not compatible(u, v):
+                continue
+            fwd[u], bwd[v] = v, u
+            if idx + 1 == len(order) or order[idx + 1][1] != level:
+                best[0] = max(best[0], level)
+            if search(idx + 1):
+                return True
+            del fwd[u], bwd[v]
+        return False
+
+    if not search(0):
+        return EngineResult("dead", best[0] + 1)
+    if mismatch is not None:
+        return EngineResult("dead", mismatch)
+    if stalled or effective >= target_radius:
+        return EngineResult("iso", target_radius, dict(fwd))
+    return EngineResult("exhausted", effective, dict(fwd))
+
+
+def cfi_pair(base_edges):
+    """Untwisted and twisted Cai-Fuerer-Immerman graphs over a cubic base graph.
+
+    Each base vertex v gets one vertex m{v}_{k} per even subset S of its
+    three edges, and two edge-end vertices a{v}_{e}_0 and a{v}_{e}_1 per
+    edge e; m{v}_{k} is joined to a{v}_{e}_1 when e is in S and to a{v}_{e}_0
+    otherwise. Base edge e joins a{v}_{e}_i to a{w}_{e}_i, except that the
+    twisted copy crosses the two links of the first base edge. Graphs are
+    symmetric E/2 relations with no colours; the two copies are not
+    isomorphic, yet colour refinement cannot tell them apart.
+    """
+    lang = Language([("E", 2)])
+    edges_at = {}
+    for e, (v, w) in enumerate(base_edges):
+        edges_at.setdefault(v, []).append(e)
+        edges_at.setdefault(w, []).append(e)
+
+    def build(twist):
+        elements, tuples = [], []
+        for v, es in edges_at.items():
+            elements += [f"a{v}_{e}_{i}" for e in es for i in (0, 1)]
+            evens = [()] + list(itertools.combinations(es, 2))
+            for k, subset in enumerate(evens):
+                m = f"m{v}_{k}"
+                elements.append(m)
+                for e in es:
+                    tuples.append(("E", (m, f"a{v}_{e}_{int(e in subset)}")))
+        for e, (v, w) in enumerate(base_edges):
+            for i in (0, 1):
+                tuples.append(("E", (f"a{v}_{e}_{i}", f"a{w}_{e}_{i ^ (twist and e == 0)}")))
+        tuples += [("E", (y, x)) for _, (x, y) in tuples]
+        return Structure(lang, elements, tuples)
+
+    return build(False), build(True)
 
 
 def brute_force_pointed_iso(A, a, B, b):

@@ -106,6 +106,15 @@ class TestGenAndValidate:
         code = main(["validate", "/nonexistent/file.locis"])
         assert code == 1
 
+    def test_non_ascii_file_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.locis"
+        bad.write_bytes("%locis structure v1\nlanguage:\nE/2\nelements:\n\u00e9\n".encode())
+        code = main(["census", str(bad), "--h", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: line 5: non-ASCII byte: '\u00e9'\n"
+        assert captured.out == ""
+
 
 class TestBallAndCensus:
     def test_ball_extraction(self, sturmian_file, tmp_path, capsys):

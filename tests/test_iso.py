@@ -32,6 +32,7 @@ from locis.generators import (
     gen_sturmian,
 )
 from locis.iso import (
+    EngineResult,
     census,
     class_groups,
     class_ids,
@@ -46,9 +47,11 @@ from conftest import (
     LANG2,
     brute_force_pointed_iso,
     brute_pointed_canonical,
+    cfi_pair,
     enumerate_closed_structures,
     mk,
     random_closed_structure,
+    reference_windowed_pointed_iso,
 )
 
 
@@ -170,6 +173,89 @@ def ball_pair(draw):
 def test_pointed_iso_agrees_with_signature(pair):
     A, B = pair
     assert (pointed_iso(A, B) is not None) == (signature(A) == signature(B))
+
+
+# ---------------------------------------------------------------------------
+# The engine against its full-layer reference and the brute-force oracle
+
+LANG_UPT = Language([("U", 1), ("P", 2), ("T", 3)])
+PETERSEN = (
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+
+
+@st.composite
+def upt_window(draw, closed=False, max_n=6):
+    """Random window over U/1, P/2, T/3; arguments repeat freely."""
+    n = draw(st.integers(1, max_n))
+    elements = [str(i) for i in range(n)]
+    element = st.sampled_from(elements)
+    tuples = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("U"), st.tuples(element)),
+                st.tuples(st.just("P"), st.tuples(element, element)),
+                st.tuples(st.just("T"), st.tuples(element, element, element)),
+            ),
+            max_size=3 * n,
+        )
+    )
+    frontier = () if closed else draw(st.lists(element, unique=True, max_size=2))
+    return Structure(LANG_UPT, elements, tuples, frontier=frontier)
+
+
+def reversed_structure(M):
+    return Structure(M.language, M.elements, [(s, t[::-1]) for s, t in M.all_tuples()])
+
+
+@given(upt_window(), upt_window(), st.booleans(), st.integers(0, 6), st.booleans(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_engine_matches_full_layer_reference(M, N, same, radius, reverse, data):
+    if same:
+        N = M
+    a = data.draw(st.sampled_from(M.elements))
+    b = data.draw(st.sampled_from(N.elements))
+    got = windowed_pointed_iso(M, a, N, b, radius, reverse)
+    assert got == reference_windowed_pointed_iso(M, a, N, b, radius, reverse)
+
+
+@given(upt_window(closed=True, max_n=5), upt_window(closed=True, max_n=5), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_kill_radius_is_tight_on_closed_windows(M, N, reverse, data):
+    a = data.draw(st.sampled_from(M.elements))
+    b = data.draw(st.sampled_from(N.elements))
+    target = reversed_structure(N) if reverse else N
+
+    def alive(h):
+        return brute_force_pointed_iso(M.ball(a, h).structure, a, target.ball(b, h).structure, b)
+
+    res = windowed_pointed_iso(M, a, N, b, len(M) + len(N), reverse)
+    if res.status == "dead":
+        assert not alive(res.radius)
+        assert res.radius == 0 or alive(res.radius - 1)
+    else:
+        assert res.status == "iso" and alive(len(M) + len(N))
+
+
+def test_precheck_mismatch_kill_is_tight():
+    # The 1-balls already differ (an in-edge at a against two out-edges), but
+    # the layer sizes first differ at 2.
+    E = Language([("E", 2)])
+    M = Structure(E, "abcd", [("E", ("a", "b")), ("E", ("c", "a")), ("E", ("b", "d"))])
+    N = Structure(E, "abc", [("E", ("a", "b")), ("E", ("a", "c"))])
+    for r in (1, 2, 3):
+        assert windowed_pointed_iso(M, "a", N, "a", r) == EngineResult("dead", 1)
+
+
+def test_cfi_pair_dies_where_signatures_part():
+    A, B = cfi_pair(PETERSEN)
+    assert len(A) == len(B) == 100
+    c = "a0_0_0"
+    assert windowed_pointed_iso(A, c, B, c, 20) == EngineResult("dead", 8)
+    assert signature(A.ball(c, 7)) == signature(B.ball(c, 7))
+    assert signature(A.ball(c, 8)) != signature(B.ball(c, 8))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,35 @@ def test_save_load(tmp_path):
     assert textio.load(p) == M
 
 
+def test_load_names_the_line_of_a_non_ascii_byte(tmp_path):
+    M = mk([("P", ("0", "1"))], n=2)
+    lines = textio.dumps(M).splitlines()
+    p = tmp_path / "w.locis"
+    # line 6 is the first entry of the elements section; "\r\n" is one line
+    # break, and so are "\r" and "\x0c"
+    assert lines[4:6] == ["elements:", "0"]
+    lines[5] = "caf\u00e9"
+    seps = ["\r\n", "\r", "\n", "\x0c"] * len(lines)
+    p.write_bytes("".join(line + sep for line, sep in zip(lines, seps)).encode("utf-8"))
+    with pytest.raises(ParseError) as exc:
+        textio.load(p)
+    err = exc.value
+    assert (err.line_no, err.line, err.reason) == (6, "caf\u00e9", "non-ASCII byte")
+    p.write_bytes(b"\xff" + textio.dumps(M).encode())
+    with pytest.raises(ParseError) as exc:
+        textio.load(p)
+    assert (exc.value.line_no, exc.value.reason) == (1, "non-ASCII byte")
+    assert exc.value.line == "\\xff" + lines[0]
+
+
+def test_load_reads_any_line_break(tmp_path):
+    M = mk([("P", ("0", "1"))], n=2, frontier=("1",))
+    p = tmp_path / "w.locis"
+    for sep in ("\r\n", "\r", "\x0c"):
+        p.write_bytes(textio.dumps(M).replace("\n", sep).encode())
+        assert textio.load(p) == M
+
+
 def test_comments_and_blank_lines_ignored():
     M = mk([("P", ("0", "1"))], n=2, frontier=("1",))
     lines = textio.dumps(M).splitlines()
