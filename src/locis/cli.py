@@ -91,6 +91,12 @@ _BOUND_KEYS = (
 )
 
 
+def _inputs(args):
+    """The structure files a subcommand reads, in command-line order."""
+    paths = [getattr(args, k, None) for k in ("path", "left", "right")]
+    return [p for p in paths if p is not None] + list(getattr(args, "others", None) or [])
+
+
 def _arg_bounds(args):
     out = {}
     for k in _BOUND_KEYS:
@@ -167,7 +173,7 @@ def _cmd_validate(args):
             "fails_with_witness",
             {"path": args.path},
             {"valid": False, "reason": str(exc)},
-            inputs=[args.path],
+            inputs=_inputs(args),
         )
     result = _structure_stats(M)
     result["valid"] = True
@@ -180,7 +186,7 @@ def _cmd_validate(args):
         "holds_up_to_bounds",
         {"path": args.path, "window": len(M)},
         result,
-        inputs=[args.path],
+        inputs=_inputs(args),
     )
 
 
@@ -197,7 +203,7 @@ def _cmd_ball(args):
         "holds_up_to_bounds",
         {"h": args.h, "window": len(M)},
         result,
-        inputs=[args.path],
+        inputs=_inputs(args),
     )
 
 
@@ -217,7 +223,7 @@ def _cmd_census(args):
         "holds_up_to_bounds",
         {"h": args.h, "window": len(M), "censused": table.censused},
         {"classes": len(entries), "entries": entries},
-        inputs=[args.path],
+        inputs=_inputs(args),
     )
 
 
@@ -243,7 +249,7 @@ def _cmd_lip(args):
         rep.verdict,
         {"h": args.h, "window": len(M), "window_bound": rep.window_bound},
         body,
-        inputs=[args.path],
+        inputs=_inputs(args),
     )
 
 
@@ -264,7 +270,7 @@ def _cmd_compare(args):
         verdict,
         {"h": args.h, "windows": [len(M), len(N)], "censused": list(rep.censused)},
         body,
-        inputs=[args.left, args.right],
+        inputs=_inputs(args),
     )
 
 
@@ -296,7 +302,7 @@ def _cmd_algebra(args):
                 "word": str(w),
             }
     return report_document(
-        "algebra", rep.verdict, bounds, body, inputs=[args.path] + list(args.others or [])
+        "algebra", rep.verdict, bounds, body, inputs=_inputs(args)
     )
 
 
@@ -350,7 +356,7 @@ def _cmd_symmetries(args):
             "radius": args.radius,
         },
         body,
-        inputs=[args.path],
+        inputs=_inputs(args),
     )
 
 
@@ -376,7 +382,7 @@ def _cmd_periods(args):
         verdict,
         {"window": len(M), "rank_bound": args.rank_bound, "radius": args.radius},
         body,
-        inputs=[args.path],
+        inputs=_inputs(args),
     )
 
 
@@ -408,7 +414,7 @@ def _cmd_rigidity(args):
         verdict,
         {"window": len(M), "radii": radii, "s": args.s, "lip_radius": args.lip_radius},
         body,
-        inputs=[args.path],
+        inputs=_inputs(args),
     )
 
 
@@ -423,7 +429,7 @@ def _cmd_rigid_limit(args):
             "fails_with_witness",
             {"window": len(M), "steps": args.steps, "seed": seed},
             {"stage": exc.stage, "detail": str(exc.detail)},
-            inputs=[args.path],
+            inputs=_inputs(args),
         )
     body = {
         "steps": [
@@ -440,7 +446,7 @@ def _cmd_rigid_limit(args):
         "holds_up_to_bounds",
         {"window": len(M), "steps": args.steps, "seed": seed},
         body,
-        inputs=[args.path],
+        inputs=_inputs(args),
     )
 
 
@@ -468,7 +474,7 @@ def _cmd_quotient(args):
             "group_bound": args.group_bound,
         },
         body,
-        inputs=[args.path],
+        inputs=_inputs(args),
     )
 
 
@@ -608,7 +614,7 @@ def main(argv=None):
         needed = getattr(exc, "needed_radius", None)
         if needed is not None:
             body["needed_radius"] = needed
-        doc = report_document(command, "inconclusive", _arg_bounds(args), body)
+        doc = report_document(command, "inconclusive", _arg_bounds(args), body, _inputs(args))
         _emit(args, doc)
         return 2
     except LocisError as exc:

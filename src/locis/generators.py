@@ -373,12 +373,6 @@ def gen_sturmian(r, s, half_width):
 # Example 4: k-ary functional trees with an upward address.
 
 
-def _tree_id(j, word):
-    if not word:
-        return f"c{j}"
-    return f"c{j}." + "-".join(str(w) for w in word)
-
-
 def gen_kary_tree(k, address, depth, halo=14):
     """Window of the k-ary tree: ancestor chain following the address plus a
     complete ball region around the anchor.
@@ -405,26 +399,26 @@ def gen_kary_tree(k, address, depth, halo=14):
 
     # Nodes are (j, word): start at the anchor's j-th ancestor, then follow
     # child labels in word. Canonical form requires word[0] != addr[j-1]
-    # (otherwise the node re-enters the chain lower down).
-    nodes = set()
-    for j in range(depth + 1):
-        nodes.add((j, ()))
+    # (otherwise the node re-enters the chain lower down). Ids extend the
+    # parent's: c{j}, then c{j}.{i}, then c{j}.{i}-{i'}-...
+    ids = {(j, ()): f"c{j}" for j in range(depth + 1)}
     top = min(halo, depth)
     for j in range(top + 1):
         budget = halo - j
         if budget <= 0:
             continue
-        stack = [()]
+        stack = [((), f"c{j}.")]
         while stack:
-            word = stack.pop()
+            word, stem = stack.pop()
             if len(word) >= budget:
                 continue
             for i in range(1, k + 1):
                 if not word and j >= 1 and i == addr[j - 1]:
                     continue
                 nw = word + (i,)
-                nodes.add((j, nw))
-                stack.append(nw)
+                name = f"{stem}{i}"
+                ids[j, nw] = name
+                stack.append((nw, name + "-"))
 
     def parent_of(node):
         j, word = node
@@ -440,21 +434,20 @@ def gen_kary_tree(k, address, depth, halo=14):
             return (j - 1, ())
         return (j, word + (i,))
 
-    ids = {node: _tree_id(*node) for node in nodes}
     language = Language([(f"P{i}", 2) for i in range(1, k + 1)])
     tuples = []
     frontier = []
-    for node in nodes:
+    for node in ids:
         j, word = node
         missing = False
         par = parent_of(node)
-        if par is None or par not in nodes:
+        if par is None or par not in ids:
             missing = True
         else:
             label = word[-1] if word else addr[j]
             tuples.append((f"P{label}", (ids[par], ids[node])))
         for i in range(1, k + 1):
-            if child_of(node, i) not in nodes:
+            if child_of(node, i) not in ids:
                 missing = True
         if missing:
             frontier.append(ids[node])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -383,67 +384,157 @@ def pointed_iso(A, B):
 # ---------------------------------------------------------------------------
 # Canonical signatures.
 #
-# The search runs on an integer form of the ball: members are indexed
-# 0..n-1 in BFS order, and inc[u] lists u's tuples as (slot, args), where
-# args are member indices and slot ranks the pair (symbol name, positions of
-# u in the tuple). Entries (slot, *argument colors) therefore sort exactly
-# as (symbol name, positions, argument colors) would.
+# The search runs on an integer form of the ball: members are numbered
+# 0..n-1 in the order a breadth-first read from the center first meets them,
+# each member's incidences read in slot order, and inc[u] lists u's tuples
+# as (slot, args), where args are member numbers and slot ranks the pair
+# (symbol name, positions of u in the tuple). Entries (slot, *argument
+# colors) therefore sort exactly as (symbol name, positions, argument colors)
+# would. The code does not depend on the numbering, so class_ids computes
+# one code per distinct form: on windows of finite local complexity balls
+# repeat, and slot order gives translated rigid balls identical forms.
 
 
-def _incidence_table(M):
-    """Per element of M: (slot, symbol index, unary bit, tuple) per incident tuple.
+class _Index:
+    """Integer incidence index of a window, by position in M.elements.
 
-    Slots rank the pairs (symbol name, positions of the element) over all of
-    M, so they also order the pairs of any ball of M. Unary symbols get bits
-    with the first declared one most significant, so profile bitmasks order
-    as the 0/1 flag tuples of Structure.unary_profile do.
+    Each element's entries list its tuples once each as (slot, args), args
+    in element positions, sorted. slots[s] is the (symbol index, arity,
+    unary bit) of slot s. Slots rank the pairs (symbol name, positions of the
+    element) over all of M, so they also order the pairs of any ball of M.
+    Unary symbols get bits with the first declared one most significant, so
+    profile bitmasks order as the 0/1 flag tuples of Structure.unary_profile
+    do. template[i] spells element i's entries as one list, slot s as
+    position n + s; widths[i] gives each entry's length there, and reach[i]
+    the distinct arguments in the order the entries meet them. label, one
+    reusable list over positions and slots, maps member positions to member
+    numbers (-1 outside the current ball) and n + s to s, so one map over a
+    template yields a member's words.
     """
-    unary = M.language.unary_symbols
-    bit = {name: 1 << (len(unary) - 1 - i) for i, name in enumerate(unary)}
-    sym = {name: i for i, (name, _) in enumerate(M.language.symbols)}
-    keyed = {
-        e: [
-            ((name, tuple([i for i, x in enumerate(t) if x == e])), t)
-            for name, t in M.incident(e)
+
+    __slots__ = ("language", "slots", "template", "widths", "reach", "label", "typecode")
+
+    def __init__(self, M):
+        self.language = M.language
+        pos = {e: i for i, e in enumerate(M.elements)}
+        keyed = [[] for _ in M.elements]
+        for name, _ in M.language.symbols:
+            for t in M.tuples_by_symbol[name]:
+                args = tuple([pos[x] for x in t])
+                for x in set(args):
+                    key = (name, tuple([i for i, y in enumerate(args) if y == x]))
+                    keyed[x].append((key, args))
+        keys = sorted({key for ks in keyed for key, _ in ks})
+        slot = {key: s for s, key in enumerate(keys)}
+        unary = M.language.unary_symbols
+        sym = {name: i for i, (name, _) in enumerate(M.language.symbols)}
+        self.slots = [
+            (
+                sym[name],
+                M.language.arities[name],
+                1 << (len(unary) - 1 - unary.index(name)) if name in unary else 0,
+            )
+            for name, _ in keys
         ]
-        for e in M.elements
-    }
-    slot = {key: i for i, key in enumerate(sorted({key for ks in keyed.values() for key, _ in ks}))}
-    return {
-        e: [(slot[key], sym[key[0]], bit.get(key[0], 0), t) for key, t in ks]
-        for e, ks in keyed.items()
-    }
+        n = len(M.elements)
+        entries = [sorted([(slot[key], args) for key, args in ks]) for ks in keyed]
+        self.template = [[x for s, args in es for x in (n + s, *args)] for es in entries]
+        self.widths = [[1 + len(args) for _, args in es] for es in entries]
+        self.reach = [list(dict.fromkeys(x for _, args in es for x in args)) for es in entries]
+        self.label = [-1] * n + list(range(len(keys)))
+        # memo keys pack words into the narrowest array that holds them all
+        bound = max(n, len(keys), max(map(len, entries), default=0))
+        self.typecode = "H" if bound < 1 << 16 else "I"
 
+    def words(self, center, h):
+        """Flat integer encoding of the h-ball around position `center`.
 
-def _ball_form(M, table, dist, h):
-    """Integer form of the ball of M whose members are the keys of dist.
-
-    dist maps each member to its distance from the center, in BFS order, and
-    holds every element within distance h. The ball's tuples are those of M
-    with every argument a member; only members at distance h can have tuples
-    leaving it. Returns (init, inc, rows): initial colors ranking (distance,
-    unary profile), each member's incidences, and each symbol's tuples in
-    declaration order.
-    """
-    index = {e: i for i, e in enumerate(dist)}
-    rows = [[] for _ in M.language.symbols]
-    inc = []
-    seeds = []
-    for e, d in dist.items():
-        entries = []
-        profile = 0
-        for slot, si, bit, t in table[e]:
-            if d == h and not all(x in index for x in t):
+        Members are numbered in slot-ordered discovery: breadth-first from
+        the center, reading each member's entries in order and numbering
+        every argument when first met. Distances are Gaifman distances,
+        since the entries hold the co-occurrences adjacency() does. The words
+        list, member by member, its distance, its entry count, then per entry
+        the slot and the member numbers; a slot fixes its arity, so the words
+        determine the ball's form exactly. Members at distance h keep only
+        the tuples inside the ball. Returns (words, number of members).
+        """
+        template, widths, reach, label = self.template, self.widths, self.reach, self.label
+        get = label.__getitem__
+        label[center] = 0
+        members = [center]
+        m = 1
+        words = []
+        lo, d = 0, 0
+        while d < h and lo < m:
+            hi = m
+            for u in members[lo:hi]:
+                for x in reach[u]:
+                    if label[x] < 0:
+                        label[x] = m
+                        m += 1
+                        members.append(x)
+                words += (d, len(widths[u]))
+                words += map(get, template[u])
+            lo, d = hi, d + 1
+        # members at distance h keep the entries with every argument inside
+        for u in members[lo:]:
+            block = list(map(get, template[u]))
+            if -1 not in block:
+                words += (d, len(widths[u]))
+                words += block
                 continue
-            profile |= bit
-            args = tuple([index[x] for x in t])
-            if t[0] == e:
-                rows[si].append(args)
-            entries.append((slot, args))
-        inc.append(entries)
-        seeds.append((d, profile))
-    seed_rank = {key: i for i, key in enumerate(sorted(set(seeds)))}
-    return [seed_rank[key] for key in seeds], inc, rows
+            kept, count, j = [], 0, 0
+            for width in widths[u]:
+                part = block[j : j + width]
+                j += width
+                if -1 not in part:
+                    kept += part
+                    count += 1
+            words += (d, count)
+            words += kept
+        for x in members:
+            label[x] = -1
+        return words, m
+
+    def key(self, words):
+        """Exact memo key of the form that words encode."""
+        return array(self.typecode, words).tobytes()
+
+    def signature(self, words):
+        """The canonical signature of the ball that words encode."""
+        return BallSignature(_canonical_code(self.language, *self.form(words)))
+
+    def form(self, words):
+        """(init, inc, rows) of the ball encoded by words.
+
+        init ranks the members' (distance, unary profile) pairs, inc lists
+        each member's (slot, args) entries, and rows lists each symbol's
+        tuples, attributed to their first argument.
+        """
+        slots = self.slots
+        inc, seeds = [], []
+        rows = [[] for _ in self.language.symbols]
+        i, end = 0, len(words)
+        while i < end:
+            u = len(inc)
+            d, count = words[i], words[i + 1]
+            i += 2
+            mine = []
+            profile = 0
+            for _ in range(count):
+                s = words[i]
+                si, arity, bit = slots[s]
+                j = i + 1 + arity
+                args = words[i + 1 : j]
+                i = j
+                profile |= bit
+                if args[0] == u:
+                    rows[si].append(args)
+                mine.append((s, args))
+            inc.append(mine)
+            seeds.append((d, profile))
+        seed_rank = {key: i for i, key in enumerate(sorted(set(seeds)))}
+        return [seed_rank[key] for key in seeds], inc, rows
 
 
 def _refine(colors, inc):
@@ -583,11 +674,6 @@ def _canonical_code(language, init, inc, rows):
     return best[0]
 
 
-def _ball_signature(M, table, dist, h):
-    init, inc, rows = _ball_form(M, table, dist, h)
-    return BallSignature(_canonical_code(M.language, init, inc, rows))
-
-
 def signature(A):
     """Canonical code: equal codes iff pointed-isomorphic.
 
@@ -600,12 +686,13 @@ def signature(A):
     unchanged.
     """
     S = A.structure
-    dist = S.ball_elements(A.center, len(S))
-    if len(dist) != len(S):
+    index = _Index(S)
+    words, n = index.words(S.elements.index(A.center), len(S))
+    if n != len(S):
         raise InvariantViolation(
             "ball-connected", "pointed ball has elements unreachable from its center"
         )
-    return _ball_signature(S, _incidence_table(S), dist, len(S))
+    return index.signature(words)
 
 
 # ---------------------------------------------------------------------------
@@ -832,9 +919,18 @@ def class_ids(M, h, extended=False):
         if not extended:
             keys = {e: keys[e] for e in members}
         return {e: ("forest", k) for e, k in keys.items()}
-    # Inside the ball, distances from its center equal window distances.
-    table = _incidence_table(M)
-    return {e: _ball_signature(M, table, M.ball_elements(e, h), h) for e in members}
+    # Equal forms share one code; the keys live as long as this call.
+    index = _Index(M)
+    codes = {}
+    out = {}
+    for i, e in enumerate(M.elements):
+        if depths[e] >= h:
+            words, _ = index.words(i, h)
+            key = index.key(words)
+            if key not in codes:
+                codes[key] = index.signature(words)
+            out[e] = codes[key]
+    return out
 
 
 def _token_groups(M, h):

@@ -150,6 +150,21 @@ class TestBallAndCensus:
     def test_census_negative_radius_is_an_error(self, board_file, capsys):
         assert_user_error(capsys, "census", board_file, "--h", "-1")
 
+    def test_inconclusive_reports_name_their_inputs(self, tmp_path, capsys):
+        paths = [str(tmp_path / f"g{i}.locis") for i in range(2)]
+        for path in paths:
+            run(capsys, "gen", "grid", "--dims", "4,4", "--out", path)
+        code, doc = run(capsys, "census", paths[0], "--h", "2")
+        assert code == 0 and doc["inputs"] == paths[:1]
+        for argv, inputs in [
+            (("census", paths[0], "--h", "9"), paths[:1]),
+            (("compare", *paths, "--h", "9"), paths),
+        ]:
+            code, doc = run(capsys, *argv)
+            assert code == 2
+            assert doc["verdict"] == "inconclusive"
+            assert doc["inputs"] == inputs
+
 
 class TestLipAndCompare:
     def test_lip_holds_on_columns(self, sturmian_file, capsys):

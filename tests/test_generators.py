@@ -8,6 +8,8 @@ tiling, and Cayley windows are checked for their defining local grammar
 plus exact ball sizes from the regular-tree counting formulas.
 """
 
+import hashlib
+
 import sympy
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,25 @@ def test_tree_chain_follows_address():
         assert M.has_tuple(f"P{label}", (f"c{j + 1}", f"c{j}"))
         other = 3 - label
         assert not M.has_tuple(f"P{other}", (f"c{j + 1}", f"c{j}"))
+
+
+# sha256 prefixes of repr(content_key()) from before tree ids were built
+# incrementally: (k, address, depth, halo) -> digest.
+TREE_DIGESTS = {
+    (2, "periodic:122", 8, 3): "4b1e827ad2468765",
+    (2, "tm12", 16, 14): "3081768a90d35cf8",
+    (3, "periodic:132", 7, 4): "7ee938b6e5879a25",
+    (3, "2;tm12", 9, 3): "1748038a20be97e4",
+}
+
+
+def test_tree_ids_are_pinned():
+    got = {}
+    for k, address, depth, halo in TREE_DIGESTS:
+        M = gen_kary_tree(k, AddressSequence.parse(address), depth, halo=halo)
+        digest = hashlib.sha256(repr(M.content_key()).encode()).hexdigest()[:16]
+        got[k, address, depth, halo] = digest
+    assert got == TREE_DIGESTS
 
 
 def test_tree_rejects_bad_address():

@@ -8,6 +8,7 @@ colorings, against the factor-complexity formula p(m) = m + 1 (radius-h
 classes correspond to factors of length 2h+1, so there are 2h+2 of them).
 """
 
+import hashlib
 import math
 import random
 from collections import Counter
@@ -27,11 +28,13 @@ from locis.generators import (
     AddressSequence,
     QuadraticIrrational,
     checkerboard_colormap,
+    gen_binary_hyperbolic,
     gen_grid,
     gen_kary_tree,
     gen_sturmian,
 )
 from locis.iso import (
+    BallSignature,
     EngineResult,
     census,
     class_groups,
@@ -563,3 +566,126 @@ class TestSymmetricSignatures:
         assert signature(S.ball("c", 2)) != signature(S.ball("l0", 2))
         R = rook(6)
         assert signature(R.ball("r0_0", 2)) == signature(R.ball("r3_5", 2))
+
+
+# ---------------------------------------------------------------------------
+# Generic class tokens: golden digests and a differential test
+
+
+def speckled_grid(n, seed):
+    """(2n+1)^2 grid window with a random two-colouring: no repeated forms."""
+    rng = random.Random(seed)
+    plain = gen_grid((n, n), mode="window")
+    lang = Language(list(plain.language.symbols) + [("White", 1), ("Black", 1)])
+    colours = [(rng.choice(("White", "Black")), (e,)) for e in plain.elements]
+    return Structure(lang, plain.elements, list(plain.all_tuples()) + colours, plain.frontier)
+
+
+def generic_windows(sqrt2):
+    """(name, window, radius) triples that take the generic class_ids path."""
+    periods, cmap = checkerboard_colormap()
+    board = gen_grid((4, 4), mode="window", periods=periods, colormap=cmap)
+    ternary = golden_balls(sqrt2)["ternary_unary"].structure
+    tiling = gen_binary_hyperbolic(AddressSequence.parse("periodic:01"), 3, 2, support_radius=2)
+    return (
+        [(f"board_h{h}", board, h) for h in range(4)]
+        + [("speckled_h2", speckled_grid(6, 8), 2), ("speckled_h3", speckled_grid(6, 8), 3)]
+        + [("rook4_h1", rook(4), 1), ("shrikhande_h1", shrikhande(), 1)]
+        + [(f"ternary_h{h}", ternary, h) for h in range(4)]
+        + [("tiling_h1", tiling, 1), ("tiling_h2", tiling, 2)]
+    )
+
+
+def token_digest(tokens):
+    text = "".join(f"{e} {tokens[e].hex()}\n" for e in sorted(tokens))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# Digests of the sorted (element, code digest) pairs before class_ids built
+# its forms in slot order and shared codes between equal forms.
+GOLDEN_CLASS_IDS = {
+    "board_h0": "77cc3c013fde4814",
+    "board_h1": "4a0ac06baa5d3d52",
+    "board_h2": "b0b57d38b78bcdd7",
+    "board_h3": "ca3fb81a92337970",
+    "speckled_h2": "9057f91db99b4efb",
+    "speckled_h3": "3b9a010addf4bc5a",
+    "rook4_h1": "825238b96c323469",
+    "shrikhande_h1": "0a6137d78f92a3ea",
+    "ternary_h0": "b88d5e9600e467c9",
+    "ternary_h1": "eb4a8b6021ef42a0",
+    "ternary_h2": "45f89c99352a9b2d",
+    "ternary_h3": "8d88905c412576f3",
+    "tiling_h1": "4d3af7056e6264b5",
+    "tiling_h2": "d4d241c5b64d276a",
+}
+
+
+def test_golden_class_ids(sqrt2):
+    got = {}
+    for name, M, h in generic_windows(sqrt2):
+        tokens = class_ids(M, h)
+        assert tokens and all(isinstance(t, BallSignature) for t in tokens.values())
+        got[name] = token_digest(tokens)
+    assert got == GOLDEN_CLASS_IDS
+
+
+LANG_DIFF = Language([("U", 1), ("V", 1), ("P", 2), ("S", 2), ("T", 3)])
+
+
+@st.composite
+def diff_window(draw, max_n=12):
+    """Random window over U/1, V/1, P/2, a symmetric S/2 and T/3.
+
+    Arguments repeat freely, S ties several tuples inside one slot, and up
+    to two frontier elements bound the faithful radii. Sparse tuples leave
+    many small components, so balls of one window often share a form.
+    """
+    n = draw(st.integers(1, max_n))
+    elements = [str(i) for i in range(n)]
+    element = st.sampled_from(elements)
+    tuples = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(("U", "V")), st.tuples(element)),
+                st.tuples(st.sampled_from(("P", "S")), st.tuples(element, element)),
+                st.tuples(st.just("T"), st.tuples(element, element, element)),
+            ),
+            max_size=2 * n,
+        )
+    )
+    tuples += [("S", t[::-1]) for sym, t in tuples if sym == "S"]
+    frontier = draw(st.lists(element, unique=True, max_size=2))
+    return Structure(LANG_DIFF, elements, tuples, frontier=frontier)
+
+
+@given(diff_window())
+@settings(max_examples=300, deadline=None)
+def test_class_ids_agree_with_signature_and_brute_force(M):
+    # Balls of at most 6 members also meet the brute-force canonical form.
+    depths = M.depths()
+    for h in range(4):
+        tokens = class_ids(M, h)
+        assert set(tokens) == {e for e in M.elements if depths[e] >= h}
+        keys = {}
+        for e, token in tokens.items():
+            ball = M.ball(e, h)
+            assert token == signature(ball)
+            if len(ball) <= 6:
+                keys[e] = brute_pointed_canonical(ball.structure, e)
+        for e in keys:
+            for f in keys:
+                assert (tokens[e] == tokens[f]) == (keys[e] == keys[f])
+
+
+def test_forms_that_differ_only_in_wiring_keep_their_codes():
+    # The 1-balls of rook and Shrikhande graphs agree in layer sizes, entry
+    # counts and slots, and differ only in which neighbours are joined (two
+    # triangles against a hexagon); in one window they must not share a code.
+    R, S = rook(4), shrikhande()
+    U = Structure(R.language, R.elements + S.elements, list(R.all_tuples()) + list(S.all_tuples()))
+    tokens = class_ids(U, 1)
+    assert tokens["r0_0"] != tokens["s0_0"]
+    assert len(set(tokens.values())) == 2
+    for e in ("r0_0", "r2_3", "s0_0", "s3_1"):
+        assert tokens[e] == signature(U.ball(e, 1))
