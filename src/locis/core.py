@@ -6,7 +6,12 @@ its complete 1-neighborhood. depth(u) is the Gaifman distance from u to the
 nearest frontier element, and bounds the radius at which balls around u are
 faithful to the infinite structure.
 
-Element ids are opaque strings. The core never interprets them.
+Element ids are opaque strings. The core never interprets them. Each
+window numbers its elements by position in its sorted element tuple, so
+int order is id order, and keeps one int Gaifman index, built on first use:
+every distance (depths, balls, multi-source searches) is a breadth-first
+search over it, and an id-keyed result lists elements in the order the
+search discovers them.
 """
 
 from __future__ import annotations
@@ -76,8 +81,9 @@ class Structure:
 
     `tuples` is any iterable of (symbol, argument sequence) pairs and is
     consumed once, so a generator streams straight in. Immutable after
-    construction. Derived data (adjacency, depths) is computed lazily and
-    cached; recomputation is idempotent, so concurrent readers are safe.
+    construction. Derived data (the int Gaifman index, the id adjacency
+    view, the incident table, depths) is computed lazily and cached;
+    recomputation is idempotent, so concurrent readers are safe.
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -102,7 +108,7 @@ class Structure:
         frontier = list(map(str, frontier))
         if not eset.issuperset(frontier):
             bad = next(e for e in frontier if e not in eset)
-            raise DanglingElement(bad, ("frontier", bad))
+            raise DanglingElement(bad, lookup="frontier list")
         self.frontier = frozenset(frontier)
 
         # Insertion-ordered dicts deduplicate; sorting their keys, which are
@@ -121,6 +127,7 @@ class Structure:
         self.tuples_by_symbol = {name: tuple(sorted(ts)) for name, ts in by_symbol.items()}
         self._tuple_sets = by_symbol  # membership tests only
 
+        self._index = None
         self._adj = None
         self._incident = None
         self._depth = None
@@ -174,26 +181,47 @@ class Structure:
 
     # -- derived maps ----------------------------------------------------
 
-    def adjacency(self):
-        """Gaifman adjacency: u ~ v iff they co-occur in some tuple."""
-        if self._adj is None:
-            adj = {e: set() for e in self.elements}
+    def _gaifman(self):
+        """The int Gaifman index: (position of each id, neighbours per position).
+
+        Positions follow self.elements, which is sorted, so int order is id
+        order. nbrs[i] is the sorted tuple of positions co-occurring with i
+        in some tuple. Built on first use and kept for the window's lifetime.
+        """
+        if self._index is None:
+            elements = self.elements
+            pos = dict(zip(elements, range(len(elements))))
+            nbrs = [set() for _ in elements]
             for name, arity in self.language.symbols:
                 ts = self.tuples_by_symbol[name]
+                if arity == 1:
+                    continue
                 if arity == 2:
                     for a, b in ts:
                         if a != b:
-                            adj[a].add(b)
-                            adj[b].add(a)
+                            i, j = pos[a], pos[b]
+                            nbrs[i].add(j)
+                            nbrs[j].add(i)
                     continue
                 for t in ts:
-                    distinct = set(t)
+                    distinct = {pos[a] for a in t}
                     if len(distinct) < 2:
                         continue
-                    for a in distinct:
-                        adj[a].update(distinct)
-                        adj[a].discard(a)
-            self._adj = {e: tuple(sorted(s)) for e, s in adj.items()}
+                    for i in distinct:
+                        nbrs[i].update(distinct)
+                        nbrs[i].discard(i)
+            self._index = (pos, [tuple(sorted(s)) for s in nbrs])
+        return self._index
+
+    def adjacency(self):
+        """Gaifman adjacency: u ~ v iff they co-occur in some tuple.
+
+        An id-keyed view of the int index, built on first call.
+        """
+        if self._adj is None:
+            elements = self.elements
+            at = elements.__getitem__
+            self._adj = {e: tuple(map(at, nb)) for e, nb in zip(elements, self._gaifman()[1])}
         return self._adj
 
     def incident(self, element):
@@ -215,40 +243,65 @@ class Structure:
             self._incident = {e: tuple(v) for e, v in inc.items()}
         return self._incident[element]
 
-    def distances(self, sources, limit=None):
-        """Gaifman distance to the nearest source, for every element within
-        `limit` of one (every reachable element when limit is None).
-
-        Breadth-first over adjacency(); the dict lists elements in discovery
-        order, sources first.
-        """
-        adj = self.adjacency()
-        dist = dict.fromkeys(sources, 0)
-        layer, d = list(dist), 0
-        while layer and (limit is None or d < limit):
+    def _distance_list(self, starts):
+        """Per-position distance to the nearest of the positions in `starts`,
+        math.inf where unreached: the whole-window search of distances(),
+        with a list for the visited test instead of a dict."""
+        nbrs = self._gaifman()[1]
+        inf = math.inf
+        dist = [inf] * len(nbrs)
+        layer, d = list(starts), 0
+        for i in layer:
+            dist[i] = 0
+        while layer:
             d += 1
             nxt = []
             for u in layer:
-                for v in adj[u]:
-                    if v not in dist:
+                for v in nbrs[u]:
+                    if dist[v] is inf:
                         dist[v] = d
                         nxt.append(v)
             layer = nxt
         return dist
 
+    def distances(self, sources, limit=None):
+        """Gaifman distance to the nearest source, for every element within
+        `limit` of one (every reachable element when limit is None).
+
+        Breadth-first over the int index. The dict lists elements in
+        discovery order, sources first: neighbours are scanned in int order,
+        which is id order, so this is the order in which a FIFO queue over
+        adjacency() meets them. ball_elements and the step words of symmetry
+        rely on that order.
+        """
+        pos, nbrs = self._gaifman()
+        dist = dict.fromkeys(map(pos.__getitem__, sources), 0)
+        layer, d = list(dist), 0
+        while layer and (limit is None or d < limit):
+            d += 1
+            nxt = []
+            for u in layer:
+                for v in nbrs[u]:
+                    if v not in dist:
+                        dist[v] = d
+                        nxt.append(v)
+            layer = nxt
+        return dict(zip(map(self.elements.__getitem__, dist), dist.values()))
+
     def depths(self):
         """Distance from each element to the nearest frontier element.
 
         math.inf everywhere when the frontier is empty (closed window).
+        Read from one int BFS over the whole window.
         """
         if self._depth is None:
-            dist = self.distances(self.frontier)
-            self._depth = {e: dist.get(e, math.inf) for e in self.elements}
+            starts = map(self._gaifman()[0].__getitem__, self.frontier)
+            self._depth = dict(zip(self.elements, self._distance_list(starts)))
         return self._depth
 
     def depth(self, element):
         if element not in self._eset:
-            raise DanglingElement(element, ("depth", element))
+            raise DanglingElement(element, lookup="depth lookup")
         return self.depths()[element]
 
     def is_closed(self):
@@ -282,14 +335,13 @@ class Structure:
         interior elements, where the 1-neighborhood is complete.
         """
         depths = self.depths()
-        adj = self.adjacency()
+        nbrs = self._gaifman()[1]
         best, witness = 0, None
-        for e in self.elements:  # sorted, so the first maximum is the witness
+        for e, nb in zip(self.elements, nbrs):  # sorted, so the first maximum is the witness
             if depths[e] < 1:
                 continue
-            size = len(adj[e]) + 1
-            if size > best:
-                best, witness = size, e
+            if len(nb) + 1 > best:
+                best, witness = len(nb) + 1, e
         return best, witness
 
     # -- balls -------------------------------------------------------------
@@ -297,13 +349,13 @@ class Structure:
     def ball_elements(self, center, h):
         """BFS element set of B(center, h), without the faithfulness check."""
         if center not in self._eset:
-            raise DanglingElement(center, ("ball", center))
+            raise DanglingElement(center, lookup="ball centre")
         return self.distances((center,), h)
 
     def ball(self, center, h):
         """Extract (B(center,h), center) as a standalone closed structure."""
         if center not in self._eset:
-            raise DanglingElement(center, ("ball", center))
+            raise DanglingElement(center, lookup="ball centre")
         h = int(h)
         if h < 0:
             raise InvariantViolation("radius", f"negative radius {h}")
@@ -314,13 +366,37 @@ class Structure:
         return PointedBall(structure=sub, center=center, radius=h)
 
     def restrict(self, members, frontier):
-        """Induced substructure on a member set with an explicit frontier."""
+        """Induced substructure on a member set with an explicit frontier.
+
+        Over unary and binary symbols the tuples are looked up from the
+        members' int neighbours, so a small ball does not build the
+        incident() table of a large window.
+        """
         members = set(members)
+        symbols = self.language.symbols
+        if any(arity > 2 for _, arity in symbols):
+            tuples = [
+                (name, t)
+                for e in members
+                for name, t in self.incident(e)
+                if all(a in members for a in t)
+            ]
+            return Structure(self.language, members, tuples, frontier=frontier)
+        pos, nbrs = self._gaifman()
+        at = self.elements.__getitem__
+        inside = {pos[e] for e in members}
         tuples = []
-        for e in members:
-            for name, t in self.incident(e):
-                if all(a in members for a in t):
-                    tuples.append((name, t))
+        for name, arity in symbols:
+            ts = self._tuple_sets[name]
+            for i in inside:
+                u = at(i)
+                if arity == 1:
+                    if (u,) in ts:
+                        tuples.append((name, (u,)))
+                    continue
+                for t in [(u, u)] + [(u, at(j)) for j in nbrs[i] if j in inside]:
+                    if t in ts:
+                        tuples.append((name, t))
         return Structure(self.language, members, tuples, frontier=frontier)
 
     # -- equality ----------------------------------------------------------

@@ -26,10 +26,17 @@ class ArityMismatch(LocisError):
 
 
 class DanglingElement(LocisError):
-    def __init__(self, element, tup):
+    """An element id that the window does not hold: an argument of a tuple
+    (`tup`), or an id given to a lookup (`lookup` names it)."""
+
+    def __init__(self, element, tup=None, lookup=None):
         self.element = element
         self.tuple = tup
-        super().__init__(f"tuple {tup!r} mentions element {element!r} absent from the universe")
+        self.lookup = lookup
+        if lookup is not None:
+            super().__init__(f"element {element!r} is not in the window ({lookup})")
+        else:
+            super().__init__(f"tuple {tup!r} mentions element {element!r} absent from the universe")
 
 
 class UnfaithfulRadius(LocisError):

@@ -746,46 +746,61 @@ def _linear_layout(M):
     return None
 
 
-def _profile_char(M, e):
-    bits = 0
-    for i, flag in enumerate(M.unary_profile(e)):
-        bits |= flag << i
-    return chr(48 + bits)
-
-
 def _forest_layout(M):
-    """Parent map of a uniform labeled forest, if M is one.
+    """Parent arrays of a uniform labeled forest, if M is one.
 
     Applicable when all symbols are binary (no colors), every element is the
     child slot (position 2) of at most one tuple, every (element, symbol)
     pair parents at most one child, and every element of depth >= 1 has
     exactly one parent and one child per symbol. Then the pointed h-ball of
     a faithful element is determined exactly by its upward label word.
+    Returns (par, lab) over positions in M.elements: par[j] is the position
+    of j's parent (-1 for none) and lab[j] the index of the joining symbol.
     """
     if not M.language.symbols or M.language.unary_symbols:
         return None
     if any(a != 2 for _, a in M.language.symbols):
         return None
-    parent = {}
-    child_slots = set()
+    pos = M._gaifman()[0]
+    n = len(M.elements)
+    par = [-1] * n
+    lab = [0] * n
+    kids = [0] * n  # bit si set when the element parents a child by symbol si
     for si, (name, _) in enumerate(M.language.symbols):
+        bit = 1 << si
         for p, c in M.tuples_by_symbol[name]:
-            if c in parent:
+            i, j = pos[p], pos[c]
+            if par[j] >= 0 or kids[i] & bit:
                 return None
-            parent[c] = (p, si)
-            if (p, si) in child_slots:
-                return None
-            child_slots.add((p, si))
-    depths = M.depths()
-    k = len(M.language.symbols)
-    for e in M.elements:
-        if depths[e] >= 1:
-            if e not in parent:
-                return None
-            for si in range(k):
-                if (e, si) not in child_slots:
-                    return None
-    return parent
+            par[j] = i
+            lab[j] = si
+            kids[i] |= bit
+    full = (1 << len(M.language.symbols)) - 1
+    for d, p, bits in zip(M.depths().values(), par, kids):
+        if d >= 1 and (p < 0 or bits != full):
+            return None
+    return par, lab
+
+
+def _parents_first(par):
+    """(order, rest): the positions below a root, each after its parent, and
+    the positions whose ancestor chain never reaches a root (it loops)."""
+    kids = [[] for _ in par]
+    order = []
+    for j, p in enumerate(par):
+        if p < 0:
+            order.append(j)
+        else:
+            kids[p].append(j)
+    roots = len(order)
+    for i in order:  # the list grows while it is read: breadth-first
+        order += kids[i]
+    if len(order) == len(par):
+        return order[roots:], []
+    reached = bytearray(len(par))
+    for j in order:
+        reached[j] = 1
+    return order[roots:], [j for j, seen in enumerate(reached) if not seen]
 
 
 def _tiling_layout(M):
@@ -825,18 +840,25 @@ def _tiling_layout(M):
 def _layout(M):
     """The window's fast-path layout, detected once and memoized on M.
 
-    ("path" | "cycle", order, word) for a directed path or cycle, where
-    word[i] encodes the unary profile of order[i] as one character;
-    ("forest", parent) for a uniform labeled forest; None otherwise.
+    ("path" | "cycle", order, word, deps) for a directed path or cycle, where
+    word[i] encodes the unary profile of order[i] as one character and
+    deps[i] is its depth; ("forest", par, lab) for a uniform labeled forest,
+    with the parent arrays of _forest_layout; None otherwise.
     """
     if "layout" not in M._cache:
         linear = _linear_layout(M)
         if linear is not None:
             kind, order = linear
-            layout = (kind, order, "".join(_profile_char(M, e) for e in order))
+            bits = dict.fromkeys(order, 0)  # unary symbol i sets bit i
+            for i, name in enumerate(M.language.unary_symbols):
+                for (e,) in M.tuples_by_symbol[name]:
+                    bits[e] |= 1 << i
+            word = "".join([chr(48 + b) for b in bits.values()])
+            depths = M.depths()
+            layout = (kind, order, word, [depths[e] for e in order])
         else:
-            parent = _forest_layout(M)
-            layout = None if parent is None else ("forest", parent)
+            forest = _forest_layout(M)
+            layout = None if forest is None else ("forest", *forest)
         M._cache["layout"] = layout
     return M._cache["layout"]
 
@@ -851,16 +873,19 @@ def _chain_layout(M):
     would need one in-edge per child label at the image, and forest nodes
     have one parent), on a tiling the tiles with two level predecessors
     (their children would need two distinct level successors at the image,
-    and tiles have one). Forest maps come from _layout's memo; a plain path
-    is a forest here although _layout reads it as a path, so its forest map
-    is detected on each call, as is a tiling's.
+    and tiles have one). A forest's parent map is read off the parent
+    arrays in _layout's memo on each call; a plain path is a forest here
+    although _layout reads it as a path, so its arrays are detected on each
+    call, as is a tiling's map.
     """
     layout = _layout(M)
     if layout is None or layout[0] == "forest":
-        parent = None if layout is None else layout[1]
+        forest = None if layout is None else layout[1:]
     else:
-        parent = _forest_layout(M)
-    if parent is not None:
+        forest = _forest_layout(M)
+    if forest is not None:
+        at = M.elements.__getitem__
+        parent = {at(j): (at(p), label) for j, (p, label) in enumerate(zip(*forest)) if p >= 0}
         return parent, (M._eset if len(M.language.symbols) >= 2 else frozenset())
     return _tiling_layout(M)
 
@@ -877,23 +902,25 @@ def _chain_word(parent, e, length):
     return labels
 
 
-def _forest_class_keys(M, h, parent, extended=False):
-    """Upward label words of length h.
-
-    With extended=True the word is read for every element owning h
-    in-window ancestors, not just faithful ones: in a uniform labeled
-    forest the true h-class is a function of the word alone, and window
-    faithfulness guarantees visible ancestor paths are true paths.
-    """
-    depths = M.depths()
-    keys = {}
-    for e in M.elements:
-        if not extended and depths[e] < h:
-            continue
-        word = _chain_word(parent, e, h)
-        if len(word) == h:
-            keys[e] = tuple(word)
-    return keys
+def _forest_words(layout, h):
+    """Position-ordered upward label words of length up to h, one character
+    per label: each word extends its parent's, cut to h."""
+    _, par, lab = layout
+    chars = [chr(48 + si) for si in range(max(lab, default=0) + 1)]
+    if h <= 1:
+        return [chars[si][:h] if p >= 0 else "" for p, si in zip(par, lab)]
+    order, rest = _parents_first(par)
+    words = [""] * len(par)
+    cut = h - 1
+    for j in order:
+        words[j] = chars[lab[j]] + words[par[j]][:cut]
+    for j in rest:  # chains that loop never meet a finished parent word
+        labels, x = [], j
+        while len(labels) < h and par[x] >= 0:
+            labels.append(chars[lab[x]])
+            x = par[x]
+        words[j] = "".join(labels)
+    return words
 
 
 def class_ids(M, h, extended=False):
@@ -909,16 +936,16 @@ def class_ids(M, h, extended=False):
     if h < 0:
         raise InvariantViolation("radius", f"negative radius {h}")
     depths = M.depths()
-    members = [e for e in M.elements if depths[e] >= h]
     layout = _layout(M)
     if layout is not None and layout[0] != "forest":
-        keys = _linear_class_keys(M, h, layout)
-        return {e: ("lin", keys[e]) for e in members}
+        tokens = _linear_tokens(h, layout)
+        return {e: t for e, t in zip(layout[1], tokens) if t is not None}
     if layout is not None:
-        keys = _forest_class_keys(M, h, layout[1], extended=extended)
-        if not extended:
-            keys = {e: keys[e] for e in members}
-        return {e: ("forest", k) for e, k in keys.items()}
+        # a word of length h is the class, wherever the window shows it
+        words = zip(M.elements, _forest_words(layout, h), depths.values())
+        if extended:
+            return {e: w for e, w, _ in words if len(w) == h}
+        return {e: w for e, w, d in words if d >= h and len(w) == h}
     # Equal forms share one code; the keys live as long as this call.
     index = _Index(M)
     codes = {}
@@ -953,29 +980,30 @@ def _group_signature(M, h, token, rep):
     return signature(M.ball(rep, h))
 
 
-def _linear_class_keys(M, h, layout):
-    """Exact h-class keys for censusable elements of a path/cycle window."""
-    kind, order, word = layout
+def _linear_tokens(h, layout):
+    """Position-ordered h-class tokens of a path or cycle window.
+
+    tokens[i] belongs to order[i]: None below depth h, else equal across
+    positions exactly when their pointed h-balls are isomorphic. On a path
+    an interior position gets its window word[i-h : i+h+1], a position
+    fewer than h from an end gets (offset of i, clipped word); tuples and
+    strings never compare equal. On a cycle every position gets the 2h+1
+    letters around it, or the whole rotation from it when 2h+1 >= n.
+    """
+    kind, order, word, deps = layout
     n = len(order)
-    depths = M.depths()
-    keys = {}
-    if kind == "path":
-        for i, e in enumerate(order):
-            if depths[e] < h:
-                continue
+    if kind == "cycle":
+        if 2 * h + 1 >= n:
+            doubled = word + word
+            return [doubled[i : i + n] if d >= h else None for i, d in enumerate(deps)]
+        wide = word[n - h :] + word + word[:h]  # wide[i : i + 2h + 1] is centred on i
+        return [wide[i : i + 2 * h + 1] if d >= h else None for i, d in enumerate(deps)]
+    tokens = [word[i - h : i + h + 1] if d >= h else None for i, d in enumerate(deps)]
+    for i in (*range(min(h, n)), *range(max(n - h, h), n)):
+        if deps[i] >= h:
             lo = i - h if i > h else 0
-            keys[e] = (i - lo, word[lo : i + h + 1])
-    else:
-        doubled = word + word
-        for i, e in enumerate(order):
-            if depths[e] < h:
-                continue
-            if 2 * h + 1 >= n:
-                keys[e] = ("wrap", doubled[i : i + n])
-            else:
-                start = (i - h) % n
-                keys[e] = (h, doubled[start : start + 2 * h + 1])
-    return keys
+            tokens[i] = (i - lo, word[lo : i + h + 1])
+    return tokens
 
 
 def census(M, h):
@@ -1028,33 +1056,31 @@ def _window_bound(M):
 def _least_recurrence_k(M, members, count_unreached=True):
     """Least k with every element of depth >= k within k of a member.
 
-    Returns (k or None, dist), where dist maps every element a member
-    reaches to its distance from the nearest member; the others are at
-    distance inf. f(k), the largest distance over elements of depth >= k,
+    Returns (k or None, dist), where dist lists, by position in M.elements,
+    each element's distance from the nearest member (inf where no member
+    reaches it). f(k), the largest distance over elements of depth >= k,
     is non-increasing, so f(k) <= k holds exactly for k from the answer up
     to the window bound. Elements of infinite depth count at the
     bound; in a window with a frontier, count_unreached=False skips them
     instead (they sit in components the frontier cannot reach).
     """
-    depths = M.depths()
-    dist = M.distances(members)
+    dist = M._distance_list(map(M._gaifman()[0].__getitem__, members))
     bound = _window_bound(M)
     skip = not count_unreached and not M.is_closed()
-    buckets = {}
-    for e in M.elements:
-        d = depths[e]
-        if d is math.inf:
+    inf = math.inf
+    worst = [0] * (bound + 1)  # largest distance over the elements of each depth
+    for d, x in zip(M.depths().values(), dist):
+        if d is inf:
             if skip:
                 continue
             d = bound
-        buckets.setdefault(d, []).append(e)
+        if x > worst[d]:
+            worst[d] = x
     least = None
     running = 0  # f(k)
     for k in range(bound, -1, -1):
-        for e in buckets.get(k, ()):
-            d = dist.get(e, math.inf)
-            if d > running:
-                running = d
+        if worst[k] > running:
+            running = worst[k]
         if running > k:
             break
         least = k
@@ -1086,11 +1112,10 @@ def lip_check(M, h):
         if k_c is None or k_c > k_cap:
             if witness is None:
                 bad = None
-                for e in M.elements:
-                    d = depths[e]
+                for e, d, x in zip(M.elements, depths.values(), dist):
                     if d is not math.inf and d < k_cap:
                         continue
-                    if dist.get(e, math.inf) > k_cap:
+                    if x > k_cap:
                         bad = e
                         break
                 witness = (sig, rep, bad)

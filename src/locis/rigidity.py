@@ -26,6 +26,7 @@ from .iso import (
     PartialIso,
     _layout,
     _least_recurrence_k,
+    _linear_tokens,
     class_ids,
     extraction_compare,
     lip_check,
@@ -177,7 +178,7 @@ def _pair_free_anchor(M, ids, radius, need):
     """
     layout = _layout(M)
     if layout is not None and layout[0] != "forest":
-        return _linear_pair_free_anchor(M, ids, layout, radius, need)
+        return _linear_pair_free_anchor(M, [ids.get(e) for e in layout[1]], layout, radius, need)
     return _ball_pair_free_anchor(M, ids, radius, need)
 
 
@@ -205,53 +206,51 @@ def _ball_pair_free_anchor(M, ids, radius, need):
     return None
 
 
-def _linear_pair_free_anchor(M, ids, layout, radius, need):
+def _linear_pair_free_anchor(M, toks, layout, radius, need):
     """Position i is bad iff some token repeats inside [i-radius, i+radius].
 
-    It suffices to look at each position k and the previous position j
-    holding its token: the pair lies in the ball of i exactly when
+    toks[i] is the token of layout position i, None for none. It suffices
+    to look at each position k and the previous position j holding its
+    token: the pair lies in the ball of i exactly when
     k - radius <= i <= j + radius, so every such interval is marked in a
-    difference array. On a cycle, positions are cyclic and j may wrap
-    around; a ball with 2*radius + 1 >= n is the whole cycle.
+    difference array, indexed from -radius so that no interval needs
+    clipping. On a cycle, positions are cyclic and j may wrap around, and
+    the centres marked past either end fold back onto the cycle; a ball
+    with 2*radius + 1 >= n is the whole cycle.
     """
-    kind, order, _ = layout
+    kind, order, _, deps = layout
     n = len(order)
     cyclic = kind == "cycle"
-    toks = [ids.get(e) for e in order]
     if cyclic and 2 * radius + 1 >= n:
         present = [t for t in toks if t is not None]
-        bad = [len(set(present)) != len(present)] * n
+        hits = [len(set(present)) != len(present)] * n
     else:
+        span = 2 * radius
         last = {}
         if cyclic:
             # each token's last position, one turn back, precedes its first
             for k, tok in enumerate(toks):
                 if tok is not None:
                     last[tok] = k - n
-        cover = [0] * (n + 1)
+        cover = [0] * (n + span + 1)
         for k, tok in enumerate(toks):
             if tok is None:
                 continue
             j = last.get(tok)
             last[tok] = k
-            if j is None or k - j > 2 * radius:
-                continue
-            lo, hi = k - radius, j + radius
-            if not cyclic:
-                lo, hi = max(lo, 0), min(hi, n - 1)
-            else:
-                lo, hi = lo % n, hi % n
-                if lo > hi:
-                    cover[lo] += 1
-                    cover[n] -= 1
-                    lo = 0
-            cover[lo] += 1
-            cover[hi + 1] -= 1
-        bad = [c > 0 for c in accumulate(cover[:n])]
+            if j is not None and k - j <= span:
+                cover[k] += 1  # centre k - radius
+                cover[j + span + 1] -= 1  # one past centre j + radius
+        acc = list(accumulate(cover))
+        hits = acc[radius : radius + n]
+        if cyclic:
+            for i in range(radius):
+                hits[i] += acc[i + n + radius]
+            for i in range(n - radius, n):
+                hits[i] += acc[i - n + radius]
     if M.max_depth() < need:
         raise WindowExhausted(f"no anchors of depth {need}", need)
-    depths = M.depths()
-    good = [e for e, b in zip(order, bad) if not b and depths[e] >= need]
+    good = [e for e, hit, d in zip(order, hits, deps) if not hit and d >= need]
     return min(good) if good else None
 
 
@@ -260,16 +259,23 @@ def _search_separation(M, r2, s_floor):
 
     Distinctness is monotone in s, so the minimal s is located by doubling
     then bisection; each candidate is re-validated directly. A probe costs
-    one class_ids call plus O(n) on path and cycle layouts, or one
-    2*r2-ball per anchor on other windows.
+    O(n) on path and cycle layouts, which read position-ordered tokens
+    without an id-keyed dict, or one class_ids call and one 2*r2-ball per
+    anchor on other windows.
     """
     max_depth = M.max_depth() if not M.is_closed() else len(M.elements)
     s_max = int(max_depth) - 2 * r2
     if s_max < s_floor:
         raise WindowExhausted(f"window too shallow for separation beyond r={r2}", 2 * r2 + s_floor)
 
+    layout = _layout(M)
+    linear = layout is not None and layout[0] != "forest"
+
     def probe(s):
-        return _pair_free_anchor(M, class_ids(M, s), 2 * r2, 2 * r2 + s)
+        radius, need = 2 * r2, 2 * r2 + s
+        if linear:
+            return _linear_pair_free_anchor(M, _linear_tokens(s, layout), layout, radius, need)
+        return _pair_free_anchor(M, class_ids(M, s), radius, need)
 
     lo_bad = s_floor - 1
     hi = s_floor

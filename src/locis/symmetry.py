@@ -214,6 +214,8 @@ def detect_periodicity(M, rank_bound, radius=None, automorphisms=None):
     A weakly connected set A is grown from the deepest anchor, one orbit per
     element; when the orbits of A cover the deep interior, rank = |A|.
     """
+    if rank_bound < 0:
+        raise InvariantViolation("rank-bound", f"negative rank bound {rank_bound}")
     if radius is not None and radius < 0:
         raise InvariantViolation("radius", f"negative radius {radius}")
     if automorphisms is None:

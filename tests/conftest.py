@@ -110,6 +110,113 @@ def bfs_ball(M, center, h):
     return set(seen)
 
 
+def colored_line(rng, n, colors, cycle=False, frontier=()):
+    """A Succ path (or cycle) on n elements, each with one of `colors`
+    unary colors drawn from rng."""
+    lang = Language([("Succ", 2)] + [(f"C{c}", 1) for c in range(colors)])
+    ids = [f"v{i:03d}" for i in range(n)]
+    rng.shuffle(ids)  # id order differs from position order
+    tuples = [("Succ", (ids[i], ids[i + 1])) for i in range(n - 1)]
+    if cycle:
+        tuples.append(("Succ", (ids[-1], ids[0])))
+    tuples += [(f"C{rng.randrange(colors)}", (e,)) for e in ids]
+    return Structure(lang, ids, tuples, frontier=[ids[i] for i in frontier])
+
+
+def reference_distances(M, sources, limit=None):
+    """Gaifman distances by the id-keyed breadth-first search over
+    adjacency(), in discovery order, sources first."""
+    adj = M.adjacency()
+    dist = dict.fromkeys(sources, 0)
+    layer, d = list(dist), 0
+    while layer and (limit is None or d < limit):
+        d += 1
+        nxt = []
+        for u in layer:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = d
+                    nxt.append(v)
+        layer = nxt
+    return dist
+
+
+def reference_restrict(M, members, frontier):
+    """Induced substructure read from the incident() table."""
+    members = set(members)
+    tuples = [
+        (name, t) for e in members for name, t in M.incident(e) if all(a in members for a in t)
+    ]
+    return Structure(M.language, members, tuples, frontier=frontier)
+
+
+def reference_linear_class_keys(M, h, kind, order, word):
+    """Exact h-class keys of a path or cycle window's faithful elements,
+    keyed by element: the offset of the centre and the clipped word around
+    it on a path, the word around it (or the whole rotation) on a cycle."""
+    n = len(order)
+    depths = M.depths()
+    keys = {}
+    if kind == "path":
+        for i, e in enumerate(order):
+            if depths[e] < h:
+                continue
+            lo = i - h if i > h else 0
+            keys[e] = (i - lo, word[lo : i + h + 1])
+    else:
+        doubled = word + word
+        for i, e in enumerate(order):
+            if depths[e] < h:
+                continue
+            if 2 * h + 1 >= n:
+                keys[e] = ("wrap", doubled[i : i + n])
+            else:
+                start = (i - h) % n
+                keys[e] = (h, doubled[start : start + 2 * h + 1])
+    return keys
+
+
+def reference_forest_class_keys(M, h, extended=False):
+    """Upward label words of length h, each walked afresh through an
+    id-keyed parent map; None when M is not a uniform labeled forest (the
+    conditions of iso._forest_layout)."""
+    symbols = M.language.symbols
+    if not symbols or M.language.unary_symbols or any(a != 2 for _, a in symbols):
+        return None
+    parent, child_slots = {}, set()
+    for si, (name, _) in enumerate(symbols):
+        for p, c in M.tuples_by_symbol[name]:
+            if c in parent or (p, si) in child_slots:
+                return None
+            parent[c] = (p, si)
+            child_slots.add((p, si))
+    depths = M.depths()
+    for e in M.elements:
+        if depths[e] >= 1 and (
+            e not in parent or any((e, si) not in child_slots for si in range(len(symbols)))
+        ):
+            return None
+    keys = {}
+    for e in M.elements:
+        if not extended and depths[e] < h:
+            continue
+        word, x = [], e
+        while len(word) < h and x in parent:
+            x, label = parent[x]
+            word.append(label)
+        if len(word) == h:
+            keys[e] = tuple(word)
+    return keys
+
+
+def groupings(tokens):
+    """The partition of a token map's keys into classes of equal tokens."""
+    classes = {}
+    for e, t in tokens.items():
+        classes.setdefault(t, set()).add(e)
+    return sorted(sorted(c) for c in classes.values())
+
+
 def reference_windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     """The layered engine with full-layer candidates.
 

@@ -7,11 +7,13 @@ generated_at stamp.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import locis
 from locis import textio
 from locis.cli import main
 from locis.core import Language, Structure
@@ -290,6 +292,14 @@ class TestPeriodsRigidityQuotient:
         # Not exit 2 "window too shallow": the bound itself is invalid.
         assert_user_error(capsys, "periods", board_file, "--rank-bound", "2", "--radius", "-3")
 
+    def test_periods_negative_rank_bound_is_named(self, board_file, capsys):
+        assert main(["periods", board_file, "--rank-bound", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invariant 'rank-bound' violated: negative rank bound -1\n"
+        )
+        assert captured.out == ""
+
     def test_rigidity_negative_radius_is_an_error(self, board_file, capsys):
         assert_user_error(capsys, "rigidity", board_file, "--radii=0,-2", "--s", "1")
 
@@ -342,6 +352,23 @@ class TestPeriodsRigidityQuotient:
         assert doc["result"]["group_size"] == 18  # even sublattice of Z6 x Z6
 
 
+class TestUnknownIds:
+    @pytest.mark.parametrize(
+        "argv, lookup",
+        [
+            (["symmetries", "--displacement", "1", "--radius", "2", "--anchor", "nope"],
+             "depth lookup"),
+            (["ball", "--center", "nope", "--h", "1", "--out", "unused.locis"], "ball centre"),
+        ],
+        ids=["symmetries-anchor", "ball-center"],
+    )
+    def test_unknown_id_is_named_as_missing(self, board_file, capsys, argv, lookup):
+        assert main([argv[0], board_file, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: element 'nope' is not in the window ({lookup})\n"
+        assert captured.out == ""
+
+
 class TestReportPlumbing:
     def test_reports_are_deterministic(self, board_file, capsys):
         _, doc1 = run(capsys, "census", board_file, "--h", "1")
@@ -373,3 +400,59 @@ class TestReportPlumbing:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["command"] == "gen"
+
+
+HASH_SEED_JOBS = [
+    ["symmetries", "{tree}", "--displacement", "3", "--radius", "12"],
+    ["symmetries", "{board}", "--displacement", "2", "--radius", "4"],
+    ["census", "{grid}", "--h", "2"],
+    ["lip", "{grid}", "--h", "1"],
+    ["compare", "{grid}", "{board}", "--h", "1"],
+    ["rigid-limit", "{column}", "--steps", "2", "--seed", "0"],
+    ["rigidity", "{tree}", "--radii", "1..2", "--s", "4"],
+    ["periods", "{board}", "--rank-bound", "2"],
+]
+
+HASH_SEED_SCRIPT = """
+import contextlib, io, json, sys
+from locis.cli import main
+docs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    doc = json.loads(out.getvalue())
+    doc.pop("generated_at")
+    docs.append([code, doc])
+print(json.dumps(docs, sort_keys=True))
+"""
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, capsys):
+    # Set iteration order changes with PYTHONHASHSEED; BFS sources come from
+    # the frontier frozenset, so every report is compared across two seeds.
+    files = {
+        "tree": ["tree", "--k", "2", "--address", "tm12", "--depth", "40", "--halo", "6"],
+        "board": ["grid", "--dims", "6,6", "--mode", "torus", "--colors", "checkerboard"],
+        "grid": ["grid", "--dims", "9,9", "--colors", "checkerboard"],
+        "column": ["sturmian", "--r", "(0+1*sqrt(2))/1", "--s", "0", "--width", "400"],
+    }
+    paths = {}
+    for name, spec in files.items():
+        paths[name] = str(tmp_path / f"{name}.locis")
+        assert main(["gen", *spec, "--out", paths[name]]) == 0
+    capsys.readouterr()
+    jobs = [[arg.format(**paths) for arg in argv] for argv in HASH_SEED_JOBS]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(locis.__file__)))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, json.dumps(jobs)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert [code for code, _ in json.loads(outputs[0])] == [0, 0, 0, 0, 0, 0, 0, 0]
+    assert outputs[0] == outputs[1]

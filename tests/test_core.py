@@ -9,6 +9,7 @@ Invariants exercised:
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from locis.errors import (
     UnknownSymbol,
 )
 
-from conftest import LANG2, bfs_ball, mk
+from conftest import LANG2, bfs_ball, mk, reference_distances, reference_restrict
 
 
 def path(n, frontier_ends=True):
@@ -162,6 +163,13 @@ class TestDistances:
         assert list(dist)[:2] == ["5", "1"]
         assert list(dist.values()) == sorted(dist.values())
         assert dist == {"0": 1, "1": 0, "2": 1, "3": 2, "4": 1, "5": 0, "6": 1}
+
+    def test_depth_of_missing_element_names_the_lookup(self):
+        with pytest.raises(DanglingElement) as exc:
+            path(3).depth("nope")
+        assert str(exc.value) == "element 'nope' is not in the window (depth lookup)"
+        with pytest.raises(DanglingElement, match="not in the window"):
+            path(3).ball_elements("nope", 1)
 
     def test_is_connected(self):
         assert path(5).is_connected()
@@ -311,3 +319,59 @@ def test_distances_agree_with_bfs(M, picks, limit):
     assert list(dist.values()) == sorted(dist.values())
     component = bfs_ball(M, M.elements[0], len(M.elements))
     assert M.is_connected() == (component == set(M.elements))
+
+
+LANG_MIXED = Language([("U", 1), ("P", 2), ("Q", 2), ("T", 3)])
+
+
+def mixed_window(rng, ternary=True):
+    """Seeded random window over U/1, P/2, Q/2 and, optionally, T/3, with
+    self-loops, repeated arguments and a random frontier; ids are not in
+    the order they were drawn."""
+    n = rng.randrange(1, 14)
+    ids = [f"w{rng.randrange(10**6):06d}x{i}" for i in range(n)]
+    symbols = ("U", "P", "Q", "T") if ternary else ("U", "P", "Q")
+    tuples = []
+    for _ in range(rng.randrange(0, 3 * n)):
+        sym = rng.choice(symbols)
+        arity = LANG_MIXED.arities[sym]
+        tuples.append((sym, tuple(rng.choice(ids) for _ in range(arity))))
+    frontier = [e for e in ids if rng.random() < 0.2]
+    language = LANG_MIXED if ternary else Language([("U", 1), ("P", 2), ("Q", 2)])
+    return Structure(language, ids, tuples, frontier=frontier)
+
+
+class TestIntIndexAgainstReferences:
+    """The int-indexed BFS, depths and restriction against the id-keyed
+    references in conftest, order included."""
+
+    def test_distances_keep_discovery_order(self):
+        rng = random.Random(2009)
+        for _ in range(300):
+            M = mixed_window(rng)
+            picks = [rng.choice(M.elements) for _ in range(rng.randrange(0, 4))]
+            for sources in (picks, M.frontier, M.elements[:1]):
+                for limit in (None, -1, 0, 1, 2, 3):
+                    got = M.distances(sources, limit)
+                    assert list(got.items()) == list(reference_distances(M, sources, limit).items())
+
+    def test_depths_and_degrees_match_adjacency(self):
+        rng = random.Random(2010)
+        for _ in range(200):
+            M = mixed_window(rng)
+            dist = reference_distances(M, M.frontier)
+            assert list(M.depths().items()) == [(e, dist.get(e, math.inf)) for e in M.elements]
+            adj, depths = M.adjacency(), M.depths()
+            interior = [(len(adj[e]) + 1, e) for e in M.elements if depths[e] >= 1]
+            # the first element of the largest 1-ball is the witness
+            best = max(interior, key=lambda se: (se[0], -M.elements.index(se[1])),
+                       default=(0, None))
+            assert M.local_finiteness_witness() == best
+
+    def test_restrict_matches_the_incident_table(self):
+        rng = random.Random(2011)
+        for trial in range(300):
+            M = mixed_window(rng, ternary=trial % 2 == 0)
+            members = [e for e in M.elements if rng.random() < 0.6]
+            frontier = [e for e in members if rng.random() < 0.3]
+            assert M.restrict(members, frontier) == reference_restrict(M, members, frontier)

@@ -36,6 +36,7 @@ from locis.generators import (
 from locis.iso import (
     BallSignature,
     EngineResult,
+    _layout,
     census,
     class_groups,
     class_ids,
@@ -48,6 +49,10 @@ from locis.iso import (
 
 from conftest import (
     LANG2,
+    colored_line,
+    groupings,
+    reference_forest_class_keys,
+    reference_linear_class_keys,
     brute_force_pointed_iso,
     brute_pointed_canonical,
     cfi_pair,
@@ -689,3 +694,99 @@ def test_forms_that_differ_only_in_wiring_keep_their_codes():
     assert len(set(tokens.values())) == 2
     for e in ("r0_0", "r2_3", "s0_0", "s3_1"):
         assert tokens[e] == signature(U.ball(e, 1))
+
+
+class TestFastPathsAgainstReferences:
+    """Position-ordered linear tokens and parent-extended forest words
+    against the id-keyed references in conftest: the same elements get
+    tokens, grouped the same way."""
+
+    def test_linear_tokens_group_like_the_reference(self):
+        rng = random.Random(909)
+        kinds, wide = set(), 0
+        for trial in range(60):
+            n = rng.randrange(1, 40)
+            cycle = trial % 2 == 1
+            shape = trial // 2 % 3  # closed, cut open at one or at both ends
+            frontier = [(), (rng.randrange(n),), (0, n - 1)][shape]
+            M = colored_line(rng, n, 1 + trial % 3, cycle=cycle, frontier=frontier)
+            layout = _layout(M)
+            if layout is None or layout[0] == "forest":
+                continue  # a lone element, or one Succ edge with no colours
+            kinds.add((layout[0], shape))
+            for h in range(n + 2):
+                want = reference_linear_class_keys(M, h, *layout[:3])
+                got = class_ids(M, h)
+                assert groupings(got) == groupings(want), (layout[0], n, h)
+                wide += layout[0] == "cycle" and 2 * h + 1 >= n and bool(got)
+        assert kinds == {(k, shape) for k in ("path", "cycle") for shape in range(3)}
+        assert wide > 0
+
+    @staticmethod
+    def random_forest(rng, k):
+        """A labeled forest window over k symbols, possibly with loops.
+
+        Each element picks a parent slot (element, symbol) not yet taken, or
+        none; a parent may come later in id order or close a loop. Every
+        element lacking a parent or a child slot goes on the frontier, so
+        the window satisfies the forest layout's conditions.
+        """
+        n = rng.randrange(1, 30)
+        ids = [f"f{i:02d}" for i in range(n)]
+        rng.shuffle(ids)
+        taken, parent = set(), {}
+        for c in ids:
+            if rng.random() < 0.15:
+                continue
+            free = [(p, si) for p in ids for si in range(k) if (p, si) not in taken]
+            if free:
+                slot = rng.choice(free)
+                taken.add(slot)
+                parent[c] = slot
+        lang = Language([(f"S{si}", 2) for si in range(k)])
+        tuples = [(f"S{si}", (p, c)) for c, (p, si) in parent.items()]
+        frontier = [
+            e for e in ids if e not in parent or any((e, si) not in taken for si in range(k))
+        ]
+        if rng.random() < 0.5:
+            frontier = [e for e in frontier if rng.random() < 0.9]
+        return Structure(lang, ids, tuples, frontier=frontier)
+
+    def test_forest_words_group_like_the_reference(self):
+        rng = random.Random(1972)
+        forests = loops = 0
+        for trial in range(150):
+            M = self.random_forest(rng, 1 + trial % 3)
+            layout = _layout(M)
+            reference = reference_forest_class_keys(M, 0)
+            if layout is None or layout[0] != "forest":
+                # a path or cycle wins for one symbol; otherwise both refuse
+                assert reference is None or layout is not None
+                continue
+            forests += 1
+            par = layout[1]
+            loops += any(_on_loop(par, j) for j in range(len(par)))
+            for h in range(8):
+                for extended in (False, True):
+                    want = reference_forest_class_keys(M, h, extended)
+                    got = class_ids(M, h, extended=extended)
+                    assert groupings(got) == groupings(want), (trial, h, extended)
+        assert forests > 50 and loops > 0
+
+    def test_tree_words_group_like_the_reference(self):
+        for k, address, depth, halo in ((2, "tm12", 12, 4), (3, "periodic:123", 8, 3)):
+            M = gen_kary_tree(k, AddressSequence.parse(address), depth=depth, halo=halo)
+            assert _layout(M)[0] == "forest"
+            for h in (0, 1, 2, 5, 9):
+                for extended in (False, True):
+                    want = reference_forest_class_keys(M, h, extended)
+                    assert groupings(class_ids(M, h, extended=extended)) == groupings(want)
+
+
+def _on_loop(par, j):
+    """True when position j's ancestor chain never reaches a root."""
+    seen = set()
+    while j >= 0 and j not in seen:
+        seen.add(j)
+        j = par[j]
+    return j >= 0

@@ -28,28 +28,18 @@ from locis.generators import (
     gen_kary_tree,
     gen_sturmian,
 )
-from locis.iso import _layout, _least_recurrence_k, class_ids, lip_check
+from locis.iso import _layout, _least_recurrence_k, _linear_tokens, class_ids, lip_check
 from locis.rigidity import (
     TraceStep,
     _ball_pair_free_anchor,
+    _linear_pair_free_anchor,
     _pair_free_anchor,
     property_Q_check,
     rigid_limit,
     rigidity_characterization,
 )
 
-
-def colored_line(rng, n, colors, cycle=False, frontier=()):
-    """A Succ path (or cycle) on n elements, each with one of `colors`
-    unary colors drawn from rng."""
-    lang = Language([("Succ", 2)] + [(f"C{c}", 1) for c in range(colors)])
-    ids = [f"v{i:03d}" for i in range(n)]
-    rng.shuffle(ids)  # id order differs from position order
-    tuples = [("Succ", (ids[i], ids[i + 1])) for i in range(n - 1)]
-    if cycle:
-        tuples.append(("Succ", (ids[-1], ids[0])))
-    tuples += [(f"C{rng.randrange(colors)}", (e,)) for e in ids]
-    return Structure(lang, ids, tuples, frontier=[ids[i] for i in frontier])
+from conftest import colored_line
 
 
 def pair_free_outcome(probe, M, ids, radius, need):
@@ -132,6 +122,22 @@ class TestLinearProbe:
                         whole_cycle_balls += 1
         assert kinds == {"path", "cycle"}
         assert whole_cycle_balls > 0
+
+    def test_position_tokens_probe_like_the_ball_loop(self):
+        # the separation search probes with position-ordered tokens
+        def list_probe(M, s):
+            layout = _layout(M)
+            return lambda _, _ids, radius, need: _linear_pair_free_anchor(
+                M, _linear_tokens(s, layout), layout, radius, need
+            )
+
+        for M in self.windows():
+            for r, s in self.RS:
+                ids = class_ids(M, s)
+                for radius, need in ((2 * r, 2 * r + s), (r, r + s), (r, 0)):
+                    got = pair_free_outcome(list_probe(M, s), M, None, radius, need)
+                    want = pair_free_outcome(_ball_pair_free_anchor, M, ids, radius, need)
+                    assert got == want, (_layout(M)[0], len(M), r, s, radius)
 
     def test_outcomes_cover_found_none_and_exhausted(self):
         outcomes = set()

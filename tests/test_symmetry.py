@@ -333,6 +333,15 @@ class TestDetectPeriodicity:
         rep = detect_periodicity(M, 2, automorphisms=[g])
         assert rep.rank == 2  # orbits of +2 are the even and odd classes
 
+    def test_negative_rank_bound_is_named(self):
+        # rejected before the radius or the generators are looked at
+        M = gen_grid((6,), mode="torus")
+        g = PartialIso(M, M, {str(i): str((i + 2) % 6) for i in range(6)}, "0", 6)
+        for kwargs in ({}, {"radius": 3}, {"automorphisms": [g]}):
+            with pytest.raises(InvariantViolation) as exc:
+                detect_periodicity(M, -1, **kwargs)
+            assert exc.value.invariant == "rank-bound"
+
 
 class TestExtendToAutomorphism:
     def test_reconstructs_shift_from_small_ball(self):
