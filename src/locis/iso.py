@@ -33,35 +33,6 @@ from .errors import (
 )
 
 
-class View:
-    """Query adapter over a Structure, optionally reversing tuple order.
-
-    Reversal turns every tuple (x_1,...,x_k) into (x_k,...,x_1). A pointed
-    isomorphism onto a reversed view is an orientation-reversing symmetry
-    approximant (a mirror). Gaifman adjacency and depths, which reversal
-    leaves unchanged, are read from the base structure.
-    """
-
-    __slots__ = ("base", "reverse")
-
-    def __init__(self, base, reverse=False):
-        self.base = base
-        self.reverse = reverse
-
-    def unary_profile(self, u):
-        return self.base.unary_profile(u)
-
-    def incident(self, u):
-        if not self.reverse:
-            return self.base.incident(u)
-        return tuple((sym, t[::-1]) for sym, t in self.base.incident(u))
-
-    def has_tuple(self, sym, args):
-        if self.reverse:
-            args = tuple(args)[::-1]
-        return self.base.has_tuple(sym, args)
-
-
 @dataclass
 class PartialIso:
     """An injective map with a verified preservation certificate.
@@ -84,21 +55,31 @@ class PartialIso:
         return not self.reversed_target and all(k == v for k, v in self.mapping.items())
 
     def verify(self):
-        """Re-check injectivity and two-way preservation on the domain."""
+        """Re-check injectivity and two-way preservation on the domain.
+
+        A reversed map is checked against the target's tuples read
+        backwards, and a failing target tuple is named as read.
+        """
+        for u, v in self.mapping.items():
+            if u not in self.source:
+                raise VerificationFailed("domain", f"{u!r} is not an element of the source")
+            if v not in self.target:
+                raise VerificationFailed("image", f"{v!r} is not an element of the target")
         dom = set(self.mapping)
         img = set(self.mapping.values())
         if len(img) != len(dom):
             raise VerificationFailed("injectivity", "mapping is not injective")
-        tview = View(self.target, self.reversed_target)
+        step = -1 if self.reversed_target else 1
         inverse = {v: k for k, v in self.mapping.items()}
         for u in dom:
             for sym, t in self.source.incident(u):
                 if all(x in dom for x in t):
                     image = tuple(self.mapping[x] for x in t)
-                    if not tview.has_tuple(sym, image):
+                    if not self.target.has_tuple(sym, image[::step]):
                         raise VerificationFailed("preservation", (sym, t))
         for v in img:
-            for sym, t in tview.incident(v):
+            for sym, t in self.target.incident(v):
+                t = t[::step]
                 if all(x in inverse for x in t):
                     pre = tuple(inverse[x] for x in t)
                     if not self.source.has_tuple(sym, pre):
@@ -183,16 +164,18 @@ def _grow_layers(M, center, limit):
     return layers, dist
 
 
-def _layer_summary(view, layer, dist, level):
+def _layer_summary(M, layer, dist, level):
     """Set-level invariants of one layer: profiles and finished tuples.
 
     A tuple is counted at the level where its farthest argument lives; it is
     attributed once, via its lexicographically least farthest argument.
+    Neither count depends on argument order, so a reversed search compares
+    the summaries of both windows as they are.
     """
-    profiles = Counter(view.unary_profile(u) for u in layer)
+    profiles = Counter(M.unary_profile(u) for u in layer)
     tuples = Counter()
     for u in layer:
-        for sym, t in view.incident(u):
+        for sym, t in M.incident(u):
             farthest = None
             ok = True
             for x in t:
@@ -211,14 +194,14 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     """Search for a pointed isomorphism (B_M(a,r),a) -> (B_N(b,r),b).
 
     Works on the parent windows without extracting balls. With reverse=True
-    the target side is read with reversed tuple order.
+    the map is orientation-reversing: it sends a tuple (x_1,...,x_k) of M
+    onto the tuple of N that lists the images backwards. The search reverses
+    u's tuples once, when it builds the checks below, and reads N as it is.
     """
     if M.language != N.language:
         raise LanguageMismatch(M.language, N.language)
     if target_radius < 0:
         raise InvariantViolation("radius", f"negative radius {target_radius}")
-    va = View(M)
-    vb = View(N, reverse)
     depth_a = M.depth(a)
     depth_b = N.depth(b)
     certifiable = min(depth_a, depth_b, target_radius)
@@ -238,7 +221,7 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
         la = layers_a[level] if level < len(layers_a) else []
         lb = layers_b[level] if level < len(layers_b) else []
         if len(la) != len(lb) or (
-            _layer_summary(va, la, dist_a, level) != _layer_summary(vb, lb, dist_b, level)
+            _layer_summary(M, la, dist_a, level) != _layer_summary(N, lb, dist_b, level)
         ):
             mismatch = level
             break
@@ -261,10 +244,17 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     # image. compatible() rejects every other v of the layer, so the search
     # visits the same nodes in the same order as a scan of the whole layer,
     # which positions without a pivot (the center among them) still use.
+    # A reversed search stores each tuple backwards, so its image is read
+    # from N as it is; the mapped-tuple count ignores argument order.
+    step = -1 if reverse else 1
     position = {u: idx for idx, (u, _) in enumerate(order)}
     closing, pivots = [], []
     for idx, (u, _) in enumerate(order):
-        mine = [(sym, t) for sym, t in va.incident(u) if all(position.get(x, n) <= idx for x in t)]
+        mine = [
+            (sym, t[::step])
+            for sym, t in M.incident(u)
+            if all(position.get(x, n) <= idx for x in t)
+        ]
         closing.append(mine)
         pivot = None
         for sym, t in mine:
@@ -284,7 +274,7 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
             return layers_b[level]
         sym, anchor, pattern = pivot
         found = set()
-        for sym2, t in vb.incident(fwd[anchor]):
+        for sym2, t in N.incident(fwd[anchor]):
             if sym2 != sym:
                 continue
             v = None
@@ -303,15 +293,15 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
 
     def compatible(idx, v):
         u = order[idx][0]
-        if va.unary_profile(u) != vb.unary_profile(v):
+        if M.unary_profile(u) != N.unary_profile(v):
             return False
         for sym, t in closing[idx]:
-            if not vb.has_tuple(sym, tuple(v if x == u else fwd[x] for x in t)):
+            if not N.has_tuple(sym, tuple(v if x == u else fwd[x] for x in t)):
                 return False
         # fwd is injective, so the images of u's checked tuples are distinct
         # tuples of v among mapped elements; each of those has a preimage
         # exactly when there are no more of them than checked tuples.
-        mapped = sum(all(x == v or x in bwd for x in t) for _, t in vb.incident(v))
+        mapped = sum(all(x == v or x in bwd for x in t) for _, t in N.incident(v))
         return mapped == len(closing[idx])
 
     # Iterative DFS over layer-respecting assignments, in the static order
@@ -804,36 +794,47 @@ def _parents_first(par):
 
 
 def _tiling_layout(M):
-    """Slot-labelled level map of a two-relation tiling window, if M is one.
+    """Slot-labelled level arrays of a two-relation tiling window, if M is one.
 
     Applicable when the language has two binary symbols and no colors, the
     first relation (levels) links every element to at most one successor
     that receives at most two links, some receive two, and the second forms
     simple same-level chains (rows). This is the shape of half-plane binary
     tilings: the pointed h-ball of a tile is decided by which child slot
-    each chain element occupies, read off the row relation. Returns (parent,
-    forked): parent maps each tile whose slot is witnessed inside the window
-    to (level successor, 0 when its row successor shares it, 1 when its row
-    predecessor does); forked holds the tiles with two level predecessors.
+    each chain element occupies, read off the row relation. Returns the
+    forest layout's shape over positions in M.elements, (par, lab, forked):
+    par[j] is the position of j's level successor when j's slot is witnessed
+    inside the window (-1 otherwise), lab[j] is 0 when j's row successor
+    shares it and 1 when its row predecessor does, and forked holds the
+    positions with two level predecessors.
     """
     syms = M.language.symbols
     if len(syms) != 2 or M.language.unary_symbols or any(a != 2 for _, a in syms):
         return None
+    pos = M._gaifman()[0]
+    n = len(M.elements)
     for (a_name, _), (r_name, _) in (syms, syms[::-1]):
         levels, rows = M.tuples_by_symbol[a_name], M.tuples_by_symbol[r_name]
-        a_out = dict(levels)
-        a_in = Counter(v for _, v in levels)
-        if len(a_out) < len(levels) or 2 not in a_in.values() or max(a_in.values()) > 2:
+        if len({u for u, _ in levels}) < len(levels):
+            continue
+        succ, links = [-1] * n, [0] * n
+        for u, v in levels:
+            j = pos[v]
+            succ[pos[u]] = j
+            links[j] += 1
+        if 2 not in links or max(links) > 2:
             continue
         if len({u for u, _ in rows}) < len(rows) or len({v for _, v in rows}) < len(rows):
             continue
-        parent = {}
+        par, lab = [-1] * n, [0] * n
         for u, v in rows:
-            p = a_out.get(u)
-            if p is not None and a_out.get(v) == p:
-                parent[u] = (p, 0)  # a witnessed slot 0 wins over slot 1
-                parent.setdefault(v, (p, 1))
-        return parent, {v for v, links in a_in.items() if links == 2}
+            i, j = pos[u], pos[v]
+            p = succ[i]
+            if p >= 0 and succ[j] == p:
+                par[i], lab[i] = p, 0  # a witnessed slot 0 wins over slot 1
+                if par[j] < 0:
+                    par[j], lab[j] = p, 1
+        return par, lab, {j for j, k in enumerate(links) if k == 2}
     return None
 
 
@@ -864,19 +865,20 @@ def _layout(M):
 
 
 def _chain_layout(M):
-    """The window's upward chain map: (parent, forked), or None.
+    """The window's upward chain arrays: (par, lab, forked), or None.
 
-    Defined on forest and tiling windows. parent maps an element to
-    (successor, label) along the chain whose label words decide pointed
-    balls. forked holds the anchors whose reversed candidates die at radius
-    1: on a forest over two or more symbols every element (a reversed map
-    would need one in-edge per child label at the image, and forest nodes
-    have one parent), on a tiling the tiles with two level predecessors
-    (their children would need two distinct level successors at the image,
-    and tiles have one). A forest's parent map is read off the parent
-    arrays in _layout's memo on each call; a plain path is a forest here
-    although _layout reads it as a path, so its arrays are detected on each
-    call, as is a tiling's map.
+    Defined on forest and tiling windows, over positions in M.elements:
+    par[j] is the position of j's successor along the chain whose label
+    words decide pointed balls (-1 where the chain leaves the window), and
+    lab[j] the label of that hop. forked holds the positions whose reversed
+    candidates die at radius 1: on a forest over two or more symbols every
+    position (a reversed map would need one in-edge per child label at the
+    image, and forest nodes have one parent), on a tiling the tiles with two
+    level predecessors (their children would need two distinct level
+    successors at the image, and tiles have one). A forest's arrays are the
+    ones in _layout's memo; a plain path is a forest here although _layout
+    reads it as a path, so its arrays are detected on each call, as are a
+    tiling's.
     """
     layout = _layout(M)
     if layout is None or layout[0] == "forest":
@@ -884,21 +886,20 @@ def _chain_layout(M):
     else:
         forest = _forest_layout(M)
     if forest is not None:
-        at = M.elements.__getitem__
-        parent = {at(j): (at(p), label) for j, (p, label) in enumerate(zip(*forest)) if p >= 0}
-        return parent, (M._eset if len(M.language.symbols) >= 2 else frozenset())
+        return (*forest, range(len(M) if len(M.language.symbols) >= 2 else 0))
     return _tiling_layout(M)
 
 
-def _chain_word(parent, e, length):
-    """The first `length` labels up the chain from e, fewer where it leaves parent."""
+def _chain_word(par, lab, j, length):
+    """The first `length` labels up the chain from position j, fewer where
+    it leaves the window."""
     labels = []
     for _ in range(length):
-        hop = parent.get(e)
-        if hop is None:
+        p = par[j]
+        if p < 0:
             break
-        e, label = hop
-        labels.append(label)
+        labels.append(lab[j])
+        j = p
     return labels
 
 
@@ -915,11 +916,7 @@ def _forest_words(layout, h):
     for j in order:
         words[j] = chars[lab[j]] + words[par[j]][:cut]
     for j in rest:  # chains that loop never meet a finished parent word
-        labels, x = [], j
-        while len(labels) < h and par[x] >= 0:
-            labels.append(chars[lab[x]])
-            x = par[x]
-        words[j] = "".join(labels)
+        words[j] = "".join([chars[si] for si in _chain_word(par, lab, j, h)])
     return words
 
 

@@ -111,8 +111,9 @@ def find_symmetries(
     # a chain death at radius 1 says nothing about radius 0
     chain = _chain_layout(M) if radius >= 1 else None
     if chain is not None:
-        parent, forked = chain
-        word_x = _chain_word(parent, x, radius + 1)
+        par, lab, forked = chain
+        pos = M._gaifman()[0]
+        word_x = _chain_word(par, lab, pos[x], radius + 1)
     found = []
     detail = []
     for y in candidates:
@@ -122,8 +123,8 @@ def find_symmetries(
             step = None
             if chain is not None:
                 if not rev:
-                    step = _word_step(word_x, _chain_word(parent, y, radius + 1), radius)
-                elif x in forked:
+                    step = _word_step(word_x, _chain_word(par, lab, pos[y], radius + 1), radius)
+                elif pos[x] in forked:
                     step = ("dead", 1)
             if step is not None and step[0] == "dead":
                 detail.append((y, rev, "dead", step[1]))
@@ -424,7 +425,7 @@ def extend_partial_iso(M, N, rho, neighbors=None):
             if local.get(y) != rho.mapping[y]:
                 raise GluingConflict(y, (rho.mapping[y], local.get(y)), _word_between(M, x, y, word_bound))
         else:
-            res = windowed_pointed_iso(M, y, N, rho.mapping[y], 1)
+            res = windowed_pointed_iso(M, y, N, rho.mapping[y], 1, rho.reversed_target)
             if res.status == "dead":
                 raise GluingConflict(
                     y, (rho.mapping[y],), _word_between(M, x, y, word_bound)

@@ -8,12 +8,13 @@ library's engines are checked against something with no shared code.
 import itertools
 import math
 import re
+from collections import Counter
 
 import pytest
 
 from locis.core import ELEMENT_RE, Language, Structure
 from locis.errors import ParseError
-from locis.iso import EngineResult, View, _grow_layers, _layer_summary
+from locis.iso import EngineResult, _grow_layers, _layer_summary
 
 LANG2 = Language([("P", 2), ("Q", 2)])
 
@@ -176,10 +177,10 @@ def reference_linear_class_keys(M, h, kind, order, word):
     return keys
 
 
-def reference_forest_class_keys(M, h, extended=False):
-    """Upward label words of length h, each walked afresh through an
-    id-keyed parent map; None when M is not a uniform labeled forest (the
-    conditions of iso._forest_layout)."""
+def reference_forest_parent(M):
+    """Id-keyed parent map {child: (parent, symbol index)} of a uniform
+    labeled forest; None when M is not one (the conditions of
+    iso._forest_layout)."""
     symbols = M.language.symbols
     if not symbols or M.language.unary_symbols or any(a != 2 for _, a in symbols):
         return None
@@ -196,6 +197,71 @@ def reference_forest_class_keys(M, h, extended=False):
             e not in parent or any((e, si) not in child_slots for si in range(len(symbols)))
         ):
             return None
+    return parent
+
+
+def reference_tiling_parent(M):
+    """Id-keyed slot map of a two-relation tiling window, or None.
+
+    parent maps each tile whose slot is witnessed inside the window to
+    (level successor, 0 when its row successor shares it, 1 when its row
+    predecessor does); forked holds the tiles with two level predecessors.
+    Returns (parent, forked) under the conditions of iso._tiling_layout.
+    """
+    syms = M.language.symbols
+    if len(syms) != 2 or M.language.unary_symbols or any(a != 2 for _, a in syms):
+        return None
+    for (a_name, _), (r_name, _) in (syms, syms[::-1]):
+        levels, rows = M.tuples_by_symbol[a_name], M.tuples_by_symbol[r_name]
+        a_out = dict(levels)
+        a_in = Counter(v for _, v in levels)
+        if len(a_out) < len(levels) or 2 not in a_in.values() or max(a_in.values()) > 2:
+            continue
+        if len({u for u, _ in rows}) < len(rows) or len({v for _, v in rows}) < len(rows):
+            continue
+        parent = {}
+        for u, v in rows:
+            p = a_out.get(u)
+            if p is not None and a_out.get(v) == p:
+                parent[u] = (p, 0)
+                parent.setdefault(v, (p, 1))
+        return parent, {v for v, links in a_in.items() if links == 2}
+    return None
+
+
+def reference_chain_words(M, length):
+    """({element: its first `length` chain labels}, forked elements), or None.
+
+    The chain is a forest's parent map, or else a tiling's slot map, each
+    walked through id-keyed dicts; forked follows iso._chain_layout (every
+    element of a forest over two or more symbols).
+    """
+    parent = reference_forest_parent(M)
+    if parent is not None:
+        forked = set(M.elements) if len(M.language.symbols) >= 2 else set()
+    else:
+        tiling = reference_tiling_parent(M)
+        if tiling is None:
+            return None
+        parent, forked = tiling
+    words = {}
+    for e in M.elements:
+        word, x = [], e
+        while len(word) < length and x in parent:
+            x, label = parent[x]
+            word.append(label)
+        words[e] = word
+    return words, forked
+
+
+def reference_forest_class_keys(M, h, extended=False):
+    """Upward label words of length h, each walked afresh through an
+    id-keyed parent map; None when M is not a uniform labeled forest (the
+    conditions of iso._forest_layout)."""
+    parent = reference_forest_parent(M)
+    if parent is None:
+        return None
+    depths = M.depths()
     keys = {}
     for e in M.elements:
         if not extended and depths[e] < h:
@@ -217,6 +283,13 @@ def groupings(tokens):
     return sorted(sorted(c) for c in classes.values())
 
 
+def reversed_structure(M):
+    """M with every tuple's arguments reversed; elements and frontier kept."""
+    return Structure(
+        M.language, M.elements, [(s, t[::-1]) for s, t in M.all_tuples()], frontier=M.frontier
+    )
+
+
 def reference_windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     """The layered engine with full-layer candidates.
 
@@ -224,9 +297,11 @@ def reference_windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     the same first leaf and the same deepest completed layer as
     locis.iso.windowed_pointed_iso without drawing candidates from tuples. A
     precheck mismatch at layer L runs the search through layer L-1 only, so
-    the kill radius is the least dead one.
+    the kill radius is the least dead one. A reversed search runs forward
+    onto the reversed copy of N, whose depths are N's.
     """
-    va, vb = View(M), View(N, reverse)
+    if reverse:
+        N = reversed_structure(N)
     certifiable = min(M.depth(a), N.depth(b), target_radius)
     if certifiable is math.inf:
         certifiable = target_radius
@@ -243,8 +318,8 @@ def reference_windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
             level
             for level in range(top)
             if len(layer(layers_a, level)) != len(layer(layers_b, level))
-            or _layer_summary(va, layer(layers_a, level), dist_a, level)
-            != _layer_summary(vb, layer(layers_b, level), dist_b, level)
+            or _layer_summary(M, layer(layers_a, level), dist_a, level)
+            != _layer_summary(N, layer(layers_b, level), dist_b, level)
         ),
         None,
     )
@@ -258,15 +333,15 @@ def reference_windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     best = [-1]
 
     def compatible(u, v):
-        if va.unary_profile(u) != vb.unary_profile(v):
+        if M.unary_profile(u) != N.unary_profile(v):
             return False
-        for sym, t in va.incident(u):
+        for sym, t in M.incident(u):
             if all(x == u or x in fwd for x in t):
-                if not vb.has_tuple(sym, tuple(v if x == u else fwd[x] for x in t)):
+                if not N.has_tuple(sym, tuple(v if x == u else fwd[x] for x in t)):
                     return False
-        for sym, t in vb.incident(v):
+        for sym, t in N.incident(v):
             if all(x == v or x in bwd for x in t):
-                if not va.has_tuple(sym, tuple(u if x == v else bwd[x] for x in t)):
+                if not M.has_tuple(sym, tuple(u if x == v else bwd[x] for x in t)):
                     return False
         return True
 
@@ -372,6 +447,36 @@ def brute_pointed_canonical(M, a):
         if best is None or key < best:
             best = key
     return (len(M.elements), best)
+
+
+def random_labeled_forest(rng, k):
+    """A labeled forest window over k symbols, possibly with loops.
+
+    Each element picks a parent slot (element, symbol) not yet taken, or
+    none; a parent may come later in id order or close a loop. Every
+    element lacking a parent or a child slot goes on the frontier, so
+    the window satisfies the forest layout's conditions.
+    """
+    n = rng.randrange(1, 30)
+    ids = [f"f{i:02d}" for i in range(n)]
+    rng.shuffle(ids)
+    taken, parent = set(), {}
+    for c in ids:
+        if rng.random() < 0.15:
+            continue
+        free = [(p, si) for p in ids for si in range(k) if (p, si) not in taken]
+        if free:
+            slot = rng.choice(free)
+            taken.add(slot)
+            parent[c] = slot
+    lang = Language([(f"S{si}", 2) for si in range(k)])
+    tuples = [(f"S{si}", (p, c)) for c, (p, si) in parent.items()]
+    frontier = [
+        e for e in ids if e not in parent or any((e, si) not in taken for si in range(k))
+    ]
+    if rng.random() < 0.5:
+        frontier = [e for e in frontier if rng.random() < 0.9]
+    return Structure(lang, ids, tuples, frontier=frontier)
 
 
 def enumerate_closed_structures(n_max=2):

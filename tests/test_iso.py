@@ -36,6 +36,7 @@ from locis.generators import (
 from locis.iso import (
     BallSignature,
     EngineResult,
+    PartialIso,
     _layout,
     census,
     class_groups,
@@ -59,7 +60,9 @@ from conftest import (
     enumerate_closed_structures,
     mk,
     random_closed_structure,
+    random_labeled_forest,
     reference_windowed_pointed_iso,
+    reversed_structure,
 )
 
 
@@ -167,6 +170,13 @@ class TestEngineVerdicts:
             with pytest.raises(VerificationFailed):
                 iso.verify()
 
+    def test_verify_names_stray_ids(self):
+        M = gen_grid((3, 3), mode="torus")
+        for mapping, stage in (({"0_0": "nope"}, "image"), ({"nope": "0_0"}, "domain")):
+            with pytest.raises(VerificationFailed, match="'nope'") as exc_info:
+                PartialIso(M, M, mapping, "0_0", 0).verify()
+            assert exc_info.value.stage == stage
+
 
 @st.composite
 def ball_pair(draw):
@@ -214,10 +224,6 @@ def upt_window(draw, closed=False, max_n=6):
     return Structure(LANG_UPT, elements, tuples, frontier=frontier)
 
 
-def reversed_structure(M):
-    return Structure(M.language, M.elements, [(s, t[::-1]) for s, t in M.all_tuples()])
-
-
 @given(upt_window(), upt_window(), st.booleans(), st.integers(0, 6), st.booleans(), st.data())
 @settings(max_examples=400, deadline=None)
 def test_engine_matches_full_layer_reference(M, N, same, radius, reverse, data):
@@ -227,6 +233,42 @@ def test_engine_matches_full_layer_reference(M, N, same, radius, reverse, data):
     b = data.draw(st.sampled_from(N.elements))
     got = windowed_pointed_iso(M, a, N, b, radius, reverse)
     assert got == reference_windowed_pointed_iso(M, a, N, b, radius, reverse)
+
+
+@given(upt_window(), upt_window(), st.sampled_from(["other", "same", "mirror"]),
+       st.integers(0, 4), st.sampled_from(["none", "move", "swap"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_reversed_verify_matches_forward_verify_on_the_reversed_copy(
+    M, N, pairing, radius, tamper, data
+):
+    # a mirrored copy of M always has a reversed map onto it, the identity
+    if pairing != "other":
+        N = M if pairing == "same" else reversed_structure(M)
+    a = data.draw(st.sampled_from(M.elements))
+    b = a if pairing == "mirror" else data.draw(st.sampled_from(N.elements))
+    res = windowed_pointed_iso(M, a, N, b, radius, True)
+    mapping = dict(res.mapping or {a: b})
+    keys = sorted(mapping)
+    if tamper == "move":
+        mapping[data.draw(st.sampled_from(keys))] = data.draw(st.sampled_from(N.elements))
+    elif tamper == "swap" and len(keys) > 1:
+        x, y = data.draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
+        mapping[x], mapping[y] = mapping[y], mapping[x]
+    copy = reversed_structure(N)
+
+    def outcome(P):
+        try:
+            return P.verify()
+        except VerificationFailed as exc:
+            if exc.stage == "reflection":  # named as the reversed read of a target tuple
+                assert copy.has_tuple(*exc.detail)
+                return exc.stage
+            return exc.stage, exc.detail
+
+    got = outcome(PartialIso(M, N, mapping, a, radius, True))
+    assert got == outcome(PartialIso(M, copy, mapping, a, radius))
+    if tamper == "none" and res.mapping is not None:
+        assert got is True
 
 
 @given(upt_window(closed=True, max_n=5), upt_window(closed=True, max_n=5), st.booleans(), st.data())
@@ -255,6 +297,35 @@ def test_precheck_mismatch_kill_is_tight():
     N = Structure(E, "abc", [("E", ("a", "b")), ("E", ("a", "c"))])
     for r in (1, 2, 3):
         assert windowed_pointed_iso(M, "a", N, "a", r) == EngineResult("dead", 1)
+
+
+def binary_tree(depth, extra=()):
+    """Undirected complete binary tree on 0..2^(depth+1)-2, plus `extra` edges."""
+    n = 2 ** (depth + 1) - 1
+    edges = [(i, 2 * i + k) for i in range(n) for k in (1, 2) if 2 * i + k < n] + list(extra)
+    E = Language([("E", 2)])
+    return Structure(E, map(str, range(n)), [
+        ("E", (str(x), str(y))) for a, b in edges for x, y in ((a, b), (b, a))
+    ])
+
+
+def test_layer_precheck_prunes_before_the_search(monkeypatch):
+    # One leaf-leaf edge: the layers first differ at 6, in one tuple count.
+    # The precheck stops the search after layer 5; a search through layer 6
+    # would try exponentially many leaf assignments before it dies.
+    M = binary_tree(6)
+    N = binary_tree(6, [(63, 126)])
+    assert len(M) == 127
+    calls = [0]
+    has_tuple = Structure.has_tuple
+
+    def counted(self, sym, args):
+        calls[0] += 1
+        assert calls[0] <= 4 * len(M), "the search ran past the layer precheck"
+        return has_tuple(self, sym, args)
+
+    monkeypatch.setattr(Structure, "has_tuple", counted)
+    assert windowed_pointed_iso(M, "0", N, "0", 6) == EngineResult("dead", 6)
 
 
 def test_cfi_pair_dies_where_signatures_part():
@@ -722,41 +793,11 @@ class TestFastPathsAgainstReferences:
         assert kinds == {(k, shape) for k in ("path", "cycle") for shape in range(3)}
         assert wide > 0
 
-    @staticmethod
-    def random_forest(rng, k):
-        """A labeled forest window over k symbols, possibly with loops.
-
-        Each element picks a parent slot (element, symbol) not yet taken, or
-        none; a parent may come later in id order or close a loop. Every
-        element lacking a parent or a child slot goes on the frontier, so
-        the window satisfies the forest layout's conditions.
-        """
-        n = rng.randrange(1, 30)
-        ids = [f"f{i:02d}" for i in range(n)]
-        rng.shuffle(ids)
-        taken, parent = set(), {}
-        for c in ids:
-            if rng.random() < 0.15:
-                continue
-            free = [(p, si) for p in ids for si in range(k) if (p, si) not in taken]
-            if free:
-                slot = rng.choice(free)
-                taken.add(slot)
-                parent[c] = slot
-        lang = Language([(f"S{si}", 2) for si in range(k)])
-        tuples = [(f"S{si}", (p, c)) for c, (p, si) in parent.items()]
-        frontier = [
-            e for e in ids if e not in parent or any((e, si) not in taken for si in range(k))
-        ]
-        if rng.random() < 0.5:
-            frontier = [e for e in frontier if rng.random() < 0.9]
-        return Structure(lang, ids, tuples, frontier=frontier)
-
     def test_forest_words_group_like_the_reference(self):
         rng = random.Random(1972)
         forests = loops = 0
         for trial in range(150):
-            M = self.random_forest(rng, 1 + trial % 3)
+            M = random_labeled_forest(rng, 1 + trial % 3)
             layout = _layout(M)
             reference = reference_forest_class_keys(M, 0)
             if layout is None or layout[0] != "forest":

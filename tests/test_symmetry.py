@@ -10,10 +10,11 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from locis.core import Structure
+from locis.core import Language, Structure
 from locis.errors import (
     GluingConflict,
     InvariantViolation,
@@ -33,7 +34,9 @@ from locis.generators import (
 from locis.iso import (
     PartialIso,
     _chain_layout,
+    _chain_word,
     _layout,
+    _parents_first,
     class_ids,
     extraction_compare,
     windowed_pointed_iso,
@@ -47,7 +50,7 @@ from locis.symmetry import (
     periodic_isomorphism,
 )
 
-from conftest import mk
+from conftest import mk, random_labeled_forest, reference_chain_words
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +217,47 @@ def test_outcomes_are_pinned_across_layouts(case):
 def test_chain_layout_reads_a_plain_path_as_a_forest():
     M = gen_grid((12,), mode="window")
     assert _layout(M)[0] == "path"
-    parent, forked = _chain_layout(M)
-    assert len(parent) == len(M) - 1
-    assert all(label == 0 for _, label in parent.values())
+    par, lab, forked = _chain_layout(M)
+    assert sum(p >= 0 for p in par) == len(M) - 1
+    assert all(label == 0 for label in lab)
     assert not forked  # one symbol: reversals are left to the engine
+
+
+def chain_windows():
+    yield gen_grid((9,), mode="window")  # a plain path
+    yield gen_grid((7,), mode="torus")  # an uncolored cycle
+    for address in ("tm", "constant:0", "periodic:01"):
+        yield gen_binary_hyperbolic(AddressSequence.parse(address), 6, 8, 3)
+    # a row that loops through both children of p: each of d and e is
+    # witnessed in slot 1 and slot 0, and slot 0 wins
+    lang = Language([("A", 2), ("R", 2)])
+    yield Structure(lang, "dep", [("A", ("d", "p")), ("A", ("e", "p")),
+                                  ("R", ("d", "e")), ("R", ("e", "d"))])
+    for address in ("tm12", "periodic:122"):
+        yield gen_kary_tree(2, AddressSequence.parse(address), depth=6, halo=3)
+    rng = random.Random(2004)
+    for trial in range(120):
+        yield random_labeled_forest(rng, 1 + trial % 3)
+
+
+def test_chain_words_match_the_id_walk():
+    kinds, loops = Counter(), 0
+    for M in chain_windows():
+        reference = reference_chain_words(M, 9)
+        chain = _chain_layout(M)
+        assert (chain is None) == (reference is None)
+        if chain is None:
+            continue
+        par, lab, forked = chain
+        words, want_forked = reference
+        kinds[_layout(M)[0] if _layout(M) else "tiling"] += 1
+        loops += bool(_parents_first(par)[1])
+        for j, e in enumerate(M.elements):
+            for length in (0, 1, 4, 9):
+                assert _chain_word(par, lab, j, length) == words[e][:length], (e, length)
+        assert {M.elements[j] for j in forked} == want_forked
+    assert kinds["tiling"] == 4 and kinds["path"] >= 1 and kinds["cycle"] >= 1
+    assert kinds["forest"] > 40 and loops > 10
 
 
 def test_negative_bounds_rejected():
@@ -397,6 +437,30 @@ class TestExtendPartialIso:
         assert bigger.certified_radius == 2
         assert set(bigger.mapping) == set(M.ball_elements(a, 2))
         bigger.verify()
+
+    def test_reversed_seed_extends_reversed(self):
+        # A palindromic column: reading it backwards about its middle is a
+        # mirror, and each one-step map must be searched reversed too.
+        half = "BWBBWBWWBWBBWBWWBWBB"
+        word = half + half[::-1]
+        ids = [f"p{i:03d}" for i in range(len(word))]
+        lang = Language([("Succ", 2), ("B", 1), ("W", 1)])
+        M = Structure(
+            lang,
+            ids,
+            [("Succ", t) for t in zip(ids, ids[1:])] + [(c, (e,)) for e, c in zip(ids, word)],
+            frontier=(ids[0], ids[-1]),
+        )
+        a, b = ids[len(ids) // 2 - 1], ids[len(ids) // 2]
+        res = windowed_pointed_iso(M, a, M, b, 3, True)
+        assert res.status == "iso"
+        rho = PartialIso(M, M, res.mapping, a, 3, True)
+        rho.verify()
+        bigger = extend_partial_iso(M, M, rho)
+        assert bigger.certified_radius == 4 and bigger.reversed_target
+        assert set(bigger.mapping) == set(M.ball_elements(a, 4))
+        assert all(bigger.mapping[e] == ids[len(ids) - 1 - i] for i, e in enumerate(ids)
+                   if e in bigger.mapping)
 
     def test_gluing_conflict_when_balls_disagree_deeper(self, sqrt2):
         M = gen_sturmian(sqrt2, 0, 120)
