@@ -173,7 +173,7 @@ def step_vocabulary(language):
 
 def _dense_step_tables(M, vocab):
     """Per-step image tables over element indices; -1 where undefined."""
-    index = {e: k for k, e in enumerate(M.elements)}
+    index = M._positions()
     tables = []
     for step in vocab:
         mapping = _step_map(M, step)
@@ -209,8 +209,7 @@ def _word_tables(M, vocab, max_len):
 
 
 def _anchor_indices(M, min_depth):
-    depths = M.depths()
-    return [k for k, e in enumerate(M.elements) if depths[e] >= min_depth]
+    return [k for k, d in enumerate(M._depth_list()) if d >= min_depth]
 
 
 @dataclass
@@ -300,10 +299,7 @@ def strong_regularity_check(family, max_len):
         return RegularityReport(True, max_len, None, tuple(0 for _ in family))
 
     all_tables = [_word_tables(M, vocab, max_len) for M in family]
-    anchor_sets = []
-    for M in family:
-        depths = M.depths()
-        anchor_sets.append([(k, depths[e]) for k, e in enumerate(M.elements)])
+    anchor_sets = [list(enumerate(M._depth_list())) for M in family]
 
     def as_word(idx_tuple):
         return Word(tuple(vocab[k] for k in idx_tuple))

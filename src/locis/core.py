@@ -8,10 +8,11 @@ faithful to the infinite structure.
 
 Element ids are opaque strings. The core never interprets them. Each
 window numbers its elements by position in its sorted element tuple, so
-int order is id order, and keeps one int Gaifman index, built on first use:
-every distance (depths, balls, multi-source searches) is a breadth-first
-search over it, and an id-keyed result lists elements in the order the
-search discovers them.
+int order is id order; every per-element table derived from it (Gaifman
+neighbours, depths, the census index) is a list over positions, and the
+id-keyed views depths() and adjacency() serve public callers only. Every
+distance is a breadth-first search over the int neighbours, and an id-keyed
+result lists elements in the order the search discovers them.
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ class Structure:
 
     `tuples` is any iterable of (symbol, argument sequence) pairs and is
     consumed once, so a generator streams straight in. Immutable after
-    construction. Derived data (the int Gaifman index, the id adjacency
-    view, the incident table, depths) is computed lazily and cached;
-    recomputation is idempotent, so concurrent readers are safe.
+    construction. Derived data (the id-to-position map, the per-position
+    Gaifman neighbours and depths, the incident table, the id adjacency
+    view) is computed lazily and cached; recomputation is idempotent, so
+    concurrent readers are safe.
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -127,7 +129,8 @@ class Structure:
         self.tuples_by_symbol = {name: tuple(sorted(ts)) for name, ts in by_symbol.items()}
         self._tuple_sets = by_symbol  # membership tests only
 
-        self._index = None
+        self._pos = None
+        self._nbrs = None
         self._adj = None
         self._incident = None
         self._depth = None
@@ -181,17 +184,19 @@ class Structure:
 
     # -- derived maps ----------------------------------------------------
 
-    def _gaifman(self):
-        """The int Gaifman index: (position of each id, neighbours per position).
+    def _positions(self):
+        """The window's one id-to-position map, over the sorted self.elements
+        (so int order is id order). Built on first use, like the tables below."""
+        if self._pos is None:
+            self._pos = dict(zip(self.elements, range(len(self.elements))))
+        return self._pos
 
-        Positions follow self.elements, which is sorted, so int order is id
-        order. nbrs[i] is the sorted tuple of positions co-occurring with i
-        in some tuple. Built on first use and kept for the window's lifetime.
-        """
-        if self._index is None:
-            elements = self.elements
-            pos = dict(zip(elements, range(len(elements))))
-            nbrs = [set() for _ in elements]
+    def _gaifman(self):
+        """The int Gaifman index: nbrs[i] is the sorted tuple of positions
+        co-occurring with position i in some tuple."""
+        if self._nbrs is None:
+            pos = self._positions()
+            nbrs = [set() for _ in self.elements]
             for name, arity in self.language.symbols:
                 ts = self.tuples_by_symbol[name]
                 if arity == 1:
@@ -210,8 +215,8 @@ class Structure:
                     for i in distinct:
                         nbrs[i].update(distinct)
                         nbrs[i].discard(i)
-            self._index = (pos, [tuple(sorted(s)) for s in nbrs])
-        return self._index
+            self._nbrs = [tuple(sorted(s)) for s in nbrs]
+        return self._nbrs
 
     def adjacency(self):
         """Gaifman adjacency: u ~ v iff they co-occur in some tuple.
@@ -221,7 +226,7 @@ class Structure:
         if self._adj is None:
             elements = self.elements
             at = elements.__getitem__
-            self._adj = {e: tuple(map(at, nb)) for e, nb in zip(elements, self._gaifman()[1])}
+            self._adj = {e: tuple(map(at, nb)) for e, nb in zip(elements, self._gaifman())}
         return self._adj
 
     def incident(self, element):
@@ -247,7 +252,7 @@ class Structure:
         """Per-position distance to the nearest of the positions in `starts`,
         math.inf where unreached: the whole-window search of distances(),
         with a list for the visited test instead of a dict."""
-        nbrs = self._gaifman()[1]
+        nbrs = self._gaifman()
         inf = math.inf
         dist = [inf] * len(nbrs)
         layer, d = list(starts), 0
@@ -274,8 +279,8 @@ class Structure:
         adjacency() meets them. ball_elements and the step words of symmetry
         rely on that order.
         """
-        pos, nbrs = self._gaifman()
-        dist = dict.fromkeys(map(pos.__getitem__, sources), 0)
+        nbrs = self._gaifman()
+        dist = dict.fromkeys(map(self._positions().__getitem__, sources), 0)
         layer, d = list(dist), 0
         while layer and (limit is None or d < limit):
             d += 1
@@ -288,21 +293,24 @@ class Structure:
             layer = nxt
         return dict(zip(map(self.elements.__getitem__, dist), dist.values()))
 
+    def _depth_list(self):
+        """Depth of each position, from one int BFS over the whole window."""
+        if self._depth is None:
+            self._depth = self._distance_list(map(self._positions().__getitem__, self.frontier))
+        return self._depth
+
     def depths(self):
         """Distance from each element to the nearest frontier element.
 
-        math.inf everywhere when the frontier is empty (closed window).
-        Read from one int BFS over the whole window.
+        math.inf everywhere when the frontier is empty (closed window). An
+        id-keyed view of the position list, built on each call.
         """
-        if self._depth is None:
-            starts = map(self._gaifman()[0].__getitem__, self.frontier)
-            self._depth = dict(zip(self.elements, self._distance_list(starts)))
-        return self._depth
+        return dict(zip(self.elements, self._depth_list()))
 
     def depth(self, element):
         if element not in self._eset:
             raise DanglingElement(element, lookup="depth lookup")
-        return self.depths()[element]
+        return self._depth_list()[self._positions()[element]]
 
     def is_closed(self):
         return not self.frontier
@@ -311,19 +319,18 @@ class Structure:
         """Largest depth over elements; -1 on the empty structure."""
         if not self.elements:
             return -1
-        return max(self.depths().values())
+        return max(self._depth_list())
 
     def deepest_element(self):
         """Canonical anchor: lexicographically least element of maximal depth."""
         if not self.elements:
             raise InvariantViolation("nonempty", "empty structure has no anchor")
-        depths = self.depths()
-        return min(self.elements, key=lambda e: (-depths[e], e))
+        depths = self._depth_list()
+        return self.elements[depths.index(max(depths))]  # positions follow id order
 
     def faithful_elements(self, h):
         """Elements whose h-ball is certified by the window."""
-        depths = self.depths()
-        return [e for e in self.elements if depths[e] >= h]
+        return [e for e, d in zip(self.elements, self._depth_list()) if d >= h]
 
     def is_connected(self):
         return len(self.distances(self.elements[:1])) == len(self.elements)
@@ -334,11 +341,10 @@ class Structure:
         The bound for the represented infinite structure is only certified at
         interior elements, where the 1-neighborhood is complete.
         """
-        depths = self.depths()
-        nbrs = self._gaifman()[1]
         best, witness = 0, None
-        for e, nb in zip(self.elements, nbrs):  # sorted, so the first maximum is the witness
-            if depths[e] < 1:
+        # sorted, so the first maximum is the witness
+        for e, nb, d in zip(self.elements, self._gaifman(), self._depth_list()):
+            if d < 1:
                 continue
             if len(nb) + 1 > best:
                 best, witness = len(nb) + 1, e
@@ -382,7 +388,7 @@ class Structure:
                 if all(a in members for a in t)
             ]
             return Structure(self.language, members, tuples, frontier=frontier)
-        pos, nbrs = self._gaifman()
+        pos, nbrs = self._positions(), self._gaifman()
         at = self.elements.__getitem__
         inside = {pos[e] for e in members}
         tuples = []

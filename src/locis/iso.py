@@ -65,19 +65,20 @@ class PartialIso:
                 raise VerificationFailed("domain", f"{u!r} is not an element of the source")
             if v not in self.target:
                 raise VerificationFailed("image", f"{v!r} is not an element of the target")
+        # the sets answer membership; scanning the mapping names a seed-independent failure
         dom = set(self.mapping)
         img = set(self.mapping.values())
         if len(img) != len(dom):
             raise VerificationFailed("injectivity", "mapping is not injective")
         step = -1 if self.reversed_target else 1
         inverse = {v: k for k, v in self.mapping.items()}
-        for u in dom:
+        for u in self.mapping:
             for sym, t in self.source.incident(u):
                 if all(x in dom for x in t):
                     image = tuple(self.mapping[x] for x in t)
                     if not self.target.has_tuple(sym, image[::step]):
                         raise VerificationFailed("preservation", (sym, t))
-        for v in img:
+        for v in inverse:
             for sym, t in self.target.incident(v):
                 t = t[::step]
                 if all(x in inverse for x in t):
@@ -394,19 +395,18 @@ class _Index:
     element) over all of M, so they also order the pairs of any ball of M.
     Unary symbols get bits with the first declared one most significant, so
     profile bitmasks order as the 0/1 flag tuples of Structure.unary_profile
-    do. template[i] spells element i's entries as one list, slot s as
-    position n + s; widths[i] gives each entry's length there, and reach[i]
-    the distinct arguments in the order the entries meet them. label, one
-    reusable list over positions and slots, maps member positions to member
-    numbers (-1 outside the current ball) and n + s to s, so one map over a
-    template yields a member's words.
+    do. template[i] spells element i's entries as one list, slot s as the
+    marker n + s, one int shared by every template, and counts[i] is the
+    number of entries. label, one reusable list over positions and markers,
+    maps member positions to member numbers (-1 outside the current ball)
+    and n + s to s, so one map over a template yields a member's words.
     """
 
-    __slots__ = ("language", "slots", "template", "widths", "reach", "label", "typecode")
+    __slots__ = ("language", "slots", "template", "counts", "label", "typecode")
 
     def __init__(self, M):
         self.language = M.language
-        pos = {e: i for i, e in enumerate(M.elements)}
+        pos = M._positions()
         keyed = [[] for _ in M.elements]
         for name, _ in M.language.symbols:
             for t in M.tuples_by_symbol[name]:
@@ -415,7 +415,6 @@ class _Index:
                     key = (name, tuple([i for i, y in enumerate(args) if y == x]))
                     keyed[x].append((key, args))
         keys = sorted({key for ks in keyed for key, _ in ks})
-        slot = {key: s for s, key in enumerate(keys)}
         unary = M.language.unary_symbols
         sym = {name: i for i, (name, _) in enumerate(M.language.symbols)}
         self.slots = [
@@ -427,13 +426,14 @@ class _Index:
             for name, _ in keys
         ]
         n = len(M.elements)
-        entries = [sorted([(slot[key], args) for key, args in ks]) for ks in keyed]
-        self.template = [[x for s, args in es for x in (n + s, *args)] for es in entries]
-        self.widths = [[1 + len(args) for _, args in es] for es in entries]
-        self.reach = [list(dict.fromkeys(x for _, args in es for x in args)) for es in entries]
+        marker = {key: n + s for s, key in enumerate(keys)}
+        for ks in keyed:
+            ks.sort()  # keys sort as their slots do
+        self.template = [[x for key, args in ks for x in (marker[key], *args)] for ks in keyed]
+        self.counts = list(map(len, keyed))
         self.label = [-1] * n + list(range(len(keys)))
         # memo keys pack words into the narrowest array that holds them all
-        bound = max(n, len(keys), max(map(len, entries), default=0))
+        bound = max(n, len(keys), max(self.counts, default=0))
         self.typecode = "H" if bound < 1 << 16 else "I"
 
     def words(self, center, h):
@@ -441,14 +441,15 @@ class _Index:
 
         Members are numbered in slot-ordered discovery: breadth-first from
         the center, reading each member's entries in order and numbering
-        every argument when first met. Distances are Gaifman distances,
-        since the entries hold the co-occurrences adjacency() does. The words
+        every argument when first met (markers carry labels >= 0, so the
+        scan passes over them). Distances are Gaifman distances, since the
+        entries hold the co-occurrences the Gaifman index does. The words
         list, member by member, its distance, its entry count, then per entry
         the slot and the member numbers; a slot fixes its arity, so the words
         determine the ball's form exactly. Members at distance h keep only
         the tuples inside the ball. Returns (words, number of members).
         """
-        template, widths, reach, label = self.template, self.widths, self.reach, self.label
+        template, counts, label, slots = self.template, self.counts, self.label, self.slots
         get = label.__getitem__
         label[center] = 0
         members = [center]
@@ -458,25 +459,26 @@ class _Index:
         while d < h and lo < m:
             hi = m
             for u in members[lo:hi]:
-                for x in reach[u]:
+                block = template[u]
+                for x in block:
                     if label[x] < 0:
                         label[x] = m
                         m += 1
                         members.append(x)
-                words += (d, len(widths[u]))
-                words += map(get, template[u])
+                words += (d, counts[u])
+                words += map(get, block)
             lo, d = hi, d + 1
         # members at distance h keep the entries with every argument inside
         for u in members[lo:]:
             block = list(map(get, template[u]))
             if -1 not in block:
-                words += (d, len(widths[u]))
+                words += (d, counts[u])
                 words += block
                 continue
             kept, count, j = [], 0, 0
-            for width in widths[u]:
-                part = block[j : j + width]
-                j += width
+            while j < len(block):
+                part = block[j : j + 1 + slots[block[j]][1]]
+                j += len(part)
                 if -1 not in part:
                     kept += part
                     count += 1
@@ -677,7 +679,7 @@ def signature(A):
     """
     S = A.structure
     index = _Index(S)
-    words, n = index.words(S.elements.index(A.center), len(S))
+    words, n = index.words(S._positions()[A.center], len(S))
     if n != len(S):
         raise InvariantViolation(
             "ball-connected", "pointed ball has elements unreachable from its center"
@@ -751,7 +753,7 @@ def _forest_layout(M):
         return None
     if any(a != 2 for _, a in M.language.symbols):
         return None
-    pos = M._gaifman()[0]
+    pos = M._positions()
     n = len(M.elements)
     par = [-1] * n
     lab = [0] * n
@@ -766,7 +768,7 @@ def _forest_layout(M):
             lab[j] = si
             kids[i] |= bit
     full = (1 << len(M.language.symbols)) - 1
-    for d, p, bits in zip(M.depths().values(), par, kids):
+    for d, p, bits in zip(M._depth_list(), par, kids):
         if d >= 1 and (p < 0 or bits != full):
             return None
     return par, lab
@@ -811,7 +813,7 @@ def _tiling_layout(M):
     syms = M.language.symbols
     if len(syms) != 2 or M.language.unary_symbols or any(a != 2 for _, a in syms):
         return None
-    pos = M._gaifman()[0]
+    pos = M._positions()
     n = len(M.elements)
     for (a_name, _), (r_name, _) in (syms, syms[::-1]):
         levels, rows = M.tuples_by_symbol[a_name], M.tuples_by_symbol[r_name]
@@ -855,8 +857,8 @@ def _layout(M):
                 for (e,) in M.tuples_by_symbol[name]:
                     bits[e] |= 1 << i
             word = "".join([chr(48 + b) for b in bits.values()])
-            depths = M.depths()
-            layout = (kind, order, word, [depths[e] for e in order])
+            depths, pos = M._depth_list(), M._positions()
+            layout = (kind, order, word, [depths[pos[e]] for e in order])
         else:
             forest = _forest_layout(M)
             layout = None if forest is None else ("forest", *forest)
@@ -932,14 +934,14 @@ def class_ids(M, h, extended=False):
     """
     if h < 0:
         raise InvariantViolation("radius", f"negative radius {h}")
-    depths = M.depths()
+    depths = M._depth_list()
     layout = _layout(M)
     if layout is not None and layout[0] != "forest":
         tokens = _linear_tokens(h, layout)
         return {e: t for e, t in zip(layout[1], tokens) if t is not None}
     if layout is not None:
         # a word of length h is the class, wherever the window shows it
-        words = zip(M.elements, _forest_words(layout, h), depths.values())
+        words = zip(M.elements, _forest_words(layout, h), depths)
         if extended:
             return {e: w for e, w, _ in words if len(w) == h}
         return {e: w for e, w, d in words if d >= h and len(w) == h}
@@ -947,8 +949,8 @@ def class_ids(M, h, extended=False):
     index = _Index(M)
     codes = {}
     out = {}
-    for i, e in enumerate(M.elements):
-        if depths[e] >= h:
+    for i, (e, d) in enumerate(zip(M.elements, depths)):
+        if d >= h:
             words, _ = index.words(i, h)
             key = index.key(words)
             if key not in codes:
@@ -1046,7 +1048,7 @@ class LipReport:
 
 def _window_bound(M):
     """Largest finite depth, or the element count of a closed window."""
-    finite = [d for d in M.depths().values() if d is not math.inf]
+    finite = [d for d in M._depth_list() if d is not math.inf]
     return int(max(finite)) if finite else len(M.elements)
 
 
@@ -1061,12 +1063,12 @@ def _least_recurrence_k(M, members, count_unreached=True):
     bound; in a window with a frontier, count_unreached=False skips them
     instead (they sit in components the frontier cannot reach).
     """
-    dist = M._distance_list(map(M._gaifman()[0].__getitem__, members))
+    dist = M._distance_list(map(M._positions().__getitem__, members))
     bound = _window_bound(M)
     skip = not count_unreached and not M.is_closed()
     inf = math.inf
     worst = [0] * (bound + 1)  # largest distance over the elements of each depth
-    for d, x in zip(M.depths().values(), dist):
+    for d, x in zip(M._depth_list(), dist):
         if d is inf:
             if skip:
                 continue
@@ -1094,7 +1096,7 @@ def lip_check(M, h):
     groups = _token_groups(M, h)
     if not groups:
         raise WindowExhausted(f"no faithful elements at radius {h}")
-    depths = M.depths()
+    depths = M._depth_list()
     closed = M.is_closed()
     window_bound = _window_bound(M)
     k_cap = window_bound if closed else window_bound // 2
@@ -1109,7 +1111,7 @@ def lip_check(M, h):
         if k_c is None or k_c > k_cap:
             if witness is None:
                 bad = None
-                for e, d, x in zip(M.elements, depths.values(), dist):
+                for e, d, x in zip(M.elements, depths, dist):
                     if d is not math.inf and d < k_cap:
                         continue
                     if x > k_cap:

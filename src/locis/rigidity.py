@@ -51,8 +51,10 @@ class QReport:
 def property_Q_check(M, r, s):
     """True at (r,s) iff every faithful anchor has an s-equivalent pair
     of distinct elements within its r-ball."""
-    anchors = sum(1 for d in M.depths().values() if d >= r + s)
-    x = _pair_free_anchor(M, class_ids(M, s), r, r + s)
+    if min(r, s) < 0:
+        raise InvariantViolation("radius", f"negative radius {min(r, s)}")
+    anchors = sum(1 for d in M._depth_list() if d >= r + s)
+    x = _pair_free_anchor(M, s, r, r + s)
     return QReport(r, s, x is None, x, anchors)
 
 
@@ -168,25 +170,26 @@ class RigidLimitTrace:
         return path
 
 
-def _pair_free_anchor(M, ids, radius, need):
+def _pair_free_anchor(M, s, radius, need):
     """Id-least element of depth >= need whose radius-ball holds no two
-    elements with equal tokens in ids; None when every such element has a
-    pair. Elements without a token never form a pair.
+    elements of equal s-class; None when every such element has a pair.
+    Elements without a certified s-class never form a pair.
 
-    One linear pass on path and cycle layouts, one ball per anchor
-    otherwise. Raises WindowExhausted when no element has depth >= need.
+    One linear pass over position-ordered tokens on path and cycle layouts,
+    one class_ids call and one ball per anchor otherwise. Raises
+    WindowExhausted when no element has depth >= need.
     """
     layout = _layout(M)
     if layout is not None and layout[0] != "forest":
-        return _linear_pair_free_anchor(M, [ids.get(e) for e in layout[1]], layout, radius, need)
-    return _ball_pair_free_anchor(M, ids, radius, need)
+        return _linear_pair_free_anchor(M, _linear_tokens(s, layout), layout, radius, need)
+    return _ball_pair_free_anchor(M, class_ids(M, s), radius, need)
 
 
 def _ball_pair_free_anchor(M, ids, radius, need):
-    depths = M.depths()
+    """_pair_free_anchor over an id-keyed token dict, one ball per anchor."""
     found_any = False
-    for x in M.elements:
-        if depths[x] < need:
+    for x, d in zip(M.elements, M._depth_list()):
+        if d < need:
             continue
         found_any = True
         seen = set()
@@ -258,24 +261,16 @@ def _search_separation(M, r2, s_floor):
     """Smallest s >= s_floor admitting a pairwise-distinguished anchor.
 
     Distinctness is monotone in s, so the minimal s is located by doubling
-    then bisection; each candidate is re-validated directly. A probe costs
-    O(n) on path and cycle layouts, which read position-ordered tokens
-    without an id-keyed dict, or one class_ids call and one 2*r2-ball per
-    anchor on other windows.
+    then bisection; each candidate is re-validated directly by one
+    _pair_free_anchor probe.
     """
     max_depth = M.max_depth() if not M.is_closed() else len(M.elements)
     s_max = int(max_depth) - 2 * r2
     if s_max < s_floor:
         raise WindowExhausted(f"window too shallow for separation beyond r={r2}", 2 * r2 + s_floor)
 
-    layout = _layout(M)
-    linear = layout is not None and layout[0] != "forest"
-
     def probe(s):
-        radius, need = 2 * r2, 2 * r2 + s
-        if linear:
-            return _linear_pair_free_anchor(M, _linear_tokens(s, layout), layout, radius, need)
-        return _pair_free_anchor(M, class_ids(M, s), radius, need)
+        return _pair_free_anchor(M, s, 2 * r2, 2 * r2 + s)
 
     lo_bad = s_floor - 1
     hi = s_floor

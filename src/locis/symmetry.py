@@ -112,7 +112,7 @@ def find_symmetries(
     chain = _chain_layout(M) if radius >= 1 else None
     if chain is not None:
         par, lab, forked = chain
-        pos = M._gaifman()[0]
+        pos = M._positions()
         word_x = _chain_word(par, lab, pos[x], radius + 1)
     found = []
     detail = []
@@ -257,24 +257,23 @@ def detect_periodicity(M, rank_bound, radius=None, automorphisms=None):
             edges.setdefault(v, []).append((u, gi, -1))
 
     anchor = M.deepest_element()
-    adj = M.adjacency()
+    pos, nbrs, at = M._positions(), M._gaifman(), M.elements.__getitem__
     period = [anchor]
     covered = {uf.find(anchor)}
     while True:
-        candidates = sorted(
-            v for u in period for v in adj[u] if uf.find(v) not in covered
-        )
+        # the least position is the id-least candidate
+        candidates = [j for u in period for j in nbrs[pos[u]] if uf.find(at(j)) not in covered]
         if not candidates:
             break
-        nxt = candidates[0]
+        nxt = at(min(candidates))
         period.append(nxt)
         covered.add(uf.find(nxt))
         if len(period) > rank_bound:
             raise RankBoundExceeded(rank_bound)
 
-    depths = M.depths()
+    depths = M._depth_list()
     uncovered = [
-        e for e in M.elements if depths[e] >= rank_bound and uf.find(e) not in covered
+        e for e, d in zip(M.elements, depths) if d >= rank_bound and uf.find(e) not in covered
     ]
     if uncovered:
         return PeriodReport(
@@ -384,11 +383,12 @@ def _word_between(M, a, b, bound):
     # Walk back from b. The neighbour one step closer with the least BFS
     # rank is the one that discovered it.
     rank = {e: i for i, e in enumerate(dist)}
-    adj = M.adjacency()
+    pos, nbrs, at = M._positions(), M._gaifman(), M.elements.__getitem__
     path = [b]
     while path[-1] != a:
         d = dist[path[-1]] - 1
-        path.append(min((v for v in adj[path[-1]] if dist.get(v) == d), key=rank.__getitem__))
+        back = (at(j) for j in nbrs[pos[path[-1]]])
+        path.append(min((v for v in back if dist.get(v) == d), key=rank.__getitem__))
     path.reverse()
     steps = []
     for u, v in zip(path, path[1:]):
@@ -484,10 +484,9 @@ def periodic_isomorphism(M, N, pre_radius=1, period_report=None):
     a = M.deepest_element()
     profile = M.unary_profile(a)
     small = 4
-    depths = N.depths()
     # deepest targets first, so a survivor carries the strongest certificate
-    ranked = sorted(N.elements, key=lambda e: (-min(depths[e], len(N)), e))
-    for b in ranked:
+    ranked = sorted((-min(d, len(N)), e) for e, d in zip(N.elements, N._depth_list()))
+    for _, b in ranked:
         if N.unary_profile(b) != profile:
             continue
         limit = _full_limit_pair(M, a, N, b)

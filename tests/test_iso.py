@@ -10,13 +10,17 @@ classes correspond to factors of length 2h+1, so there are 2h+2 of them).
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locis
 from locis.core import Language, Structure
 from locis.errors import (
     InvariantViolation,
@@ -176,6 +180,35 @@ class TestEngineVerdicts:
             with pytest.raises(VerificationFailed, match="'nope'") as exc_info:
                 PartialIso(M, M, mapping, "0_0", 0).verify()
             assert exc_info.value.stage == stage
+
+    def test_verify_names_the_same_tuple_under_every_hash_seed(self):
+        # swapping the coordinates of a torus breaks every E1 tuple; the one
+        # named must not depend on set iteration order
+        src = os.path.dirname(os.path.dirname(os.path.abspath(locis.__file__)))
+        messages = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", SWAP_VERIFY_SCRIPT], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            messages.append(proc.stdout)
+        assert "'preservation'" in messages[0]
+        assert messages[0] == messages[1]
+
+
+SWAP_VERIFY_SCRIPT = """
+from locis.errors import VerificationFailed
+from locis.generators import gen_grid
+from locis.iso import PartialIso
+M = gen_grid((6, 6), mode="torus")
+swap = {e: "_".join(reversed(e.split("_"))) for e in M.elements}
+try:
+    PartialIso(M, M, swap, "0_0", 0).verify()
+except VerificationFailed as exc:
+    print(exc)
+"""
 
 
 @st.composite

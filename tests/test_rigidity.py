@@ -24,11 +24,12 @@ from locis.errors import (
 )
 from locis.generators import (
     AddressSequence,
+    checkerboard_colormap,
     gen_grid,
     gen_kary_tree,
     gen_sturmian,
 )
-from locis.iso import _layout, _least_recurrence_k, _linear_tokens, class_ids, lip_check
+from locis.iso import _layout, _least_recurrence_k, class_ids, lip_check
 from locis.rigidity import (
     TraceStep,
     _ball_pair_free_anchor,
@@ -42,11 +43,18 @@ from locis.rigidity import (
 from conftest import colored_line
 
 
-def pair_free_outcome(probe, M, ids, radius, need):
+def pair_free_outcome(probe, M, tokens, radius, need):
     try:
-        return probe(M, ids, radius, need)
+        return probe(M, tokens, radius, need)
     except WindowExhausted:
         return "exhausted"
+
+
+def linear_probe(M, ids, radius, need):
+    """The one-pass probe over the tokens of an id-keyed dict, laid out in
+    path or cycle order."""
+    layout = _layout(M)
+    return _linear_pair_free_anchor(M, [ids.get(e) for e in layout[1]], layout, radius, need)
 
 
 def period2_line(width=80):
@@ -83,6 +91,15 @@ class TestPropertyQ:
         with pytest.raises(WindowExhausted):
             property_Q_check(M, r=8, s=6)
 
+    def test_negative_radius_is_rejected(self, sqrt2):
+        periods, cmap = checkerboard_colormap()
+        board = gen_grid((4, 4), periods=periods, colormap=cmap)
+        for M in (gen_sturmian(sqrt2, 0, 200), board):  # linear and generic probes
+            for r, s in ((-1, 2), (2, -1)):
+                with pytest.raises(InvariantViolation) as err:
+                    property_Q_check(M, r=r, s=s)
+                assert err.value.invariant == "radius"
+
 
 class TestLinearProbe:
     """The one-pass probe on path and cycle layouts against the per-anchor
@@ -115,7 +132,7 @@ class TestLinearProbe:
                 sparse = {e: t for e, t in ids.items() if rng.random() < 0.7}
                 for radius, need in ((2 * r, 2 * r + s), (r, r + s), (r, 0)):
                     for toks in (ids, sparse):
-                        got = pair_free_outcome(_pair_free_anchor, M, toks, radius, need)
+                        got = pair_free_outcome(linear_probe, M, toks, radius, need)
                         want = pair_free_outcome(_ball_pair_free_anchor, M, toks, radius, need)
                         assert got == want, (kind, len(M), r, s, radius)
                     if kind == "cycle" and 2 * radius + 1 >= len(M) and got != "exhausted":
@@ -125,17 +142,11 @@ class TestLinearProbe:
 
     def test_position_tokens_probe_like_the_ball_loop(self):
         # the separation search probes with position-ordered tokens
-        def list_probe(M, s):
-            layout = _layout(M)
-            return lambda _, _ids, radius, need: _linear_pair_free_anchor(
-                M, _linear_tokens(s, layout), layout, radius, need
-            )
-
         for M in self.windows():
             for r, s in self.RS:
                 ids = class_ids(M, s)
                 for radius, need in ((2 * r, 2 * r + s), (r, r + s), (r, 0)):
-                    got = pair_free_outcome(list_probe(M, s), M, None, radius, need)
+                    got = pair_free_outcome(_pair_free_anchor, M, s, radius, need)
                     want = pair_free_outcome(_ball_pair_free_anchor, M, ids, radius, need)
                     assert got == want, (_layout(M)[0], len(M), r, s, radius)
 
@@ -143,24 +154,23 @@ class TestLinearProbe:
         outcomes = set()
         for M in self.windows():
             for r, s in self.RS:
-                got = pair_free_outcome(_pair_free_anchor, M, class_ids(M, s), 2 * r, 2 * r + s)
+                got = pair_free_outcome(_pair_free_anchor, M, s, 2 * r, 2 * r + s)
                 outcomes.add(got if got in (None, "exhausted") else "found")
         assert outcomes == {"found", None, "exhausted"}
 
     def test_no_deep_anchor_is_exhaustion_on_both(self):
         M = colored_line(random.Random(5), 12, 2, frontier=(0, 11))
-        ids = class_ids(M, 2)
-        for probe in (_pair_free_anchor, _ball_pair_free_anchor):
-            with pytest.raises(WindowExhausted):
-                probe(M, ids, 6, 8)
+        with pytest.raises(WindowExhausted):
+            _pair_free_anchor(M, 2, 6, 8)
+        with pytest.raises(WindowExhausted):
+            _ball_pair_free_anchor(M, class_ids(M, 2), 6, 8)
 
     def test_striped_line_has_pairs_everywhere(self):
         M = period2_line(width=400)
         assert _layout(M)[0] == "path"
         for r, s in self.RS[1:]:
-            ids = class_ids(M, s)
-            assert _pair_free_anchor(M, ids, 2 * r, 2 * r + s) is None
-            assert _ball_pair_free_anchor(M, ids, 2 * r, 2 * r + s) is None
+            assert _pair_free_anchor(M, s, 2 * r, 2 * r + s) is None
+            assert _ball_pair_free_anchor(M, class_ids(M, s), 2 * r, 2 * r + s) is None
 
     def test_property_q_matches_ball_loop_on_paths(self):
         rng = random.Random(77)

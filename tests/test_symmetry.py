@@ -128,26 +128,34 @@ def outcomes_by_engine(M, anchor, displacement, radius):
             assert limit >= radius  # the engine must be able to decide
             r = windowed_pointed_iso(M, anchor, M, y, radius, rev)
             assert r.status in ("iso", "dead")
-            res[(y, rev)] = r.status
+            res[(y, rev)] = (r.status, r.radius)
     return res
 
 
 def outcomes_by_search(M, anchor, displacement, radius):
     rep = find_symmetries(M, displacement, radius, anchor=anchor)
-    out = {}
-    for y, rev, o, _ in rep.candidates:
-        out[(y, rev)] = o
-    return out
+    return {(y, rev): (o, r) for y, rev, o, r in rep.candidates}
+
+
+def assert_certificates_match(got, want):
+    """Found exactly where the engine finds an iso, and every dead
+    candidate killed at the engine's radius."""
+    assert set(got) == set(want)
+    dead = 0
+    for key, (outcome, radius) in got.items():
+        status, kill = want[key]
+        assert (outcome == "found") == (status == "iso"), (key, got[key], want[key])
+        if outcome == "dead":
+            assert radius == kill, (key, got[key], want[key])
+            dead += 1
+    assert dead > 0
 
 
 @pytest.mark.parametrize("addr", ["tm12", "periodic:122", "constant:1"])
 def test_forest_certificates_match_engine(addr):
     M = gen_kary_tree(2, AddressSequence.parse(addr), depth=9, halo=9)
     want = outcomes_by_engine(M, "c0", 2, 5)
-    got = outcomes_by_search(M, "c0", 2, 5)
-    assert set(got) == set(want)
-    for key in want:
-        assert (got[key] == "found") == (want[key] == "iso"), (key, got[key], want[key])
+    assert_certificates_match(outcomes_by_search(M, "c0", 2, 5), want)
 
 
 @pytest.mark.parametrize("addr", ["tm", "constant:0", "periodic:01"])
@@ -155,10 +163,7 @@ def test_tiling_certificates_match_engine(addr):
     M = gen_binary_hyperbolic(AddressSequence.parse(addr), levels=8,
                               half_width=32, support_radius=6)
     want = outcomes_by_engine(M, "L0o0", 2, 4)
-    got = outcomes_by_search(M, "L0o0", 2, 4)
-    assert set(got) == set(want)
-    for key in want:
-        assert (got[key] == "found") == (want[key] == "iso"), (key, got[key], want[key])
+    assert_certificates_match(outcomes_by_search(M, "L0o0", 2, 4), want)
 
 
 def outcome_digest(rep):
