@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (
     ArityMismatch,
@@ -30,7 +31,9 @@ from .errors import (
 )
 
 SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-ELEMENT_RE = re.compile(r"[A-Za-z0-9_.+-]+\Z")
+# The character class of element ids; textio builds its line patterns from it.
+ELEMENT_CHARS = r"[A-Za-z0-9_.+-]"
+ELEMENT_RE = re.compile(rf"{ELEMENT_CHARS}+\Z")
 
 
 class Language:
@@ -83,9 +86,11 @@ class Structure:
     `tuples` is any iterable of (symbol, argument sequence) pairs and is
     consumed once, so a generator streams straight in. Immutable after
     construction. Derived data (the id-to-position map, the per-position
-    Gaifman neighbours and depths, the incident table, the id adjacency
-    view) is computed lazily and cached; recomputation is idempotent, so
-    concurrent readers are safe.
+    Gaifman neighbours and depths, the id adjacency view) is computed lazily
+    and cached; recomputation is idempotent, so concurrent readers are safe.
+    Incidence is computed per element on first request and memoized; the
+    whole window's table is built in one pass instead once an eighth of the
+    window has an entry, or at once over a symbol of arity 3 or more.
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -126,13 +131,37 @@ class Structure:
                 args = self._checked_args(symbol, args)
                 bucket = by_symbol[symbol]
             bucket[args] = None
+        self._set_tuples(by_symbol)
+
+    @classmethod
+    def _from_symbol_lists(cls, language, elements, lists, frontier=()):
+        """The structure whose tuples of each symbol are the str tuples in
+        lists[symbol], each list checked in bulk; None when some tuple has
+        the wrong arity or a dangling id, for the caller to find and name.
+
+        The constructor checks and stores the elements and frontier.
+        """
+        M = cls(language, elements, (), frontier=frontier)
+        within = M._eset.issuperset
+        by_symbol = {}
+        for name, arity in M.language.symbols:
+            ts = lists.get(name, ())
+            if not set(map(len, ts)) <= {arity} or not within(chain.from_iterable(ts)):
+                return None
+            by_symbol[name] = dict.fromkeys(ts)
+        M._set_tuples(by_symbol)
+        return M
+
+    def _set_tuples(self, by_symbol):
+        """Store the deduplicated tuples, {symbol: {args: None}}, and start
+        the derived data empty."""
         self.tuples_by_symbol = {name: tuple(sorted(ts)) for name, ts in by_symbol.items()}
         self._tuple_sets = by_symbol  # membership tests only
 
         self._pos = None
         self._nbrs = None
         self._adj = None
-        self._incident = None
+        self._incident = {}
         self._depth = None
         self._cache = {}
 
@@ -230,23 +259,64 @@ class Structure:
         return self._adj
 
     def incident(self, element):
-        """All tuples containing the element, as (symbol, args) pairs."""
-        if self._incident is None:
-            inc = {e: [] for e in self.elements}
-            for name, arity in self.language.symbols:
-                ts = self.tuples_by_symbol[name]
-                if arity == 2:
-                    for t in ts:
-                        a, b = t
-                        inc[a].append((name, t))
-                        if b != a:
-                            inc[b].append((name, t))
-                    continue
+        """All tuples containing the element, as (symbol, args) pairs:
+        symbols in declaration order, each symbol's tuples in sorted order.
+
+        Over unary and binary symbols an entry is looked up from the
+        element's Gaifman neighbours, so a search that meets a few elements
+        of a large window builds only their entries. Once an eighth of the
+        window has one, or when some symbol is wider, the whole table is
+        built in one pass, which is cheaper per entry.
+        """
+        try:
+            return self._incident[element]
+        except KeyError:
+            pass
+        inc = self._incident
+        if len(inc) * 8 < len(self.elements) and all(a <= 2 for _, a in self.language.symbols):
+            inc[element] = entry = self._incident_entry(element)
+            return entry
+        if len(inc) < len(self.elements):
+            self._incident = inc = self._incidence_table()
+        return inc[element]
+
+    def _incident_entry(self, element):
+        """incident(element) over unary and binary symbols: the candidate
+        pairs are the element with itself and with each Gaifman neighbour."""
+        at = self.elements.__getitem__
+        nb = list(map(at, self._gaifman()[self._positions()[element]]))
+        pairs = [(element, v) for v in nb]
+        pairs += [(v, element) for v in nb]
+        pairs.append((element, element))
+        unit = (element,)
+        entry = []
+        for name, arity in self.language.symbols:
+            ts = self._tuple_sets[name]
+            if arity == 1:
+                if unit in ts:
+                    entry.append((name, unit))
+                continue
+            found = [t for t in pairs if t in ts]
+            found.sort()
+            entry += [(name, t) for t in found]
+        return tuple(entry)
+
+    def _incidence_table(self):
+        """{element: incident(element)} for the whole window."""
+        inc = {e: [] for e in self.elements}
+        for name, arity in self.language.symbols:
+            ts = self.tuples_by_symbol[name]
+            if arity == 2:
                 for t in ts:
-                    for a in set(t):
-                        inc[a].append((name, t))
-            self._incident = {e: tuple(v) for e, v in inc.items()}
-        return self._incident[element]
+                    a, b = t
+                    inc[a].append((name, t))
+                    if b != a:
+                        inc[b].append((name, t))
+                continue
+            for t in ts:
+                for a in set(t):
+                    inc[a].append((name, t))
+        return {e: tuple(v) for e, v in inc.items()}
 
     def _distance_list(self, starts):
         """Per-position distance to the nearest of the positions in `starts`,
@@ -372,37 +442,11 @@ class Structure:
         return PointedBall(structure=sub, center=center, radius=h)
 
     def restrict(self, members, frontier):
-        """Induced substructure on a member set with an explicit frontier.
-
-        Over unary and binary symbols the tuples are looked up from the
-        members' int neighbours, so a small ball does not build the
-        incident() table of a large window.
-        """
+        """Induced substructure on a member set with an explicit frontier,
+        read from the members' incident() entries."""
         members = set(members)
-        symbols = self.language.symbols
-        if any(arity > 2 for _, arity in symbols):
-            tuples = [
-                (name, t)
-                for e in members
-                for name, t in self.incident(e)
-                if all(a in members for a in t)
-            ]
-            return Structure(self.language, members, tuples, frontier=frontier)
-        pos, nbrs = self._positions(), self._gaifman()
-        at = self.elements.__getitem__
-        inside = {pos[e] for e in members}
-        tuples = []
-        for name, arity in symbols:
-            ts = self._tuple_sets[name]
-            for i in inside:
-                u = at(i)
-                if arity == 1:
-                    if (u,) in ts:
-                        tuples.append((name, (u,)))
-                    continue
-                for t in [(u, u)] + [(u, at(j)) for j in nbrs[i] if j in inside]:
-                    if t in ts:
-                        tuples.append((name, t))
+        inside = members.issuperset
+        tuples = [(name, t) for e in members for name, t in self.incident(e) if inside(t)]
         return Structure(self.language, members, tuples, frontier=frontier)
 
     # -- equality ----------------------------------------------------------

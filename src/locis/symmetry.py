@@ -94,10 +94,11 @@ def find_symmetries(
     identity candidate (anchor, forward) is skipped unless requested, so
     reported maps are nontrivial.
     """
-    if displacement < 0 or radius < 0:
-        raise InvariantViolation(
-            "radius", f"negative displacement {displacement} or radius {radius}"
-        )
+    negative = " and ".join(
+        f"{name} {v}" for name, v in (("displacement", displacement), ("radius", radius)) if v < 0
+    )
+    if negative:
+        raise InvariantViolation("radius", f"negative {negative}")
     if anchor is None:
         anchor = M.deepest_element()
     depth_x = M.depth(anchor)

@@ -142,11 +142,19 @@ def reference_distances(M, sources, limit=None):
     return dist
 
 
+def reference_incident(M):
+    """{element: its incident tuples}, each element's found by scanning every
+    tuple of the window: symbols in declaration order, each symbol's tuples
+    in sorted order."""
+    return {e: tuple((name, t) for name, t in M.all_tuples() if e in t) for e in M.elements}
+
+
 def reference_restrict(M, members, frontier):
-    """Induced substructure read from the incident() table."""
+    """Induced substructure read from the whole-window incidence table."""
     members = set(members)
+    inc = reference_incident(M)
     tuples = [
-        (name, t) for e in members for name, t in M.incident(e) if all(a in members for a in t)
+        (name, t) for e in members for name, t in inc[e] if all(a in members for a in t)
     ]
     return Structure(M.language, members, tuples, frontier=frontier)
 

@@ -351,6 +351,14 @@ class TestPeriodsRigidityQuotient:
         assert len(Q) == 2  # one orbit per color
         assert doc["result"]["group_size"] == 18  # even sublattice of Z6 x Z6
 
+    def test_quotient_negative_displacement_is_named_alone(self, board_file, capsys):
+        # The default radius is the window size, which is not negative.
+        assert main(["quotient", board_file, "--displacement", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: invariant 'radius' violated: negative displacement -1\n"
+        )
+
 
 class TestUnknownIds:
     @pytest.mark.parametrize(

@@ -23,8 +23,26 @@ from locis.errors import (
     UnfaithfulRadius,
     UnknownSymbol,
 )
+from locis.generators import (
+    AddressSequence,
+    QuadraticIrrational,
+    checkerboard_colormap,
+    gen_binary_hyperbolic,
+    gen_cayley_free,
+    gen_grid,
+    gen_kary_tree,
+    gen_sturmian,
+)
+from locis.symmetry import find_symmetries
 
-from conftest import LANG2, bfs_ball, mk, reference_distances, reference_restrict
+from conftest import (
+    LANG2,
+    bfs_ball,
+    mk,
+    reference_distances,
+    reference_incident,
+    reference_restrict,
+)
 
 
 def path(n, frontier_ends=True):
@@ -375,3 +393,54 @@ class TestIntIndexAgainstReferences:
             members = [e for e in M.elements if rng.random() < 0.6]
             frontier = [e for e in members if rng.random() < 0.3]
             assert M.restrict(members, frontier) == reference_restrict(M, members, frontier)
+
+    def test_incident_matches_the_reference(self):
+        rng = random.Random(2012)
+        for trial in range(300):
+            M = mixed_window(rng, ternary=trial % 2 == 0)
+            want = reference_incident(M)
+            # asked in a random order, so no entry leans on an earlier one
+            for e in rng.sample(M.elements, len(M.elements)):
+                assert M.incident(e) == want[e]
+            if trial % 2:  # self-loops included
+                assert {e: M._incident_entry(e) for e in M.elements} == want
+
+
+def generator_windows():
+    """A window of every generator family, a ternary-language window and
+    an empty one."""
+    periods, cmap = checkerboard_colormap()
+    return [
+        gen_sturmian(QuadraticIrrational.sqrt(2), 0, 12),
+        gen_kary_tree(2, AddressSequence.thue_morse(1, 2), depth=6, halo=3),
+        gen_kary_tree(3, AddressSequence.parse("periodic:122"), depth=4, halo=2),
+        gen_binary_hyperbolic(AddressSequence.thue_morse(), levels=5, half_width=6,
+                              support_radius=2),
+        gen_cayley_free(2, 3),
+        gen_grid((5, 5), mode="torus", periods=periods, colormap=cmap),
+        gen_grid((4, 3), mode="window"),
+        gen_grid((3,), mode="torus"),
+        mixed_window(random.Random(2013)),
+        Structure(Language([("E", 2)]), [], []),
+    ]
+
+
+def test_incident_and_restrict_match_the_references_on_every_family():
+    for M in generator_windows():
+        want = reference_incident(M)
+        assert {e: M.incident(e) for e in M.elements} == want
+        # Both builders, whichever of them incident() picked.
+        assert M._incidence_table() == want
+        if all(arity <= 2 for _, arity in M.language.symbols):
+            assert {e: M._incident_entry(e) for e in M.elements} == want
+        for e in M.elements[::3]:
+            members = M.ball_elements(e, 2)
+            frontier = [u for u, d in members.items() if d == 2]
+            assert M.restrict(members, frontier) == reference_restrict(M, members, frontier)
+
+
+def test_symmetry_search_on_a_deep_tiling_fills_few_incidence_entries():
+    M = gen_binary_hyperbolic(AddressSequence.parse("periodic:01"), 40, 64)
+    rep = find_symmetries(M, 4, 12, anchor="L-1o-1")
+    assert rep.verdict == "found"
+    assert 0 < len(M._incident) < 0.05 * len(M)

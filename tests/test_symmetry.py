@@ -271,6 +271,15 @@ def test_negative_bounds_rejected():
         find_symmetries(M, -1, 3, anchor="0_0")
     with pytest.raises(InvariantViolation):
         find_symmetries(M, 1, -3, anchor="0_0")
+    # The message names the negative bounds only.
+    for displacement, radius, named in [
+        (2, -3, "negative radius -3"),
+        (-1, 101, "negative displacement -1"),
+        (-1, -3, "negative displacement -1 and radius -3"),
+    ]:
+        with pytest.raises(InvariantViolation) as exc:
+            find_symmetries(M, displacement, radius, anchor="0_0")
+        assert str(exc.value).endswith(f"violated: {named}")
 
 
 # ---------------------------------------------------------------------------

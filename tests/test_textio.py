@@ -1,6 +1,8 @@
 """Serialization round-trips and parse failures."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locis import textio
 from locis.core import Language, Structure
@@ -221,6 +223,79 @@ def test_single_line_corruptions_fail_like_the_reference():
             for bad in CORRUPTIONS:
                 assert_same_outcome("\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n")
                 assert_same_outcome("\n".join(lines[:i] + [bad] + lines[i:]))
+
+
+SYMBOL_POOL = ("P", "P1", "Q", "R_2")  # P and P1 share a prefix
+ID_POOL = ("a", "b.1", "c-2", "d+e", "0", "P", "x_9")
+MALFORMED = ("P(a,b", "P1(a,)", "Q((a))", "P(a) x", "R_2[a]", "P(a b)", "P()", "(a)")
+
+
+@st.composite
+def documents(draw):
+    """(fault kind or None, a document of random symbols of arity 1-3 whose
+    tuple lines are shuffled and duplicated, with comments, padding and
+    mixed line breaks, and with at most one injected fault)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    symbols = draw(st.permutations(SYMBOL_POOL))
+    arities = {name: draw(st.integers(1, 3)) for name in symbols}
+    elements = draw(st.lists(st.sampled_from(ID_POOL), min_size=1, unique=True))
+    frontier = [e for e in elements if rnd.random() < 0.3]
+
+    def tuple_line(name, width):
+        return f"{name}({','.join(rnd.choice(elements) for _ in range(width))})"
+
+    tuples = [tuple_line(name, arities[name])
+              for name in draw(st.lists(st.sampled_from(symbols), max_size=12))]
+    tuples += [rnd.choice(tuples) for _ in range(rnd.randrange(3))] if tuples else []
+    rnd.shuffle(tuples)
+    fault = draw(st.sampled_from([None, "malformed", "unknown", "arity", "dangling"]))
+    name = rnd.choice(symbols)
+    bad = {
+        None: None,
+        "malformed": rnd.choice(MALFORMED),
+        "unknown": tuple_line("Z", 1),
+        "arity": tuple_line(name, arities[name] + rnd.choice((-1, 1))),
+        "dangling": f"{name}({','.join(['zz'] * arities[name])})",
+    }[fault]
+    if bad is not None:
+        tuples.insert(rnd.randrange(len(tuples) + 1), bad)
+
+    body = (["language:"] + [f"{n}/{arities[n]}" for n in symbols]
+            + ["elements:"] + elements + ["frontier:"] + frontier + ["tuples:"] + tuples)
+    for _ in range(rnd.randrange(4)):
+        body.insert(rnd.randrange(len(body) + 1), rnd.choice(("# note", "", " \t", "#x:")))
+    lines = ["%locis structure v1"] + body
+    pad = lambda: "".join(rnd.choice(" \t\x1f") for _ in range(rnd.randrange(3)))  # noqa: E731
+    lines = [pad() + line + pad() if rnd.random() < 0.3 else line for line in lines]
+    return fault, "".join(line + rnd.choice(("\n", "\r\n", "\r")) for line in lines)
+
+
+def test_random_documents_load_as_the_reference(monkeypatch):
+    # Every valid document is read by the per-symbol pass alone; a document
+    # with a fault falls back to the streaming pass, which names the error.
+    streamed = []
+
+    def counted(text, heads, stops):
+        streamed.append(text)
+        return stream(text, heads, stops)
+
+    stream = textio._streamed
+    monkeypatch.setattr(textio, "_streamed", counted)
+    kinds = set()
+
+    @given(documents())
+    @settings(max_examples=400, deadline=None)
+    def check(doc):
+        fault, text = doc
+        del streamed[:]
+        got = outcome(textio.loads, text)
+        assert got == outcome(reference_loads, text)
+        assert bool(streamed) == (got[0] != "ok")
+        kinds.add((fault, got[0]))
+
+    check()
+    assert {(None, "ok"), ("malformed", "ParseError"), ("unknown", "UnknownSymbol"),
+            ("arity", "ArityMismatch"), ("dangling", "DanglingElement")} <= kinds
 
 
 def test_empty_and_headless_documents():
