@@ -497,43 +497,41 @@ def _build_parser():
 
     p = add("gen", _cmd_gen, help="generate a window of an example family")
     fam = p.add_subparsers(dest="family", required=True)
+    # Options every family takes. A --report given before the family name
+    # is parsed by gen; the suppressed default keeps the family parser from
+    # overwriting it with None.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True)
+    common.add_argument(
+        "--report", default=argparse.SUPPRESS, help="also write the report document to this path"
+    )
 
-    q = fam.add_parser("sturmian")
+    q = fam.add_parser("sturmian", parents=[common])
     q.add_argument("--r", required=True, help="slope literal, e.g. '(0+1*sqrt(2))/1'")
     q.add_argument("--s", required=True, help="intercept literal, e.g. '0' or '(0+1*sqrt(2))/2'")
     q.add_argument("--width", type=int, required=True, help="half-width of the window")
-    q.add_argument("--out", required=True)
-    q.add_argument("--report")
 
-    q = fam.add_parser("tree")
+    q = fam.add_parser("tree", parents=[common])
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--address", required=True, help="e.g. 'constant:0', 'periodic:011', 'tm'")
     q.add_argument("--depth", type=int, required=True, help="length of the address chain")
     q.add_argument("--halo", type=int, default=14, help="faithful thickness near the base")
-    q.add_argument("--out", required=True)
-    q.add_argument("--report")
 
-    q = fam.add_parser("hyperbolic")
+    q = fam.add_parser("hyperbolic", parents=[common])
     q.add_argument("--address", required=True)
     q.add_argument("--levels", type=int, required=True)
     q.add_argument("--half-width", dest="half_width", type=int, required=True)
     q.add_argument("--support-radius", dest="support_radius", type=int, default=10)
-    q.add_argument("--out", required=True)
-    q.add_argument("--report")
 
-    q = fam.add_parser("cayley")
+    q = fam.add_parser("cayley", parents=[common])
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--radius", type=int, required=True)
-    q.add_argument("--out", required=True)
-    q.add_argument("--report")
 
-    q = fam.add_parser("grid")
+    q = fam.add_parser("grid", parents=[common])
     q.add_argument("--dims", required=True, help="comma list, e.g. '8,8'")
     q.add_argument("--mode", choices=["window", "torus"], default="window")
     q.add_argument("--colors", choices=["checkerboard"], default=None)
     q.add_argument("--phase", default=None, help="comma list shifting the coloring")
-    q.add_argument("--out", required=True)
-    q.add_argument("--report")
 
     p = add("validate", _cmd_validate, help="check a structure file")
     p.add_argument("path")

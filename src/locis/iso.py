@@ -23,7 +23,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import PointedBall, Structure
+from .core import Structure
 from .errors import (
     InvariantViolation,
     LanguageMismatch,
@@ -696,46 +696,36 @@ def _linear_layout(M):
 
     Applicable when the language has exactly one binary symbol, nothing of
     higher arity, and that symbol forms a simple path or cycle covering all
-    elements. Returns (kind, order) with kind in {'path', 'cycle'} or None.
+    elements. Returns (kind, order) with kind in {'path', 'cycle'} and order
+    the positions in M.elements along the walk, or None.
     """
     binaries = [n for n, a in M.language.symbols if a == 2]
-    if len(binaries) != 1 or any(a > 2 for _, a in M.language.symbols):
+    if len(binaries) != 1 or any(a > 2 for _, a in M.language.symbols) or not M.elements:
         return None
-    sym = binaries[0]
-    succ = {}
-    pred = {}
-    for x, y in M.tuples_by_symbol[sym]:
-        if x == y or x in succ or y in pred:
+    pos = M._positions()
+    succ = [-1] * len(M)
+    pred = [-1] * len(M)
+    for x, y in M.tuples_by_symbol[binaries[0]]:
+        i, j = pos[x], pos[y]
+        if i == j or succ[i] >= 0 or pred[j] >= 0:
             return None
-        succ[x] = y
-        pred[y] = x
-    n = len(M.elements)
-    if not M.elements:
+        succ[i] = j
+        pred[j] = i
+    # Both maps are injective, so the walk from the one head ends at a tail
+    # and the walk from 0 with no head returns to 0; either covers all
+    # elements only when nothing else is left over.
+    heads = pred.count(-1)
+    if heads > 1:
         return None
-    heads = [e for e in M.elements if e not in pred]
-    if len(heads) == 1:
-        order = [heads[0]]
-        while order[-1] in succ:
-            order.append(succ[order[-1]])
-            if len(order) > n:
-                return None
-        if len(order) != n:
-            return None
-        return "path", order
-    if not heads and len(M.tuples_by_symbol[sym]) == n:
-        start = M.elements[0]
-        order = [start]
-        while True:
-            nxt = succ.get(order[-1])
-            if nxt is None or len(order) > n:
-                return None
-            if nxt == start:
-                break
-            order.append(nxt)
-        if len(order) != n:
-            return None
-        return "cycle", order
-    return None
+    start = pred.index(-1) if heads else 0
+    order = [start]
+    j = succ[start]
+    while j >= 0 and j != start:
+        order.append(j)
+        j = succ[j]
+    if len(order) != len(M):
+        return None
+    return ("cycle" if j == start else "path"), order
 
 
 def _forest_layout(M):
@@ -840,56 +830,67 @@ def _tiling_layout(M):
     return None
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """A window's fast-path layout; see _layout."""
+
+    kind: str  # path | cycle | forest | tiling
+    chain: tuple | None = None  # (par, lab, forked) where chain words decide balls
+    order: list | None = None  # path and cycle: element ids along the walk
+    word: str | None = None  # word[i]: order[i]'s unary profile as one character
+    deps: list | None = None  # deps[i]: order[i]'s depth
+
+
 def _layout(M):
-    """The window's fast-path layout, detected once and memoized on M.
+    """The window's fast-path layout, detected here only and memoized on M.
 
-    ("path" | "cycle", order, word, deps) for a directed path or cycle, where
-    word[i] encodes the unary profile of order[i] as one character and
-    deps[i] is its depth; ("forest", par, lab) for a uniform labeled forest,
-    with the parent arrays of _forest_layout; None otherwise.
+    A _Layout, or None when no fast path applies. kind is 'path' or 'cycle'
+    for a directed path or cycle, whose order, word and deps class_ids reads
+    as linear tokens; 'forest' for a uniform labeled forest; 'tiling' for a
+    two-relation tiling window, whose classes stay generic.
+
+    chain = (par, lab, forked) is set where upward chain words decide
+    pointed balls: on forests, on tilings, and on uncoloured paths and
+    cycles that _forest_layout accepts. Over positions in M.elements, par[j]
+    is the position of j's successor along the chain (-1 where the chain
+    leaves the window) and lab[j] the label of that hop. forked holds the
+    positions whose reversed candidates die at radius 1: on a forest over
+    two or more symbols every position (a reversed map would need one
+    in-edge per child label at the image, and forest nodes have one
+    parent), on a tiling the tiles with two level predecessors (their
+    children would need two distinct level successors at the image, and
+    tiles have one).
     """
-    if "layout" not in M._cache:
-        linear = _linear_layout(M)
-        if linear is not None:
-            kind, order = linear
-            bits = dict.fromkeys(order, 0)  # unary symbol i sets bit i
-            for i, name in enumerate(M.language.unary_symbols):
-                for (e,) in M.tuples_by_symbol[name]:
-                    bits[e] |= 1 << i
-            word = "".join([chr(48 + b) for b in bits.values()])
-            depths, pos = M._depth_list(), M._positions()
-            layout = (kind, order, word, [depths[pos[e]] for e in order])
-        else:
-            forest = _forest_layout(M)
-            layout = None if forest is None else ("forest", *forest)
-        M._cache["layout"] = layout
-    return M._cache["layout"]
-
-
-def _chain_layout(M):
-    """The window's upward chain arrays: (par, lab, forked), or None.
-
-    Defined on forest and tiling windows, over positions in M.elements:
-    par[j] is the position of j's successor along the chain whose label
-    words decide pointed balls (-1 where the chain leaves the window), and
-    lab[j] the label of that hop. forked holds the positions whose reversed
-    candidates die at radius 1: on a forest over two or more symbols every
-    position (a reversed map would need one in-edge per child label at the
-    image, and forest nodes have one parent), on a tiling the tiles with two
-    level predecessors (their children would need two distinct level
-    successors at the image, and tiles have one). A forest's arrays are the
-    ones in _layout's memo; a plain path is a forest here although _layout
-    reads it as a path, so its arrays are detected on each call, as are a
-    tiling's.
-    """
-    layout = _layout(M)
-    if layout is None or layout[0] == "forest":
-        forest = None if layout is None else layout[1:]
-    else:
-        forest = _forest_layout(M)
+    if "layout" in M._cache:
+        return M._cache["layout"]
+    layout = chain = None
+    forest = _forest_layout(M)
     if forest is not None:
-        return (*forest, range(len(M) if len(M.language.symbols) >= 2 else 0))
-    return _tiling_layout(M)
+        chain = (*forest, range(len(M) if len(M.language.symbols) >= 2 else 0))
+    linear = _linear_layout(M)
+    if linear is not None:
+        kind, order = linear
+        pos = M._positions()
+        bits = [0] * len(M)  # unary symbol i sets bit i
+        for i, name in enumerate(M.language.unary_symbols):
+            for (e,) in M.tuples_by_symbol[name]:
+                bits[pos[e]] |= 1 << i
+        depths = M._depth_list()
+        layout = _Layout(
+            kind,
+            chain,
+            [M.elements[j] for j in order],
+            "".join([chr(48 + bits[j]) for j in order]),
+            [depths[j] for j in order],
+        )
+    elif chain is not None:
+        layout = _Layout("forest", chain)
+    else:
+        tiling = _tiling_layout(M)
+        if tiling is not None:
+            layout = _Layout("tiling", tiling)
+    M._cache["layout"] = layout
+    return layout
 
 
 def _chain_word(par, lab, j, length):
@@ -905,10 +906,9 @@ def _chain_word(par, lab, j, length):
     return labels
 
 
-def _forest_words(layout, h):
+def _forest_words(par, lab, h):
     """Position-ordered upward label words of length up to h, one character
     per label: each word extends its parent's, cut to h."""
-    _, par, lab = layout
     chars = [chr(48 + si) for si in range(max(lab, default=0) + 1)]
     if h <= 1:
         return [chars[si][:h] if p >= 0 else "" for p, si in zip(par, lab)]
@@ -926,22 +926,26 @@ def class_ids(M, h, extended=False):
     """Exact pointed-ball class tokens.
 
     Equal tokens iff the pointed h-balls are isomorphic. By default tokens
-    cover exactly the faithful elements (depth >= h). With extended=True,
-    fast layouts may certify tokens past the faithful region (a forest
-    window decides classes from ancestor words alone); the generic fallback
-    stays depth-bounded. Tokens are comparable within one call; use
-    signatures to compare across structures.
+    cover exactly the faithful elements (depth >= h). The window's layout,
+    detected once by _layout, picks the method: linear tokens on a path or
+    cycle, upward label words on a forest, canonical signatures of ball
+    forms otherwise (tilings included). With extended=True, a forest window
+    may certify tokens past the faithful region (it decides classes from
+    ancestor words alone); the other methods stay depth-bounded. Tokens are
+    comparable within one call; use signatures to compare across structures.
     """
     if h < 0:
         raise InvariantViolation("radius", f"negative radius {h}")
     depths = M._depth_list()
     layout = _layout(M)
-    if layout is not None and layout[0] != "forest":
+    kind = None if layout is None else layout.kind
+    if kind in ("path", "cycle"):
         tokens = _linear_tokens(h, layout)
-        return {e: t for e, t in zip(layout[1], tokens) if t is not None}
-    if layout is not None:
+        return {e: t for e, t in zip(layout.order, tokens) if t is not None}
+    if kind == "forest":
         # a word of length h is the class, wherever the window shows it
-        words = zip(M.elements, _forest_words(layout, h), depths)
+        par, lab, _ = layout.chain
+        words = zip(M.elements, _forest_words(par, lab, h), depths)
         if extended:
             return {e: w for e, w, _ in words if len(w) == h}
         return {e: w for e, w, d in words if d >= h and len(w) == h}
@@ -967,11 +971,6 @@ def _token_groups(M, h):
     return sorted(((t, sorted(g)) for t, g in groups.items()), key=lambda tg: tg[1][0])
 
 
-def class_groups(M, h):
-    """Members of each pointed h-ball class, as sorted member lists."""
-    return [g for _, g in _token_groups(M, h)]
-
-
 def _group_signature(M, h, token, rep):
     # Generic-path tokens are the signatures themselves.
     if isinstance(token, BallSignature):
@@ -989,9 +988,9 @@ def _linear_tokens(h, layout):
     strings never compare equal. On a cycle every position gets the 2h+1
     letters around it, or the whole rotation from it when 2h+1 >= n.
     """
-    kind, order, word, deps = layout
-    n = len(order)
-    if kind == "cycle":
+    word, deps = layout.word, layout.deps
+    n = len(deps)
+    if layout.kind == "cycle":
         if 2 * h + 1 >= n:
             doubled = word + word
             return [doubled[i : i + n] if d >= h else None for i, d in enumerate(deps)]
@@ -1011,18 +1010,17 @@ def census(M, h):
     groups = _token_groups(M, h)
     if not groups:
         raise NoFaithfulElements(h)
-    # Class tokens are exact, so one signature per group suffices; merge by
-    # signature defensively anyway so the table is keyed purely by it.
-    merged = {}
+    # Class tokens are exact, so one signature per group suffices, and two
+    # groups that share one would mean a class split across two tokens.
+    reps = {}
+    table = []
     for token, members in groups:
         rep = members[0]
         sig = _group_signature(M, h, token, rep)
-        if sig in merged:
-            old_mult, old_rep = merged[sig]
-            merged[sig] = (old_mult + len(members), min(old_rep, rep))
-        else:
-            merged[sig] = (len(members), rep)
-    table = [CensusEntry(sig, m, r) for sig, (m, r) in merged.items()]
+        if sig in reps:
+            raise VerificationFailed("census-tokens", (reps[sig], rep))
+        reps[sig] = rep
+        table.append(CensusEntry(sig, len(members), rep))
     table.sort(key=lambda e: e.signature.code)
     return CensusTable(radius=h, entries=table, censused=sum(len(g) for _, g in groups))
 

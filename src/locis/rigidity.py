@@ -180,7 +180,7 @@ def _pair_free_anchor(M, s, radius, need):
     WindowExhausted when no element has depth >= need.
     """
     layout = _layout(M)
-    if layout is not None and layout[0] != "forest":
+    if layout is not None and layout.kind in ("path", "cycle"):
         return _linear_pair_free_anchor(M, _linear_tokens(s, layout), layout, radius, need)
     return _ball_pair_free_anchor(M, class_ids(M, s), radius, need)
 
@@ -221,9 +221,9 @@ def _linear_pair_free_anchor(M, toks, layout, radius, need):
     the centres marked past either end fold back onto the cycle; a ball
     with 2*radius + 1 >= n is the whole cycle.
     """
-    kind, order, _, deps = layout
+    order, deps = layout.order, layout.deps
     n = len(order)
-    cyclic = kind == "cycle"
+    cyclic = layout.kind == "cycle"
     if cyclic and 2 * radius + 1 >= n:
         present = [t for t in toks if t is not None]
         hits = [len(set(present)) != len(present)] * n

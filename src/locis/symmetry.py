@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import Structure
 from .errors import (
     InvariantViolation,
     GluingConflict,
@@ -23,8 +22,8 @@ from .errors import (
 )
 from .iso import (
     PartialIso,
-    _chain_layout,
     _chain_word,
+    _layout,
     extraction_compare,
     windowed_pointed_iso,
 )
@@ -88,11 +87,12 @@ def find_symmetries(
     Deaths are monotone, so a candidate killed at a certified layer is
     ruled out at `radius` even when the window is shallower than that; a
     candidate alive at a window limit below `radius` leaves the verdict
-    exhausted rather than negative. On uniform-forest and two-relation
-    tiling windows, upward chain words decide candidates directly (either
-    way), which reaches radii far past the window's ball depth. The
-    identity candidate (anchor, forward) is skipped unless requested, so
-    reported maps are nontrivial.
+    exhausted rather than negative. Where the window's layout, detected
+    once per window by iso._layout, carries chain arrays (uniform forests,
+    two-relation tilings, uncoloured paths and cycles), upward chain words
+    decide candidates directly (either way), which reaches radii far past
+    the window's ball depth. The identity candidate (anchor, forward) is
+    skipped unless requested, so reported maps are nontrivial.
     """
     negative = " and ".join(
         f"{name} {v}" for name, v in (("displacement", displacement), ("radius", radius)) if v < 0
@@ -110,7 +110,8 @@ def find_symmetries(
     candidates = sorted(M.ball_elements(x, displacement))
     orientations = [False] + ([True] if include_reversals else [])
     # a chain death at radius 1 says nothing about radius 0
-    chain = _chain_layout(M) if radius >= 1 else None
+    layout = _layout(M) if radius >= 1 else None
+    chain = None if layout is None else layout.chain
     if chain is not None:
         par, lab, forked = chain
         pos = M._positions()

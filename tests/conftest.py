@@ -159,6 +159,50 @@ def reference_restrict(M, members, frontier):
     return Structure(M.language, members, tuples, frontier=frontier)
 
 
+def reference_linear_layout(M):
+    """(kind, element ids along the walk) of a directed path or cycle window,
+    detected over id-keyed successor and predecessor dicts; None when M is
+    not one (the conditions of iso._linear_layout)."""
+    binaries = [n for n, a in M.language.symbols if a == 2]
+    if len(binaries) != 1 or any(a > 2 for _, a in M.language.symbols):
+        return None
+    sym = binaries[0]
+    succ = {}
+    pred = {}
+    for x, y in M.tuples_by_symbol[sym]:
+        if x == y or x in succ or y in pred:
+            return None
+        succ[x] = y
+        pred[y] = x
+    n = len(M.elements)
+    if not M.elements:
+        return None
+    heads = [e for e in M.elements if e not in pred]
+    if len(heads) == 1:
+        order = [heads[0]]
+        while order[-1] in succ:
+            order.append(succ[order[-1]])
+            if len(order) > n:
+                return None
+        if len(order) != n:
+            return None
+        return "path", order
+    if not heads and len(M.tuples_by_symbol[sym]) == n:
+        start = M.elements[0]
+        order = [start]
+        while True:
+            nxt = succ.get(order[-1])
+            if nxt is None or len(order) > n:
+                return None
+            if nxt == start:
+                break
+            order.append(nxt)
+        if len(order) != n:
+            return None
+        return "cycle", order
+    return None
+
+
 def reference_linear_class_keys(M, h, kind, order, word):
     """Exact h-class keys of a path or cycle window's faithful elements,
     keyed by element: the offset of the centre and the clipped word around
@@ -241,8 +285,8 @@ def reference_chain_words(M, length):
     """({element: its first `length` chain labels}, forked elements), or None.
 
     The chain is a forest's parent map, or else a tiling's slot map, each
-    walked through id-keyed dicts; forked follows iso._chain_layout (every
-    element of a forest over two or more symbols).
+    walked through id-keyed dicts; forked follows the chain of iso._layout
+    (every element of a forest over two or more symbols).
     """
     parent = reference_forest_parent(M)
     if parent is not None:

@@ -389,8 +389,19 @@ class TestReportPlumbing:
         rp = str(tmp_path / "report.json")
         code, doc = run(capsys, "census", board_file, "--h", "1", "--report", rp)
         assert code == 0
-        stored = json.loads(open(rp).read())
+        with open(rp) as fh:
+            stored = json.loads(fh.read())
         assert stored == doc
+
+    @pytest.mark.parametrize("before_family", [True, False])
+    def test_gen_report_flag_in_either_place(self, tmp_path, capsys, before_family):
+        rp = str(tmp_path / "report.json")
+        family = ["grid", "--dims", "3", "--out", str(tmp_path / "g.locis")]
+        argv = ["gen", "--report", rp, *family] if before_family else ["gen", *family, "--report", rp]
+        code, doc = run(capsys, *argv)
+        assert code == 0
+        with open(rp) as fh:
+            assert json.loads(fh.read()) == doc
 
     def test_workers_flag_rejected(self, board_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -27,6 +27,7 @@ from locis.errors import (
     LanguageMismatch,
     NoFaithfulElements,
     VerificationFailed,
+    WindowExhausted,
 )
 from locis.generators import (
     AddressSequence,
@@ -42,8 +43,9 @@ from locis.iso import (
     EngineResult,
     PartialIso,
     _layout,
+    _linear_layout,
+    _token_groups,
     census,
-    class_groups,
     class_ids,
     extraction_compare,
     lip_check,
@@ -51,6 +53,8 @@ from locis.iso import (
     signature,
     windowed_pointed_iso,
 )
+from locis.rigidity import _pair_free_anchor
+from locis.symmetry import find_symmetries
 
 from conftest import (
     LANG2,
@@ -58,6 +62,7 @@ from conftest import (
     groupings,
     reference_forest_class_keys,
     reference_linear_class_keys,
+    reference_linear_layout,
     brute_force_pointed_iso,
     brute_pointed_canonical,
     cfi_pair,
@@ -416,6 +421,23 @@ class TestCensus:
             with pytest.raises(InvariantViolation):
                 fn(M, -1)
 
+    def test_a_class_split_across_tokens_fails_verification(self, monkeypatch):
+        periods, cmap = checkerboard_colormap()
+        M = gen_grid((4, 4), mode="torus", periods=periods, colormap=cmap)
+        exact = locis.iso.class_ids
+
+        def split(M, h, extended=False):
+            # the id-least element leaves its class under a token of its own
+            ids = exact(M, h, extended)
+            first = min(ids)
+            return {e: ("split", t) if e == first else t for e, t in ids.items()}
+
+        monkeypatch.setattr(locis.iso, "class_ids", split)
+        with pytest.raises(VerificationFailed) as exc:
+            census(M, 2)
+        assert exc.value.stage == "census-tokens"
+        assert min(M.elements) in exc.value.detail
+
     def test_signatures_comparable_across_structures(self, sqrt2):
         # the same infinite structure seen through two windows yields
         # identical signature sets
@@ -428,7 +450,7 @@ class TestClassTokens:
     def test_forest_fast_path_matches_generic_signatures(self):
         M = gen_kary_tree(2, AddressSequence.thue_morse(1, 2), depth=10, halo=5)
         for h in (1, 2, 3):
-            groups = class_groups(M, h)
+            groups = [g for _, g in _token_groups(M, h)]
             # regroup the same elements by generic ball signature
             sig_groups = {}
             for e in M.faithful_elements(h):
@@ -800,6 +822,90 @@ def test_forms_that_differ_only_in_wiring_keep_their_codes():
         assert tokens[e] == signature(U.ball(e, 1))
 
 
+class TestLayout:
+    """_layout detects each window's layout once, and its chain arrays
+    follow the rules its docstring states."""
+
+    def windows(self, sqrt2):
+        periods, cmap = checkerboard_colormap()
+        yield gen_sturmian(sqrt2, 0, 60)  # a coloured path
+        yield gen_grid((12,), mode="window")  # an uncoloured path
+        yield gen_grid((7,), mode="torus")  # an uncoloured cycle
+        yield gen_kary_tree(2, AddressSequence.parse("tm12"), depth=6, halo=3)
+        yield gen_binary_hyperbolic(AddressSequence.parse("tm"), 6, 8, 3)
+        yield gen_grid((4, 4), mode="torus", periods=periods, colormap=cmap)
+
+    def test_each_detector_runs_at_most_once_per_window(self, sqrt2, monkeypatch):
+        calls = Counter()
+
+        def counted(name, detect):
+            def wrapper(M):
+                calls[name] += 1
+                return detect(M)
+
+            return wrapper
+
+        for name in ("_linear_layout", "_forest_layout", "_tiling_layout"):
+            monkeypatch.setattr(locis.iso, name, counted(name, getattr(locis.iso, name)))
+        seen = Counter()
+        for M in self.windows(sqrt2):
+            calls.clear()
+            for h in (1, 2):
+                class_ids(M, h)
+            try:
+                _pair_free_anchor(M, 1, 2, 3)
+            except WindowExhausted:
+                pass
+            find_symmetries(M, 1, 2)
+            assert max(calls.values()) == 1, (_layout(M).kind, calls)
+            seen.update(calls)
+        assert set(seen) == {"_linear_layout", "_forest_layout", "_tiling_layout"}
+
+    def test_chain_arrays_on_paths_and_cycles(self, sqrt2):
+        lang = Language([("S", 2)])
+        ids = [str(i) for i in range(6)]
+        tuples = [("S", (a, b)) for a, b in zip(ids, ids[1:])]
+        closed = _layout(Structure(lang, ids, tuples))
+        cut = _layout(Structure(lang, ids, tuples, frontier=(ids[0], ids[-1])))
+        cycle = _layout(gen_grid((7,), mode="torus"))
+        coloured = _layout(gen_sturmian(sqrt2, 0, 20))
+        assert (closed.kind, cut.kind, cycle.kind, coloured.kind) == ("path", "path", "cycle", "path")
+        # the head of a closed path is a node of depth >= 1 without a parent
+        assert closed.chain is None and coloured.chain is None
+        assert cut.chain is not None and cycle.chain is not None
+
+    def test_linear_layout_matches_the_id_keyed_reference(self):
+        rng = random.Random(1313)
+        windows = []
+        for trial in range(80):
+            n = rng.randrange(1, 30)
+            windows.append(colored_line(rng, n, 1 + trial % 3, cycle=trial % 2 == 1))
+        lang = Language([("S", 2)])
+
+        def line(n, edges):
+            return Structure(lang, map(str, range(n)), [("S", (str(a), str(b))) for a, b in edges])
+
+        windows += [
+            line(4, [(0, 1), (2, 3)]),  # two heads
+            line(3, [(0, 1), (1, 2), (2, 2)]),  # a self-loop
+            line(4, [(0, 1), (1, 2), (1, 3)]),  # a branch
+            line(4, [(0, 2), (1, 2), (2, 3)]),  # a merge
+            line(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),  # two disjoint cycles
+            line(5, [(0, 1), (2, 3), (3, 4), (4, 2)]),  # a path beside a cycle
+            line(0, []),  # the empty window
+        ]
+        kinds = Counter()
+        for M in windows:
+            got = _linear_layout(M)
+            if got is not None:
+                kind, order = got
+                got = kind, [M.elements[j] for j in order]
+            want = reference_linear_layout(M)
+            assert got == want, list(M.all_tuples())
+            kinds[None if want is None else want[0]] += 1
+        assert kinds["path"] > 20 and kinds["cycle"] > 20 and kinds[None] >= 7
+
+
 class TestFastPathsAgainstReferences:
     """Position-ordered linear tokens and parent-extended forest words
     against the id-keyed references in conftest: the same elements get
@@ -815,14 +921,14 @@ class TestFastPathsAgainstReferences:
             frontier = [(), (rng.randrange(n),), (0, n - 1)][shape]
             M = colored_line(rng, n, 1 + trial % 3, cycle=cycle, frontier=frontier)
             layout = _layout(M)
-            if layout is None or layout[0] == "forest":
+            if layout is None or layout.kind == "forest":
                 continue  # a lone element, or one Succ edge with no colours
-            kinds.add((layout[0], shape))
+            kinds.add((layout.kind, shape))
             for h in range(n + 2):
-                want = reference_linear_class_keys(M, h, *layout[:3])
+                want = reference_linear_class_keys(M, h, layout.kind, layout.order, layout.word)
                 got = class_ids(M, h)
-                assert groupings(got) == groupings(want), (layout[0], n, h)
-                wide += layout[0] == "cycle" and 2 * h + 1 >= n and bool(got)
+                assert groupings(got) == groupings(want), (layout.kind, n, h)
+                wide += layout.kind == "cycle" and 2 * h + 1 >= n and bool(got)
         assert kinds == {(k, shape) for k in ("path", "cycle") for shape in range(3)}
         assert wide > 0
 
@@ -833,12 +939,12 @@ class TestFastPathsAgainstReferences:
             M = random_labeled_forest(rng, 1 + trial % 3)
             layout = _layout(M)
             reference = reference_forest_class_keys(M, 0)
-            if layout is None or layout[0] != "forest":
+            if layout is None or layout.kind != "forest":
                 # a path or cycle wins for one symbol; otherwise both refuse
                 assert reference is None or layout is not None
                 continue
             forests += 1
-            par = layout[1]
+            par = layout.chain[0]
             loops += any(_on_loop(par, j) for j in range(len(par)))
             for h in range(8):
                 for extended in (False, True):
@@ -850,7 +956,7 @@ class TestFastPathsAgainstReferences:
     def test_tree_words_group_like_the_reference(self):
         for k, address, depth, halo in ((2, "tm12", 12, 4), (3, "periodic:123", 8, 3)):
             M = gen_kary_tree(k, AddressSequence.parse(address), depth=depth, halo=halo)
-            assert _layout(M)[0] == "forest"
+            assert _layout(M).kind == "forest"
             for h in (0, 1, 2, 5, 9):
                 for extended in (False, True):
                     want = reference_forest_class_keys(M, h, extended)

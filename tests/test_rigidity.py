@@ -54,7 +54,7 @@ def linear_probe(M, ids, radius, need):
     """The one-pass probe over the tokens of an id-keyed dict, laid out in
     path or cycle order."""
     layout = _layout(M)
-    return _linear_pair_free_anchor(M, [ids.get(e) for e in layout[1]], layout, radius, need)
+    return _linear_pair_free_anchor(M, [ids.get(e) for e in layout.order], layout, radius, need)
 
 
 def period2_line(width=80):
@@ -124,7 +124,7 @@ class TestLinearProbe:
         kinds = set()
         whole_cycle_balls = 0
         for M in self.windows():
-            kind = _layout(M)[0]
+            kind = _layout(M).kind
             kinds.add(kind)
             for r, s in self.RS:
                 ids = class_ids(M, s)
@@ -148,7 +148,7 @@ class TestLinearProbe:
                 for radius, need in ((2 * r, 2 * r + s), (r, r + s), (r, 0)):
                     got = pair_free_outcome(_pair_free_anchor, M, s, radius, need)
                     want = pair_free_outcome(_ball_pair_free_anchor, M, ids, radius, need)
-                    assert got == want, (_layout(M)[0], len(M), r, s, radius)
+                    assert got == want, (_layout(M).kind, len(M), r, s, radius)
 
     def test_outcomes_cover_found_none_and_exhausted(self):
         outcomes = set()
@@ -167,7 +167,7 @@ class TestLinearProbe:
 
     def test_striped_line_has_pairs_everywhere(self):
         M = period2_line(width=400)
-        assert _layout(M)[0] == "path"
+        assert _layout(M).kind == "path"
         for r, s in self.RS[1:]:
             assert _pair_free_anchor(M, s, 2 * r, 2 * r + s) is None
             assert _ball_pair_free_anchor(M, class_ids(M, s), 2 * r, 2 * r + s) is None
@@ -273,7 +273,8 @@ class TestRigidLimit:
         M = gen_sturmian(sqrt2, 0, 4000)
         trace = rigid_limit(M, 2, "0")
         manifest_path = trace.save(tmp_path / "trace")
-        manifest = json.loads(open(manifest_path).read())
+        with open(manifest_path) as fh:
+            manifest = json.loads(fh.read())
         assert manifest["locis_rigid_limit"] == 1
         assert len(manifest["steps"]) == 3
         for n, entry in enumerate(manifest["steps"]):

@@ -33,7 +33,6 @@ from locis.generators import (
 )
 from locis.iso import (
     PartialIso,
-    _chain_layout,
     _chain_word,
     _layout,
     _parents_first,
@@ -221,8 +220,8 @@ def test_outcomes_are_pinned_across_layouts(case):
 
 def test_chain_layout_reads_a_plain_path_as_a_forest():
     M = gen_grid((12,), mode="window")
-    assert _layout(M)[0] == "path"
-    par, lab, forked = _chain_layout(M)
+    assert _layout(M).kind == "path"
+    par, lab, forked = _layout(M).chain
     assert sum(p >= 0 for p in par) == len(M) - 1
     assert all(label == 0 for label in lab)
     assert not forked  # one symbol: reversals are left to the engine
@@ -249,13 +248,14 @@ def test_chain_words_match_the_id_walk():
     kinds, loops = Counter(), 0
     for M in chain_windows():
         reference = reference_chain_words(M, 9)
-        chain = _chain_layout(M)
+        layout = _layout(M)
+        chain = None if layout is None else layout.chain
         assert (chain is None) == (reference is None)
         if chain is None:
             continue
         par, lab, forked = chain
         words, want_forked = reference
-        kinds[_layout(M)[0] if _layout(M) else "tiling"] += 1
+        kinds[layout.kind] += 1
         loops += bool(_parents_first(par)[1])
         for j, e in enumerate(M.elements):
             for length in (0, 1, 4, 9):
