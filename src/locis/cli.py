@@ -306,6 +306,16 @@ def _cmd_algebra(args):
     )
 
 
+def _verdict(outcome, holds, fails):
+    """The report verdict for a library outcome: `holds` and `fails` name
+    the outcomes that hold and fail up to bounds; any other is inconclusive."""
+    if outcome == holds:
+        return "holds_up_to_bounds"
+    if outcome == fails:
+        return "fails_with_witness"
+    return "inconclusive"
+
+
 def _cmd_symmetries(args):
     M = textio.load(args.path)
     rep = find_symmetries(
@@ -316,12 +326,7 @@ def _cmd_symmetries(args):
         include_identity=args.include_identity,
         anchor=args.anchor,
     )
-    if rep.verdict == "found":
-        verdict = "holds_up_to_bounds"
-    elif rep.verdict == "none_found":
-        verdict = "fails_with_witness"
-    else:
-        verdict = "inconclusive"
+    verdict = _verdict(rep.verdict, "found", "none_found")
     layer_of = {(y, rev): rad for y, rev, out, rad in rep.candidates if out == "found"}
     summaries = []
     for p in rep.found:
@@ -363,12 +368,7 @@ def _cmd_symmetries(args):
 def _cmd_periods(args):
     M = textio.load(args.path)
     rep = detect_periodicity(M, args.rank_bound, radius=args.radius)
-    if rep.orbit_cover == "covers_interior":
-        verdict = "holds_up_to_bounds"
-    elif rep.orbit_cover == "no_generators":
-        verdict = "fails_with_witness"
-    else:
-        verdict = "inconclusive"
+    verdict = _verdict(rep.orbit_cover, "covers_interior", "no_generators")
     body = {
         "rank": rep.rank,
         "rank_label": str(rep.rank_label()),
@@ -390,12 +390,7 @@ def _cmd_rigidity(args):
     M = textio.load(args.path)
     radii = _parse_radii(args.radii)
     rep = rigidity_characterization(M, radii, args.s, lip_radius=args.lip_radius)
-    if rep.verdict == "characterization_holds_up_to_bounds":
-        verdict = "holds_up_to_bounds"
-    elif rep.verdict == "property_P_detected":
-        verdict = "fails_with_witness"
-    else:
-        verdict = "inconclusive"
+    verdict = _verdict(rep.verdict, "characterization_holds_up_to_bounds", "property_P_detected")
     body = {
         "outcome": rep.verdict,
         "lip_k": rep.lip_k,

@@ -347,8 +347,10 @@ class Structure:
         discovery order, sources first: neighbours are scanned in int order,
         which is id order, so this is the order in which a FIFO queue over
         adjacency() meets them. ball_elements and the step words of symmetry
-        rely on that order.
+        rely on that order. A negative limit is rejected.
         """
+        if limit is not None and limit < 0:
+            raise InvariantViolation("radius", f"negative radius {limit}")
         nbrs = self._gaifman()
         dist = dict.fromkeys(map(self._positions().__getitem__, sources), 0)
         layer, d = list(dist), 0
@@ -423,7 +425,8 @@ class Structure:
     # -- balls -------------------------------------------------------------
 
     def ball_elements(self, center, h):
-        """BFS element set of B(center, h), without the faithfulness check."""
+        """BFS element set of B(center, h), without the faithfulness check;
+        a negative h is rejected by distances()."""
         if center not in self._eset:
             raise DanglingElement(center, lookup="ball centre")
         return self.distances((center,), h)

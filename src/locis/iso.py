@@ -3,7 +3,9 @@ extraction comparison.
 
 The search engine works directly on parent windows: it grows BFS layers
 around both centers in lockstep and backtracks over layer-respecting
-assignments. Each element's candidates are drawn from a pivot tuple, one
+assignments. It reads layer L only once the search has completed layer L-1,
+so a candidate that dies at L costs a search to radius L, however large the
+requested radius. Each element's candidates are drawn from a pivot tuple, one
 whose other arguments are already mapped: only the elements that complete
 its image are tried. Elements with no such tuple, the center among them,
 try their whole layer. A pointed isomorphism at radius r restricts to one
@@ -155,14 +157,22 @@ class EngineResult:
     mapping: dict | None = None
 
 
-def _grow_layers(M, center, limit):
-    dist = M.distances((center,), limit)
-    layers = [[] for _ in range(max(dist.values()) + 1)]
-    for u, d in dist.items():
-        layers[d].append(u)
-    for layer in layers:
-        layer.sort()
-    return layers, dist
+def _layers(M, center, dist):
+    """The Gaifman layers around center, one per next(): each a list of ids
+    in id order, and [] once the ball stops growing. dist records each
+    element's layer as it is yielded."""
+    nbrs = M._gaifman()
+    at = M.elements.__getitem__
+    layer = [M._positions()[center]]
+    seen = set(layer)
+    level = 0
+    while True:
+        ids = list(map(at, layer))
+        dist.update(dict.fromkeys(ids, level))
+        yield ids
+        layer = sorted({v for u in layer for v in nbrs[u]} - seen)
+        seen.update(layer)
+        level += 1
 
 
 def _layer_summary(M, layer, dist, level):
@@ -194,10 +204,13 @@ def _layer_summary(M, layer, dist, level):
 def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     """Search for a pointed isomorphism (B_M(a,r),a) -> (B_N(b,r),b).
 
-    Works on the parent windows without extracting balls. With reverse=True
-    the map is orientation-reversing: it sends a tuple (x_1,...,x_k) of M
-    onto the tuple of N that lists the images backwards. The search reverses
-    u's tuples once, when it builds the checks below, and reads N as it is.
+    Works on the parent windows without extracting balls. Both balls grow
+    one layer at a time: layer L is read only once the search has completed
+    layer L-1, and two layers that differ in size or summary kill the
+    candidate at L. With reverse=True the map is orientation-reversing: it
+    sends a tuple (x_1,...,x_k) of M onto the tuple of N that lists the
+    images backwards. The search reverses u's tuples once, when it builds
+    the checks below, and reads N as it is.
     """
     if M.language != N.language:
         raise LanguageMismatch(M.language, N.language)
@@ -210,60 +223,51 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
         certifiable = target_radius
     certifiable = int(certifiable)
 
-    layers_a, dist_a = _grow_layers(M, a, certifiable)
-    layers_b, dist_b = _grow_layers(N, b, certifiable)
+    dist_a, dist_b = {}, {}
+    grow_a, grow_b = _layers(M, a, dist_a), _layers(N, b, dist_b)
+    layers_b = []
 
-    # Set-level prechecks, layer by layer. A mismatch at a faithful layer L
-    # certifies death at radius L; the DFS then runs through layer L-1 only,
-    # so that the reported radius is the least dead one.
-    top = max(len(layers_a), len(layers_b))
-    mismatch = None
-    for level in range(top):
-        la = layers_a[level] if level < len(layers_a) else []
-        lb = layers_b[level] if level < len(layers_b) else []
+    # The order grows a layer at a time, so when the search reaches u,
+    # exactly the elements before u are mapped. compatible() checks the
+    # tuples of u whose other arguments all come earlier, and candidates come
+    # from the first of them that has another argument, the pivot: the v
+    # worth trying complete the pivot's image in N, found among the tuples of
+    # one mapped argument's image. compatible() rejects every other v of the
+    # layer, so the search visits the same nodes in the same order as a scan
+    # of the whole layer, which positions without a pivot (the center among
+    # them) still use. A reversed search stores each tuple backwards, so its
+    # image is read from N as it is; the mapped-tuple count ignores argument
+    # order.
+    step = -1 if reverse else 1
+    order, closing, pivots = [], [], []
+    position = {}
+
+    def enter(level):
+        """Read layer `level` on both sides; False when the layers differ."""
+        la, lb = next(grow_a), next(grow_b)
         if len(la) != len(lb) or (
             _layer_summary(M, la, dist_a, level) != _layer_summary(N, lb, dist_b, level)
         ):
-            mismatch = level
-            break
-    if mismatch is not None:
-        effective, stalled = mismatch - 1, False
-    else:
-        effective = min(certifiable, top - 1)
-        # Balls that stopped growing inside the window: radius `effective`
-        # already determines every larger radius.
-        stalled = effective < certifiable and len(layers_a) - 1 <= effective
-
-    order = [(u, level) for level in range(effective + 1) for u in layers_a[level]]
-    n = len(order)
-
-    # The order is static, so when the search reaches u, exactly the
-    # elements before u are mapped. compatible() checks the tuples of u whose
-    # other arguments all come earlier, and candidates come from the first of
-    # them that has another argument, the pivot: the v worth trying complete
-    # the pivot's image in N, found among the tuples of one mapped argument's
-    # image. compatible() rejects every other v of the layer, so the search
-    # visits the same nodes in the same order as a scan of the whole layer,
-    # which positions without a pivot (the center among them) still use.
-    # A reversed search stores each tuple backwards, so its image is read
-    # from N as it is; the mapped-tuple count ignores argument order.
-    step = -1 if reverse else 1
-    position = {u: idx for idx, (u, _) in enumerate(order)}
-    closing, pivots = [], []
-    for idx, (u, _) in enumerate(order):
-        mine = [
-            (sym, t[::step])
-            for sym, t in M.incident(u)
-            if all(position.get(x, n) <= idx for x in t)
-        ]
-        closing.append(mine)
-        pivot = None
-        for sym, t in mine:
-            others = [x for x in t if x != u]
-            if others:
-                pivot = (sym, others[0], tuple(None if x == u else x for x in t))
-                break
-        pivots.append(pivot)
+            return False
+        layers_b.append(lb)
+        start, end = len(order), len(order) + len(la)
+        position.update(zip(la, range(start, end)))
+        for idx, u in enumerate(la, start):
+            order.append((u, level))
+            mine = [
+                (sym, t[::step])
+                for sym, t in M.incident(u)
+                if all(position.get(x, end) <= idx for x in t)
+            ]
+            closing.append(mine)
+            pivot = None
+            for sym, t in mine:
+                others = [x for x in t if x != u]
+                if others:
+                    pivot = (sym, others[0], tuple(None if x == u else x for x in t))
+                    break
+            pivots.append(pivot)
+        return True
 
     fwd = {}
     bwd = {}
@@ -305,44 +309,44 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
         mapped = sum(all(x == v or x in bwd for x in t) for _, t in N.incident(v))
         return mapped == len(closing[idx])
 
-    # Iterative DFS over layer-respecting assignments, in the static order
-    # above; each position tries the candidates of its pivot tuple, or its
-    # whole layer when it has none. best_complete tracks the deepest layer
-    # fully assigned on any branch; finishing layer L certifies an
-    # isomorphism at radius L, so an exhausted search is alive at
-    # best_complete and dead at best_complete + 1: the kill radius is tight.
-    best_complete = -1
-    iters = [None] * n
+    # Iterative DFS over layer-respecting assignments, in the order above;
+    # each position tries the candidates of its pivot tuple, or its whole
+    # layer when it has none. The search reaches the end of the order only
+    # by completing its deepest layer, which certifies an isomorphism at
+    # that radius, and only then reads the next layer. So a search that runs
+    # out of candidates is alive at the layer before its deepest and dead at
+    # the deepest: the kill radius is tight.
+    level = -1
+    iters = {}
     idx = 0
-    if n:
-        iters[0] = iter(candidates(0))
-    while 0 <= idx < n:
-        u, level = order[idx]
+    while idx >= 0:
+        if idx == len(order):
+            if level == certifiable:
+                if level >= target_radius:
+                    return EngineResult("iso", target_radius, fwd)
+                return EngineResult("exhausted", level, fwd)
+            level += 1
+            if not enter(level):
+                return EngineResult("dead", level)
+            if idx == len(order):
+                # Balls that stopped growing inside the window: the radius
+                # reached already determines every larger radius.
+                return EngineResult("iso", target_radius, fwd)
+            iters[idx] = iter(candidates(idx))
+        u = order[idx][0]
         for v in iters[idx]:
             if v not in bwd and compatible(idx, v):
                 fwd[u] = v
                 bwd[v] = u
                 idx += 1
-                if idx == n or order[idx][1] != level:
-                    best_complete = max(best_complete, level)
-                if idx < n:
+                if idx < len(order):
                     iters[idx] = iter(candidates(idx))
                 break
         else:
             idx -= 1
             if idx >= 0:
                 del bwd[fwd.pop(order[idx][0])]
-
-    if idx == n:
-        if mismatch is not None:
-            # Alive through layer mismatch-1, dead at the mismatch.
-            return EngineResult("dead", mismatch)
-        if stalled or effective >= target_radius:
-            return EngineResult("iso", target_radius, fwd)
-        return EngineResult("exhausted", effective, fwd)
-    # DFS exhausted: no isomorphism at best_complete + 1, which is within the
-    # faithful region by construction.
-    return EngineResult("dead", best_complete + 1)
+    return EngineResult("dead", level)
 
 
 def pointed_iso(A, B):

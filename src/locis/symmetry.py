@@ -45,9 +45,6 @@ class SymmetryReport:
         return [p for p in self.found if p.reversed_target]
 
 
-_PROBE_RADIUS = 6
-
-
 def _word_step(wx, wy, radius):
     """Compare two upward chain words and certify the candidate either way.
 
@@ -82,17 +79,18 @@ def find_symmetries(
 ):
     """Pointed-ball symmetries anchored at one deep element.
 
-    Each candidate y in B(anchor, displacement), in either orientation, is
-    probed at a small radius and, if alive, pushed to the window limit.
-    Deaths are monotone, so a candidate killed at a certified layer is
-    ruled out at `radius` even when the window is shallower than that; a
-    candidate alive at a window limit below `radius` leaves the verdict
-    exhausted rather than negative. Where the window's layout, detected
-    once per window by iso._layout, carries chain arrays (uniform forests,
-    two-relation tilings, uncoloured paths and cycles), upward chain words
-    decide candidates directly (either way), which reaches radii far past
-    the window's ball depth. The identity candidate (anchor, forward) is
-    skipped unless requested, so reported maps are nontrivial.
+    Each candidate y in B(anchor, displacement), in either orientation, gets
+    one engine search at the window limit, which reads layers only as far as
+    the candidate stays alive. Deaths are monotone, so a candidate killed at
+    a certified layer is ruled out at `radius` even when the window is
+    shallower than that; a candidate alive at a window limit below `radius`
+    leaves the verdict exhausted rather than negative. Where the window's
+    layout, detected once per window by iso._layout, carries chain arrays
+    (uniform forests, two-relation tilings, uncoloured paths and cycles),
+    upward chain words decide candidates directly (either way), which
+    reaches radii far past the window's ball depth. The identity candidate
+    (anchor, forward) is skipped unless requested, so reported maps are
+    nontrivial.
     """
     negative = " and ".join(
         f"{name} {v}" for name, v in (("displacement", displacement), ("radius", radius)) if v < 0
@@ -132,12 +130,6 @@ def find_symmetries(
                 detail.append((y, rev, "dead", step[1]))
                 continue
             limit = _full_limit_pair(M, x, M, y)
-            if step is None:
-                probe = min(_PROBE_RADIUS, radius, limit)
-                first = windowed_pointed_iso(M, x, M, y, probe, rev)
-                if first.status == "dead":
-                    detail.append((y, rev, "dead", first.radius))
-                    continue
             full = windowed_pointed_iso(M, x, M, y, limit, rev)
             if full.status == "dead":
                 detail.append((y, rev, "dead", full.radius))
@@ -472,8 +464,9 @@ def periodic_isomorphism(M, N, pre_radius=1, period_report=None):
     """Layered search for an isomorphism-approximant M -> N.
 
     A census comparison at pre_radius filters the hopeless case cheaply;
-    otherwise every target anchor is grown to the window limit. Survival to
-    the limit returns a verified approximant; death of every candidate
+    otherwise every target anchor gets one engine search at the window
+    limit, which stops at the first layer where it dies. Survival to the
+    limit returns a verified approximant; death of every candidate
     returns None. The period_report parameter is informational: periodicity
     of N is what justifies reading the window-limit certificate as evidence
     for a full isomorphism.
@@ -485,7 +478,6 @@ def periodic_isomorphism(M, N, pre_radius=1, period_report=None):
         return None
     a = M.deepest_element()
     profile = M.unary_profile(a)
-    small = 4
     # deepest targets first, so a survivor carries the strongest certificate
     ranked = sorted((-min(d, len(N)), e) for e, d in zip(N.elements, N._depth_list()))
     for _, b in ranked:
@@ -493,9 +485,6 @@ def periodic_isomorphism(M, N, pre_radius=1, period_report=None):
             continue
         limit = _full_limit_pair(M, a, N, b)
         if limit < pre_radius:
-            continue
-        first = windowed_pointed_iso(M, a, N, b, min(small, limit))
-        if first.status == "dead":
             continue
         full = windowed_pointed_iso(M, a, N, b, limit)
         if full.status == "iso":

@@ -14,7 +14,7 @@ import pytest
 
 from locis.core import ELEMENT_RE, Language, Structure
 from locis.errors import ParseError
-from locis.iso import EngineResult, _grow_layers, _layer_summary
+from locis.iso import EngineResult, _layer_summary
 
 LANG2 = Language([("P", 2), ("Q", 2)])
 
@@ -342,15 +342,28 @@ def reversed_structure(M):
     )
 
 
+def _grow_layers(M, center, limit):
+    """The BFS layers of B(center, limit), each sorted, and the distances."""
+    dist = M.distances((center,), limit)
+    layers = [[] for _ in range(max(dist.values()) + 1)]
+    for u, d in dist.items():
+        layers[d].append(u)
+    for layer in layers:
+        layer.sort()
+    return layers, dist
+
+
 def reference_windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     """The layered engine with full-layer candidates.
 
     Every unassigned v of u's layer is tried in sorted order, so it reaches
     the same first leaf and the same deepest completed layer as
-    locis.iso.windowed_pointed_iso without drawing candidates from tuples. A
-    precheck mismatch at layer L runs the search through layer L-1 only, so
-    the kill radius is the least dead one. A reversed search runs forward
-    onto the reversed copy of N, whose depths are N's.
+    locis.iso.windowed_pointed_iso without drawing candidates from tuples. It
+    grows both balls to the full radius and runs every layer precheck before
+    it searches, where the library reads a layer only once its search
+    reaches it. A precheck mismatch at layer L runs the search through layer
+    L-1 only, so the kill radius is the least dead one. A reversed search
+    runs forward onto the reversed copy of N, whose depths are N's.
     """
     if reverse:
         N = reversed_structure(N)

@@ -233,8 +233,17 @@ class TestBalls:
         assert len(ball) == 4
 
     def test_negative_radius(self):
-        with pytest.raises(InvariantViolation):
-            path(3).ball("1", -1)
+        # ball_elements inherits the check from distances; all three say the same
+        M = path(3)
+        for call, bound in (
+            (lambda: M.ball("1", -1), -1),
+            (lambda: M.ball_elements("1", -2), -2),
+            (lambda: M.distances(("0", "1"), -1), -1),
+        ):
+            with pytest.raises(InvariantViolation) as exc_info:
+                call()
+            want = InvariantViolation("radius", f"negative radius {bound}")
+            assert str(exc_info.value) == str(want)
 
     def test_pointed_ball_center_must_belong(self):
         ball = path(3).ball("1", 1).structure
@@ -369,7 +378,7 @@ class TestIntIndexAgainstReferences:
             M = mixed_window(rng)
             picks = [rng.choice(M.elements) for _ in range(rng.randrange(0, 4))]
             for sources in (picks, M.frontier, M.elements[:1]):
-                for limit in (None, -1, 0, 1, 2, 3):
+                for limit in (None, 0, 1, 2, 3):
                     got = M.distances(sources, limit)
                     assert list(got.items()) == list(reference_distances(M, sources, limit).items())
 

@@ -262,15 +262,23 @@ def upt_window(draw, closed=False, max_n=6):
     return Structure(LANG_UPT, elements, tuples, frontier=frontier)
 
 
-@given(upt_window(), upt_window(), st.booleans(), st.integers(0, 6), st.booleans(), st.data())
+@given(upt_window(), upt_window(), st.booleans(), st.integers(0, 6), st.integers(0, 6),
+       st.booleans(), st.data())
 @settings(max_examples=400, deadline=None)
-def test_engine_matches_full_layer_reference(M, N, same, radius, reverse, data):
+def test_engine_matches_full_layer_reference(M, N, same, radius, extra, reverse, data):
     if same:
         N = M
     a = data.draw(st.sampled_from(M.elements))
     b = data.draw(st.sampled_from(N.elements))
     got = windowed_pointed_iso(M, a, N, b, radius, reverse)
     assert got == reference_windowed_pointed_iso(M, a, N, b, radius, reverse)
+    # a death at L <= radius is the least dead radius, so a search allowed
+    # to go further reports the same one
+    r2 = radius + extra
+    wider = windowed_pointed_iso(M, a, N, b, r2, reverse)
+    assert wider == reference_windowed_pointed_iso(M, a, N, b, r2, reverse)
+    if got.status == "dead":
+        assert wider == got
 
 
 @given(upt_window(), upt_window(), st.sampled_from(["other", "same", "mirror"]),
@@ -364,6 +372,23 @@ def test_layer_precheck_prunes_before_the_search(monkeypatch):
 
     monkeypatch.setattr(Structure, "has_tuple", counted)
     assert windowed_pointed_iso(M, "0", N, "0", 6) == EngineResult("dead", 6)
+
+
+def test_a_dead_candidate_reads_only_the_layers_its_search_reaches(monkeypatch, sqrt2):
+    # Around -4 the column and its arrow-reversed copy part at layer 1, so
+    # the engine reads layers 0 and 1 of each side, however far it may go.
+    M = gen_sturmian(sqrt2, 0, 1000)
+    R = reversed_structure(M)
+    summary = locis.iso._layer_summary
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return summary(*args)
+
+    monkeypatch.setattr(locis.iso, "_layer_summary", counted)
+    assert windowed_pointed_iso(M, "-4", R, "-4", 900) == EngineResult("dead", 1)
+    assert calls[0] <= 4
 
 
 def test_cfi_pair_dies_where_signatures_part():

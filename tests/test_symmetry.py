@@ -218,6 +218,36 @@ def test_outcomes_are_pinned_across_layouts(case):
     assert outcome_digest(rep) == digest
 
 
+def engine_calls(monkeypatch):
+    """The (target, reversed) pairs that symmetry searches with the engine,
+    recorded in call order."""
+    calls = []
+
+    def counted(M, a, N, b, radius, reverse=False):
+        calls.append((b, reverse))
+        return windowed_pointed_iso(M, a, N, b, radius, reverse)
+
+    monkeypatch.setattr("locis.symmetry.windowed_pointed_iso", counted)
+    return calls
+
+
+def test_one_engine_search_per_candidate(monkeypatch):
+    calls = engine_calls(monkeypatch)
+    # the checkerboard torus of the periods benchmark job has no chain
+    # layout: the engine decides its 12 nonidentity candidates
+    M = torus_checkerboard()
+    rep = find_symmetries(M, 2, len(M), include_reversals=False)
+    assert len(rep.candidates) == 12
+    assert sorted(calls) == sorted((y, rev) for y, rev, _, _ in rep.candidates)
+    # on chain layouts, words decide some candidates and the engine the rest
+    for case, (build, pick, displacement, radius, identity, _, _) in sorted(GOLDEN.items()):
+        calls.clear()
+        M = build()
+        rep = find_symmetries(M, displacement, radius, include_identity=identity, anchor=pick(M))
+        assert len(calls) == len(set(calls)), case
+        assert set(calls) <= {(y, rev) for y, rev, _, _ in rep.candidates}, case
+
+
 def test_chain_layout_reads_a_plain_path_as_a_forest():
     M = gen_grid((12,), mode="window")
     assert _layout(M).kind == "path"
@@ -569,6 +599,16 @@ class TestPeriodicIsomorphism:
         # the map respects the coloring oracle: images keep the color
         for e, img in p.mapping.items():
             assert A.unary_profile(e) == B.unary_profile(img)
+
+    def test_one_engine_search_per_target_anchor(self, monkeypatch, sqrt2):
+        calls = engine_calls(monkeypatch)
+        M = gen_sturmian(sqrt2, 0, 60)
+        N = gen_sturmian(sqrt2, QuadraticIrrational.parse("1/4"), 60)
+        p = periodic_isomorphism(M, N)
+        assert p is not None
+        targets = [b for b, _ in calls]
+        assert len(targets) == len(set(targets)) > 1
+        assert targets[-1] == p.image_anchor()
 
     def test_different_periods_rejected_with_census_witness(self):
         two = gen_grid((60,), mode="window", periods=(2,),
