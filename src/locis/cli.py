@@ -4,6 +4,12 @@ Every analysis subcommand prints a versioned JSON report to stdout (and to
 --report PATH when given) and exits 0 when a verdict was produced, 2 when the
 window was too small to decide, 1 on errors. Structure-producing subcommands
 (gen, ball, quotient) additionally write a structure file.
+
+Each subcommand handler returns a (verdict, bounds, result) triple. `main`
+alone builds the report around it: it adds the command name and the input
+files, writes the document, and maps the verdict to the exit code. A handler
+that raises a window-too-small error gets the same treatment, with the
+command-line bounds and the reason as its triple.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .algebra import (
 from .errors import (
     CharacterizationFails,
     HypothesisUnverified,
+    InvariantViolation,
     LocisError,
     NoFaithfulElements,
     UnfaithfulRadius,
@@ -44,15 +51,22 @@ from .symmetry import detect_periodicity, find_symmetries
 
 def _parse_radii(text):
     """'1..6' or '1,3,5' or '4'."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p]
+    try:
+        text = text.strip()
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(p) for p in text.split(",") if p]
+    except ValueError:
+        raise InvariantViolation("radii", f"malformed radii {text!r}") from None
 
 
-def _parse_ints(text):
-    return tuple(int(p) for p in text.split(",") if p)
+def _parse_ints(text, option):
+    """The integers of a comma list such as '8,8', given to `option`."""
+    try:
+        return tuple(int(p) for p in text.split(",") if p)
+    except ValueError:
+        raise InvariantViolation(option, f"malformed integer list {text!r}") from None
 
 
 def _structure_stats(M):
@@ -65,12 +79,6 @@ def _structure_stats(M):
         "frontier": len(M.frontier),
         "content": digest,
     }
-
-
-def _emit(args, doc):
-    sys.stdout.write(dumps_report(doc))
-    if getattr(args, "report", None):
-        write_report(doc, args.report)
 
 
 _BOUND_KEYS = (
@@ -107,7 +115,7 @@ def _arg_bounds(args):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers. Each returns a finished report document.
+# Subcommand handlers. Each returns a (verdict, bounds, result) triple.
 
 
 def _cmd_gen(args):
@@ -143,11 +151,11 @@ def _cmd_gen(args):
         M = gen_cayley_free(args.k, args.radius)
         bounds = {"family": fam, "k": args.k, "radius": args.radius}
     elif fam == "grid":
-        dims = _parse_ints(args.dims)
+        dims = _parse_ints(args.dims, "dims")
         periods = cmap = None
         if args.colors == "checkerboard":
             periods, cmap = checkerboard_colormap(len(dims))
-        phase = _parse_ints(args.phase) if args.phase else None
+        phase = _parse_ints(args.phase, "phase") if args.phase else None
         M = gen_grid(dims, mode=args.mode, periods=periods, colormap=cmap, phase=phase)
         bounds = {
             "family": fam,
@@ -156,38 +164,24 @@ def _cmd_gen(args):
             "colors": args.colors or "none",
             "phase": list(phase) if phase else None,
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise LocisError(f"unknown family {fam}")
     textio.save(M, args.out)
     result = _structure_stats(M)
     result["out"] = args.out
-    return report_document("gen", "holds_up_to_bounds", bounds, result)
+    return "holds_up_to_bounds", bounds, result
 
 
 def _cmd_validate(args):
     try:
         M = textio.load(args.path)
     except LocisError as exc:
-        return report_document(
-            "validate",
-            "fails_with_witness",
-            {"path": args.path},
-            {"valid": False, "reason": str(exc)},
-            inputs=_inputs(args),
-        )
+        return "fails_with_witness", {"path": args.path}, {"valid": False, "reason": str(exc)}
     result = _structure_stats(M)
     result["valid"] = True
     result["connected"] = M.is_connected()
     bound, witness = M.local_finiteness_witness()
     result["ball1_bound"] = bound
     result["ball1_witness"] = witness
-    return report_document(
-        "validate",
-        "holds_up_to_bounds",
-        {"path": args.path, "window": len(M)},
-        result,
-        inputs=_inputs(args),
-    )
+    return "holds_up_to_bounds", {"path": args.path, "window": len(M)}, result
 
 
 def _cmd_ball(args):
@@ -198,13 +192,7 @@ def _cmd_ball(args):
     result = _structure_stats(pb.structure)
     result["out"] = args.out
     result["center"] = center
-    return report_document(
-        "ball",
-        "holds_up_to_bounds",
-        {"h": args.h, "window": len(M)},
-        result,
-        inputs=_inputs(args),
-    )
+    return "holds_up_to_bounds", {"h": args.h, "window": len(M)}, result
 
 
 def _cmd_census(args):
@@ -218,12 +206,10 @@ def _cmd_census(args):
         }
         for e in table.entries
     ]
-    return report_document(
-        "census",
+    return (
         "holds_up_to_bounds",
         {"h": args.h, "window": len(M), "censused": table.censused},
         {"classes": len(entries), "entries": entries},
-        inputs=_inputs(args),
     )
 
 
@@ -244,13 +230,7 @@ def _cmd_lip(args):
             "representative": r,
             "uncovered_element": bad,
         }
-    return report_document(
-        "lip",
-        rep.verdict,
-        {"h": args.h, "window": len(M), "window_bound": rep.window_bound},
-        body,
-        inputs=_inputs(args),
-    )
+    return rep.verdict, {"h": args.h, "window": len(M), "window_bound": rep.window_bound}, body
 
 
 def _cmd_compare(args):
@@ -265,12 +245,10 @@ def _cmd_compare(args):
         "missing_in_source": [list(w) for w in rep.missing_in_source],
         "multiplicities": {k: list(v) for k, v in rep.multiplicities.items()},
     }
-    return report_document(
-        "compare",
+    return (
         verdict,
         {"h": args.h, "windows": [len(M), len(N)], "censused": list(rep.censused)},
         body,
-        inputs=_inputs(args),
     )
 
 
@@ -301,9 +279,7 @@ def _cmd_algebra(args):
                 "moved_at": y,
                 "word": str(w),
             }
-    return report_document(
-        "algebra", rep.verdict, bounds, body, inputs=_inputs(args)
-    )
+    return rep.verdict, bounds, body
 
 
 def _verdict(outcome, holds, fails):
@@ -352,16 +328,10 @@ def _cmd_symmetries(args):
         "max_kill_radius": max(kills) if kills else None,
         "survivors": survivors[:200],
     }
-    return report_document(
-        "symmetries",
+    return (
         verdict,
-        {
-            "window": len(M),
-            "displacement": args.displacement,
-            "radius": args.radius,
-        },
+        {"window": len(M), "displacement": args.displacement, "radius": args.radius},
         body,
-        inputs=_inputs(args),
     )
 
 
@@ -377,12 +347,10 @@ def _cmd_periods(args):
         "generators": [partial_iso_summary(g) for g in rep.generators],
         "weakly_connected": rep.weakly_connected,
     }
-    return report_document(
-        "periods",
+    return (
         verdict,
         {"window": len(M), "rank_bound": args.rank_bound, "radius": args.radius},
         body,
-        inputs=_inputs(args),
     )
 
 
@@ -404,12 +372,10 @@ def _cmd_rigidity(args):
             for r, out, payload in rep.per_radius
         ],
     }
-    return report_document(
-        "rigidity",
+    return (
         verdict,
         {"window": len(M), "radii": radii, "s": args.s, "lip_radius": args.lip_radius},
         body,
-        inputs=_inputs(args),
     )
 
 
@@ -419,12 +385,10 @@ def _cmd_rigid_limit(args):
     try:
         trace = rigid_limit(M, args.steps, seed, verify=not args.no_verify)
     except CharacterizationFails as exc:
-        return report_document(
-            "rigid-limit",
+        return (
             "fails_with_witness",
             {"window": len(M), "steps": args.steps, "seed": seed},
             {"stage": exc.stage, "detail": str(exc.detail)},
-            inputs=_inputs(args),
         )
     body = {
         "steps": [
@@ -436,12 +400,10 @@ def _cmd_rigid_limit(args):
     if args.trace:
         body["trace_dir"] = args.trace
         trace.save(args.trace)
-    return report_document(
-        "rigid-limit",
+    return (
         "holds_up_to_bounds",
         {"window": len(M), "steps": args.steps, "seed": seed},
         body,
-        inputs=_inputs(args),
     )
 
 
@@ -459,8 +421,7 @@ def _cmd_quotient(args):
     body["surjection_sample"] = dict(sorted(res.surjection.items())[:10])
     if args.out:
         body["out"] = args.out
-    return report_document(
-        "quotient",
+    return (
         "holds_up_to_bounds",
         {
             "window": len(M),
@@ -469,7 +430,6 @@ def _cmd_quotient(args):
             "group_bound": args.group_bound,
         },
         body,
-        inputs=_inputs(args),
     )
 
 
@@ -597,27 +557,22 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.cmd
+    args = _build_parser().parse_args(argv)
     try:
-        doc = args.handler(args)
+        verdict, bounds, result = args.handler(args)
     except (WindowExhausted, UnfaithfulRadius, NoFaithfulElements, HypothesisUnverified) as exc:
-        body = {"reason": str(exc)}
+        verdict, bounds, result = "inconclusive", _arg_bounds(args), {"reason": str(exc)}
         needed = getattr(exc, "needed_radius", None)
         if needed is not None:
-            body["needed_radius"] = needed
-        doc = report_document(command, "inconclusive", _arg_bounds(args), body, _inputs(args))
-        _emit(args, doc)
-        return 2
-    except LocisError as exc:
+            result["needed_radius"] = needed
+    except (LocisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit(args, doc)
-    return 2 if doc["verdict"] == "inconclusive" else 0
+    doc = report_document(args.cmd, verdict, bounds, result, _inputs(args))
+    sys.stdout.write(dumps_report(doc))
+    if args.report:
+        write_report(doc, args.report)
+    return 2 if verdict == "inconclusive" else 0
 
 
 if __name__ == "__main__":

@@ -134,9 +134,6 @@ def find_symmetries(
             if full.status == "dead":
                 detail.append((y, rev, "dead", full.radius))
                 continue
-            if full.status != "iso":  # depth accounting failed; treat as exhausted
-                detail.append((y, rev, "alive_at_window_limit", full.radius))
-                continue
             p = PartialIso(M, M, full.mapping, x, limit, rev)
             p.verify()
             found.append(p)
@@ -165,28 +162,6 @@ def find_symmetries(
 
 # ---------------------------------------------------------------------------
 # Periods.
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        root = p
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
 
 @dataclass
@@ -240,34 +215,40 @@ def detect_periodicity(M, rank_bound, radius=None, automorphisms=None):
             orbit_cover="no_generators",
         )
 
-    uf = _UnionFind()
-    for e in M.elements:
-        uf.find(e)
     edges = {}  # element -> list of (neighbor, gen index, sign)
     for gi, g in enumerate(gens):
         for u, v in g.mapping.items():
-            uf.union(u, v)
             edges.setdefault(u, []).append((v, gi, +1))
             edges.setdefault(v, []).append((u, gi, -1))
+    orbit = {}  # element -> the id-least element of its orbit
+    for e in M.elements:  # sorted, so each walk starts at its orbit's least element
+        if e not in orbit:
+            orbit[e] = e
+            stack = [e]
+            while stack:
+                for v, _, _ in edges.get(stack.pop(), ()):
+                    if v not in orbit:
+                        orbit[v] = e
+                        stack.append(v)
 
     anchor = M.deepest_element()
     pos, nbrs, at = M._positions(), M._gaifman(), M.elements.__getitem__
     period = [anchor]
-    covered = {uf.find(anchor)}
+    covered = {orbit[anchor]}
     while True:
         # the least position is the id-least candidate
-        candidates = [j for u in period for j in nbrs[pos[u]] if uf.find(at(j)) not in covered]
+        candidates = [j for u in period for j in nbrs[pos[u]] if orbit[at(j)] not in covered]
         if not candidates:
             break
         nxt = at(min(candidates))
         period.append(nxt)
-        covered.add(uf.find(nxt))
+        covered.add(orbit[nxt])
         if len(period) > rank_bound:
             raise RankBoundExceeded(rank_bound)
 
     depths = M._depth_list()
     uncovered = [
-        e for e, d in zip(M.elements, depths) if d >= rank_bound and uf.find(e) not in covered
+        e for e, d in zip(M.elements, depths) if d >= rank_bound and orbit[e] not in covered
     ]
     if uncovered:
         return PeriodReport(

@@ -303,6 +303,30 @@ class TestPeriodsRigidityQuotient:
     def test_rigidity_negative_radius_is_an_error(self, board_file, capsys):
         assert_user_error(capsys, "rigidity", board_file, "--radii=0,-2", "--s", "1")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rigidity", "{board}", "--radii", "x..3", "--s", "1"],
+             "invariant 'radii' violated: malformed radii 'x..3'"),
+            (["rigidity", "{board}", "--radii", "1,b", "--s", "1"],
+             "invariant 'radii' violated: malformed radii '1,b'"),
+            (["gen", "grid", "--dims", "4,a", "--out", "{out}"],
+             "invariant 'dims' violated: malformed integer list '4,a'"),
+            (["gen", "grid", "--dims", "4,4", "--phase", "1,x", "--colors", "checkerboard",
+              "--out", "{out}"],
+             "invariant 'phase' violated: malformed integer list '1,x'"),
+        ],
+        ids=["radii-range", "radii-list", "dims", "phase"],
+    )
+    def test_malformed_integer_list_is_named(self, board_file, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "unused.locis")
+        argv = [a.format(board=board_file, out=out) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
     def test_rigid_limit_negative_steps_is_an_error(self, sturmian_file, capsys):
         assert_user_error(capsys, "rigid-limit", sturmian_file, "--steps", "-1", "--seed", "0")
 
@@ -419,6 +443,83 @@ class TestReportPlumbing:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["command"] == "gen"
+
+
+# (argv, the files it reads, verdict). Files are named by their key in
+# envelope_files; {out} is a fresh output path.
+ENVELOPE_JOBS = [
+    (["gen", "grid", "--dims", "4,4", "--out", "{out}"], [], "holds_up_to_bounds"),
+    (["validate", "{column}"], ["column"], "holds_up_to_bounds"),
+    (["validate", "{corrupt}"], ["corrupt"], "fails_with_witness"),
+    (["ball", "{column}", "--center", "0", "--h", "3", "--out", "{out}"], ["column"],
+     "holds_up_to_bounds"),
+    (["census", "{board}", "--h", "1"], ["board"], "holds_up_to_bounds"),
+    (["lip", "{column}", "--h", "1"], ["column"], "holds_up_to_bounds"),
+    (["compare", "{shifted}", "{column}", "--h", "3"], ["shifted", "column"],
+     "holds_up_to_bounds"),
+    (["algebra", "{torus8}", "--check", "regularity", "--max-len", "6",
+      "--others", "{torus6}", "{torus4}"], ["torus8", "torus6", "torus4"], "fails_with_witness"),
+    (["symmetries", "{column}", "--displacement", "4", "--radius", "50", "--anchor", "0"],
+     ["column"], "holds_up_to_bounds"),
+    (["periods", "{board}", "--rank-bound", "2"], ["board"], "holds_up_to_bounds"),
+    (["rigidity", "{tree}", "--radii", "1..2", "--s", "4"], ["tree"], "holds_up_to_bounds"),
+    (["rigid-limit", "{column}", "--steps", "1", "--seed", "0"], ["column"],
+     "holds_up_to_bounds"),
+    (["rigid-limit", "{per2}", "--steps", "1", "--seed", "100"], ["per2"],
+     "fails_with_witness"),
+    (["quotient", "{board}", "--displacement", "2", "--out", "{out}"], ["board"],
+     "holds_up_to_bounds"),
+    (["census", "{grid}", "--h", "99"], ["grid"], "inconclusive"),
+]
+
+
+@pytest.fixture
+def envelope_files(tmp_path, capsys, sturmian_file, board_file):
+    paths = {"column": sturmian_file, "board": board_file}
+    specs = {
+        "shifted": ["sturmian", "--r", "(0+1*sqrt(2))/1", "--s", "1/3", "--width", "150"],
+        "torus8": ["grid", "--dims", "8,8", "--mode", "torus"],
+        "torus6": ["grid", "--dims", "6,6", "--mode", "torus"],
+        "torus4": ["grid", "--dims", "4,4", "--mode", "torus"],
+        "tree": ["tree", "--k", "2", "--address", "tm12", "--depth", "40", "--halo", "6"],
+        "grid": ["grid", "--dims", "4,4"],
+    }
+    for name, spec in specs.items():
+        paths[name] = str(tmp_path / f"{name}.locis")
+        assert main(["gen", *spec, "--out", paths[name]]) == 0
+    lang = Language([("Succ", 2), ("White", 1), ("Black", 1)])
+    n = 201
+    tuples = [("Succ", (str(i), str(i + 1))) for i in range(n - 1)]
+    tuples += [("Black" if i % 2 else "White", (str(i),)) for i in range(n)]
+    paths["per2"] = str(tmp_path / "per2.locis")
+    textio.save(Structure(lang, [str(i) for i in range(n)], tuples, frontier=("0", str(n - 1))),
+                paths["per2"])
+    paths["corrupt"] = str(tmp_path / "corrupt.locis")
+    with open(paths["corrupt"], "w") as fh:
+        fh.write("%locis structure v1\nlanguage:\nE/2\nelements:\n0\ntuples:\nE(0,9)\n")
+    capsys.readouterr()
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, verdict",
+    ENVELOPE_JOBS,
+    ids=[f"{i:02d}-{job[0][0]}" for i, job in enumerate(ENVELOPE_JOBS)],
+)
+def test_report_envelope(envelope_files, tmp_path, capsys, argv, inputs, verdict):
+    # main alone builds the envelope: the command and inputs come from the
+    # command line, the exit code from the verdict, and --report gets the
+    # bytes that stdout printed.
+    rp = tmp_path / "report.json"
+    argv = [a.format(out=str(tmp_path / "out.locis"), **envelope_files) for a in argv]
+    code = main([*argv, "--report", str(rp)])
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["command"] == argv[0]
+    assert doc["inputs"] == [envelope_files[name] for name in inputs]
+    assert doc["verdict"] == verdict
+    assert code == (2 if verdict == "inconclusive" else 0)
+    assert rp.read_text() == out
 
 
 HASH_SEED_JOBS = [

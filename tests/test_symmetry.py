@@ -41,6 +41,7 @@ from locis.iso import (
     windowed_pointed_iso,
 )
 from locis.symmetry import (
+    _full_limit_pair,
     _word_between,
     detect_periodicity,
     extend_partial_iso,
@@ -248,6 +249,34 @@ def test_one_engine_search_per_candidate(monkeypatch):
         assert set(calls) <= {(y, rev) for y, rev, _, _ in rep.candidates}, case
 
 
+@pytest.mark.parametrize(
+    "build, anchor",
+    [
+        (sqrt2_column, "0"),
+        (tm_tree, None),
+        (tm_tiling, "L0o0"),
+        (lambda: gen_grid((9, 9), mode="window"), None),
+        (lambda: torus_checkerboard(), None),
+    ],
+    ids=["column", "tree", "tiling", "grid-window", "closed-torus"],
+)
+def test_engine_decides_every_candidate_at_the_full_limit(build, anchor):
+    # find_symmetries searches each candidate at _full_limit_pair, which is
+    # the engine's certifiable radius there, so the engine never answers
+    # "exhausted": it finds an iso or kills the candidate.
+    M = build()
+    x = anchor if anchor is not None else M.deepest_element()
+    statuses = Counter()
+    for y in sorted(M.ball_elements(x, 2)):
+        for rev in (False, True):
+            limit = _full_limit_pair(M, x, M, y)
+            if M.is_closed():
+                assert limit == len(M)
+            statuses[windowed_pointed_iso(M, x, M, y, limit, rev).status] += 1
+    assert set(statuses) <= {"iso", "dead"}
+    assert statuses["iso"] >= 1  # (x, forward) at least
+
+
 def test_chain_layout_reads_a_plain_path_as_a_forest():
     M = gen_grid((12,), mode="window")
     assert _layout(M).kind == "path"
@@ -410,6 +439,18 @@ class TestDetectPeriodicity:
                       colormap={(0, 0): "White", (0, 1): "Black"})
         with pytest.raises(RankBoundExceeded):
             detect_periodicity(M, 1)
+
+    def test_uncovered_orbits(self):
+        # two disjoint 6-cycles, each rotated by the one generator: the
+        # period grows inside the anchor's cycle and never reaches the other
+        tuples = [("P", (str(c + i), str(c + (i + 1) % 6))) for c in (0, 6) for i in range(6)]
+        M = mk(tuples, 12)
+        g = PartialIso(M, M, {str(c + i): str(c + (i + 1) % 6) for c in (0, 6) for i in range(6)},
+                       "0", 12)
+        rep = detect_periodicity(M, 2, automorphisms=[g])
+        assert rep.orbit_cover == "uncovered"
+        assert rep.rank is None
+        assert rep.period == (M.deepest_element(),)
 
     def test_explicit_automorphisms(self):
         M = gen_grid((6,), mode="torus")
