@@ -9,7 +9,9 @@ Each subcommand handler returns a (verdict, bounds, result) triple. `main`
 alone builds the report around it: it adds the command name and the input
 files, writes the document, and maps the verdict to the exit code. A handler
 that raises a window-too-small error gets the same treatment, with the
-command-line bounds and the reason as its triple.
+command-line bounds and the reason as its triple. The --report file is
+written before stdout, so a path that cannot be written ends, like any other
+error, in one `error:` line and exit 1.
 """
 
 from __future__ import annotations
@@ -559,19 +561,20 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        verdict, bounds, result = args.handler(args)
-    except (WindowExhausted, UnfaithfulRadius, NoFaithfulElements, HypothesisUnverified) as exc:
-        verdict, bounds, result = "inconclusive", _arg_bounds(args), {"reason": str(exc)}
-        needed = getattr(exc, "needed_radius", None)
-        if needed is not None:
-            result["needed_radius"] = needed
+        try:
+            verdict, bounds, result = args.handler(args)
+        except (WindowExhausted, UnfaithfulRadius, NoFaithfulElements, HypothesisUnverified) as exc:
+            verdict, bounds, result = "inconclusive", _arg_bounds(args), {"reason": str(exc)}
+            needed = getattr(exc, "needed_radius", None)
+            if needed is not None:
+                result["needed_radius"] = needed
+        doc = report_document(args.cmd, verdict, bounds, result, _inputs(args))
+        if args.report:
+            write_report(doc, args.report)
     except (LocisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc = report_document(args.cmd, verdict, bounds, result, _inputs(args))
     sys.stdout.write(dumps_report(doc))
-    if args.report:
-        write_report(doc, args.report)
     return 2 if verdict == "inconclusive" else 0
 
 

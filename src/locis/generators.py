@@ -4,10 +4,15 @@ All coloring decisions in gen_sturmian run on exact integer arithmetic: the
 half-open interval convention decides boundary cases, and those boundary
 cases are exactly what separates the symmetric parameter cosets from the
 asymmetric ones. No floats anywhere.
+
+Every generator names each element once and lists each symbol's tuples by
+index arithmetic over those names, then returns through
+Structure._from_symbol_lists.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -295,6 +300,17 @@ class AddressSequence:
         return f"{head};{body}" if head else body
 
 
+def _window(language, elements, lists, frontier):
+    """The window with tuples {symbol: [args, ...]}, checked in bulk; lists
+    the bulk check rejects go through the per-tuple constructor, which raises
+    the error that names the faulty tuple."""
+    M = Structure._from_symbol_lists(language, elements, lists, frontier)
+    if M is None:
+        tuples = [(name, t) for name, ts in lists.items() for t in ts]
+        M = Structure(language, elements, tuples, frontier=frontier)
+    return M
+
+
 # ---------------------------------------------------------------------------
 # Example 1: Sturmian-type two-colorings of Z.
 
@@ -360,13 +376,13 @@ def gen_sturmian(r, s, half_width):
         raise InvariantViolation("half-width", "half_width must be >= 1")
     flags = sturmian_colors(r, s, -W, W)
     language = Language([("Succ", 2), ("White", 1), ("Black", 1)])
-    elements = [str(a) for a in range(-W, W + 1)]
-    tuples = []
-    for a in range(-W, W):
-        tuples.append(("Succ", (str(a), str(a + 1))))
-    for a, f in zip(range(-W, W + 1), flags):
-        tuples.append(("Black" if f else "White", (str(a),)))
-    return Structure(language, elements, tuples, frontier=(str(-W), str(W)))
+    ids = [str(a) for a in range(-W, W + 1)]
+    lists = {
+        "Succ": list(zip(ids, ids[1:])),
+        "White": [(e,) for e, f in zip(ids, flags) if not f],
+        "Black": [(e,) for e, f in zip(ids, flags) if f],
+    }
+    return _window(language, ids, lists, (ids[0], ids[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +395,12 @@ def gen_kary_tree(k, address, depth, halo=14):
 
     The window contains the anchor's ancestors c0..c<depth> and every tree
     node within distance halo of the anchor. Tuples P_i(parent, child) mark
-    the i-th child edge. Frontier is computed exactly: a node is frontier
-    iff its parent or any of its k children is missing.
+    the i-th child edge. Below chain node c<j> hang the off-chain subtrees of
+    height halo - j whose first label is not the chain's own (addr[j-1]),
+    named c<j>.<i>, then c<j>.<i>-<i'>-... A node is frontier iff its
+    parent or one of its k children is missing, which happens exactly for
+    c<depth>, for a chain node c<j> with halo - j < 1, and for an off-chain
+    node below c<j> at word length halo - j.
     """
     k = int(k)
     if k < 2:
@@ -397,61 +417,27 @@ def gen_kary_tree(k, address, depth, halo=14):
             raise BadAddressEntry(m, e)
         addr.append(e)
 
-    # Nodes are (j, word): start at the anchor's j-th ancestor, then follow
-    # child labels in word. Canonical form requires word[0] != addr[j-1]
-    # (otherwise the node re-enters the chain lower down). Ids extend the
-    # parent's: c{j}, then c{j}.{i}, then c{j}.{i}-{i'}-...
-    ids = {(j, ()): f"c{j}" for j in range(depth + 1)}
-    top = min(halo, depth)
-    for j in range(top + 1):
-        budget = halo - j
-        if budget <= 0:
-            continue
-        stack = [((), f"c{j}.")]
-        while stack:
-            word, stem = stack.pop()
-            if len(word) >= budget:
-                continue
-            for i in range(1, k + 1):
-                if not word and j >= 1 and i == addr[j - 1]:
-                    continue
-                nw = word + (i,)
-                name = f"{stem}{i}"
-                ids[j, nw] = name
-                stack.append((nw, name + "-"))
-
-    def parent_of(node):
-        j, word = node
-        if word:
-            return (j, word[:-1])
-        if j >= depth:
-            return None  # above the window
-        return (j + 1, ())
-
-    def child_of(node, i):
-        j, word = node
-        if not word and j >= 1 and i == addr[j - 1]:
-            return (j - 1, ())
-        return (j, word + (i,))
-
-    language = Language([(f"P{i}", 2) for i in range(1, k + 1)])
-    tuples = []
-    frontier = []
-    for node in ids:
-        j, word = node
-        missing = False
-        par = parent_of(node)
-        if par is None or par not in ids:
-            missing = True
-        else:
-            label = word[-1] if word else addr[j]
-            tuples.append((f"P{label}", (ids[par], ids[node])))
-        for i in range(1, k + 1):
-            if child_of(node, i) not in ids:
-                missing = True
-        if missing:
-            frontier.append(ids[node])
-    return Structure(language, ids.values(), tuples, frontier=frontier)
+    chain = [f"c{j}" for j in range(depth + 1)]
+    lists = {f"P{i}": [] for i in range(1, k + 1)}
+    for j, label in enumerate(addr):
+        lists[f"P{label}"].append((chain[j + 1], chain[j]))
+    elements = list(chain)
+    frontier = chain[min(halo, depth):]
+    # Each off-chain subtree is named level by level: every parent of one
+    # level gets its child under label i in one pass per label.
+    for j in range(min(halo, depth + 1)):
+        layer, sep = [chain[j]], "."
+        labels = [i for i in range(1, k + 1) if j == 0 or i != addr[j - 1]]
+        for _ in range(halo - j):
+            nxt = []
+            for i in labels:
+                kids = [f"{p}{sep}{i}" for p in layer]
+                lists[f"P{i}"].extend(zip(layer, kids))
+                nxt.extend(kids)
+            elements.extend(nxt)
+            layer, sep, labels = nxt, "-", range(1, k + 1)
+        frontier.extend(layer)
+    return _window(Language([(f"P{i}", 2) for i in range(1, k + 1)]), elements, lists, frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +460,16 @@ def gen_binary_hyperbolic(address, levels, half_width, support_radius=10):
     horizontal extent of half_width anchor-level tiles, never narrower than
     support_radius tiles, so symmetry searches have a usable interior along
     the whole chain.
+
+    Each level n is one row of offsets lo_n..hi_n: -w..w with
+    w = max(half_width >> n, support_radius) + 2 for n >= 0, and
+    -(R+1)*2^j..(R+2)*2^j for n = -j with R = support_radius. So every
+    neighbour test is a range test: (n, m) has its parent
+    (n+1, (m + a_{n+1}) // 2) iff that offset lies in row n+1, both children
+    iff 2m - a_n and 2m - a_n + 1 lie in row n-1, and its left and right
+    neighbours iff m > lo_n and m < hi_n. A tile is frontier iff one of
+    them is missing; the top row has no parent and the bottom row no
+    children.
     """
     levels = int(levels)
     W = int(half_width)
@@ -481,65 +477,40 @@ def gen_binary_hyperbolic(address, levels, half_width, support_radius=10):
     if levels < 1 or W < 1 or R < 1:
         raise InvariantViolation("extent", "levels, half_width, support_radius must be >= 1")
 
-    a = {}
+    a = [0] * (R + 1)  # a[n + R] = a_n
     for n in range(1, levels + 1):
         e = address.entry(n - 1)
         if e not in (0, 1):
             raise BadAddressEntry(n - 1, e)
-        a[n] = e
-    for n in range(-R, 1):
-        a[n] = 0
+        a.append(e)
 
-    tiles = set()
-    for n in range(0, levels + 1):
+    lows = [-(R + 1) << j for j in range(R, 0, -1)]
+    highs = [(R + 2) << j for j in range(R, 0, -1)]
+    for n in range(levels + 1):
         w = max(W >> n, R) + 2
-        for m in range(-w, w + 1):
-            tiles.add((n, m))
-    for j in range(1, R + 1):
-        lo = -(R + 1) * (1 << j)
-        hi = (R + 2) * (1 << j)
-        for m in range(lo, hi + 1):
-            tiles.add((-j, m))
+        lows.append(-w)
+        highs.append(w)
+    rows = [[f"L{n}o{m}" for m in range(lo, hi + 1)]
+            for n, lo, hi in zip(range(-R, levels + 1), lows, highs)]
 
-    def parent_of(t):
-        n, m = t
-        an1 = a.get(n + 1)
-        if an1 is None:
-            return None  # above the top level: the parent offset is unknown
-        return (n + 1, (m + an1) // 2)
-
-    def children_of(t):
-        n, m = t
-        an = a.get(n)
-        if an is None:
-            return ()
-        return ((n - 1, 2 * m - an), (n - 1, 2 * m - an + 1))
-
-    ids = {t: f"L{t[0]}o{t[1]}" for t in tiles}
-    language = Language([("Above", 2), ("Right", 2)])
-    tuples = []
-    frontier = []
-    for t in tiles:
-        n, m = t
-        missing = False
-        par = parent_of(t)
-        if par is not None and par in tiles:
-            tuples.append(("Above", (ids[t], ids[par])))
-        else:
-            missing = True
-        kids = children_of(t)
-        if len(kids) != 2 or any(c not in tiles for c in kids):
-            missing = True
-        right = (n, m + 1)
-        if right in tiles:
-            tuples.append(("Right", (ids[t], ids[right])))
-        else:
-            missing = True
-        if (n, m - 1) not in tiles:
-            missing = True
-        if missing:
-            frontier.append(ids[t])
-    return Structure(language, ids.values(), tuples, frontier=frontier)
+    above, right, frontier = [], [], []
+    for i, row in enumerate(rows):
+        lo, hi = lows[i], highs[i]
+        right.extend(zip(row, row[1:]))
+        if i + 1 < len(rows):
+            an1, up, up_lo = a[i + 1], rows[i + 1], lows[i + 1]
+            p0, p1 = max(lo, 2 * up_lo - an1), min(hi, 2 * highs[i + 1] + 1 - an1)
+            above.extend((row[m - lo], up[(m + an1) // 2 - up_lo]) for m in range(p0, p1 + 1))
+        if i == 0 or i + 1 == len(rows):
+            frontier.extend(row)  # the bottom row has no children, the top row no parent
+            continue
+        # Offsets first..last have both row neighbours, the parent and both children.
+        first = max(lo + 1, p0, -((-lows[i - 1] - a[i]) // 2))
+        last = max(first - 1, min(hi - 1, p1, (highs[i - 1] - 1 + a[i]) // 2))
+        frontier += row[: first - lo] + row[last + 1 - lo :]
+    elements = [e for row in rows for e in row]
+    return _window(Language([("Above", 2), ("Right", 2)]), elements,
+                   {"Above": above, "Right": right}, frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +518,14 @@ def gen_binary_hyperbolic(address, levels, half_width, support_radius=10):
 
 
 def gen_cayley_free(k, radius):
-    """Ball of the free group F_k under R_i(y, y*x_i); frontier = boundary."""
+    """Ball of the free group F_k under R_i(y, y*x_i); frontier = boundary.
+
+    The ball's Cayley graph is its tree of reduced words, so each R_i tuple
+    is the edge from a word to the word that extends it by x_i, or from a
+    word ending in x_i^-1 to the word it extends. Every neighbour of a word
+    shorter than radius is in the ball, and all but one of a longest
+    word's are not, so the frontier is the sphere of the radius.
+    """
     k = int(k)
     R = int(radius)
     if k < 1 or R < 0:
@@ -555,46 +533,27 @@ def gen_cayley_free(k, radius):
     if k > 26:
         raise InvariantViolation("branching", "k > 26 exceeds the id alphabet")
 
+    # Words are named by their letters, x_i^-1 upper case; the identity is "0".
     letters = "abcdefghijklmnopqrstuvwxyz"
-
-    def word_id(word):
-        if not word:
-            return "0"
-        return "".join(letters[i - 1] if i > 0 else letters[-i - 1].upper() for i in word)
-
-    words = [()]
-    sphere = [()]
+    steps = [(g, letters[g - 1]) for g in range(1, k + 1)]
+    steps += [(-g, ch.upper()) for g, ch in steps]
+    lists = {f"R{g}": [] for g in range(1, k + 1)}
+    elements = ["0"]
+    sphere = [("0", 0)]  # (id, last step) of each word of the current length
     for _ in range(R):
         nxt = []
-        for w in sphere:
-            for g in range(1, k + 1):
-                for step in (g, -g):
-                    if w and w[-1] == -step:
-                        continue
-                    nxt.append(w + (step,))
-        words.extend(nxt)
+        for u, last in sphere:
+            stem = u if last else ""
+            for g, ch in steps:
+                if g == -last:
+                    continue
+                v = stem + ch
+                nxt.append((v, g))
+                lists[f"R{abs(g)}"].append((u, v) if g > 0 else (v, u))
+        elements.extend(v for v, _ in nxt)
         sphere = nxt
-    wset = set(words)
-
     language = Language([(f"R{i}", 2) for i in range(1, k + 1)])
-    tuples = []
-    frontier = []
-    for w in words:
-        missing = False
-        for g in range(1, k + 1):
-            for step in (g, -g):
-                if w and w[-1] == -step:
-                    target = w[:-1]
-                else:
-                    target = w + (step,)
-                if target in wset:
-                    if step > 0:
-                        tuples.append((f"R{g}", (word_id(w), word_id(target))))
-                else:
-                    missing = True
-        if missing:
-            frontier.append(word_id(w))
-    return Structure(language, [word_id(w) for w in words], tuples, frontier=frontier)
+    return _window(language, elements, lists, [u for u, _ in sphere])
 
 
 # ---------------------------------------------------------------------------
@@ -627,49 +586,41 @@ def gen_grid(dims, mode="window", periods=None, colormap=None, phase=None):
         ranges = [range(0, n) for n in dims]
     else:
         ranges = [range(-n, n + 1) for n in dims]
-
-    import itertools
-
     coords = list(itertools.product(*ranges))
-
-    def cid(c):
-        return "_".join(str(x) for x in c)
+    ids = ["_".join(map(str, c)) for c in coords]
 
     rel_names = ["Succ"] if d == 1 else [f"E{i}" for i in range(1, d + 1)]
     color_names = sorted(set(colormap.values())) if colormap else []
     language = Language([(n, 2) for n in rel_names] + [(n, 1) for n in color_names])
 
-    cset = set(coords)
-    tuples = []
-    frontier = []
-    for c in coords:
-        missing = False
-        for i in range(d):
-            for sgn in (1, -1):
-                nxt = list(c)
-                nxt[i] += sgn
-                if torus:
-                    nxt[i] %= dims[i]
-                nxt = tuple(nxt)
-                if nxt in cset:
-                    if sgn == 1 and nxt != c:
-                        tuples.append((rel_names[i], (cid(c), cid(nxt))))
-                else:
-                    missing = True
-        if colormap:
-            residue = tuple((c[i] + phase[i]) % periods[i] for i in range(d))
-            color = colormap.get(residue)
+    # Coordinates are in row-major order, so the successor along axis i of
+    # the element at position p is at p + stride; on the torus the last
+    # coordinate wraps to the first, (size - 1) strides back.
+    lists = {name: [] for name in color_names}
+    stride = len(coords)
+    for i, r in enumerate(ranges):
+        size = len(r)
+        stride //= size
+        last = r[-1]
+        pairs = [(ids[p], ids[p + stride]) for p, c in enumerate(coords) if c[i] != last]
+        if torus and size > 1:
+            back = (size - 1) * stride
+            pairs += [(ids[p], ids[p - back]) for p, c in enumerate(coords) if c[i] == last]
+        lists[rel_names[i]] = pairs
+    if colormap:
+        for e, c in zip(ids, coords):
+            color = colormap.get(tuple((c[i] + phase[i]) % periods[i] for i in range(d)))
             if color is not None:
-                tuples.append((color, (cid(c),)))
-        if missing:
-            frontier.append(cid(c))
-    return Structure(language, [cid(c) for c in coords], tuples, frontier=frontier)
+                lists[color].append((e,))
+    if torus:
+        frontier = []
+    else:
+        frontier = [e for e, c in zip(ids, coords) if any(abs(x) == n for x, n in zip(c, dims))]
+    return _window(language, ids, lists, frontier)
 
 
 def checkerboard_colormap(d=2):
     """Parity coloring: Black on odd coordinate sum, White on even."""
-    import itertools
-
     cmap = {}
     for residue in itertools.product((0, 1), repeat=d):
         cmap[residue] = "Black" if sum(residue) % 2 else "White"

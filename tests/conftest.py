@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from locis.core import ELEMENT_RE, Language, Structure
-from locis.errors import ParseError
+from locis.errors import BadAddressEntry, InvariantViolation, ParseError
 from locis.iso import EngineResult, _layer_summary
 
 LANG2 = Language([("P", 2), ("Q", 2)])
@@ -325,6 +325,178 @@ def reference_forest_class_keys(M, h, extended=False):
         if len(word) == h:
             keys[e] = tuple(word)
     return keys
+
+
+# ---------------------------------------------------------------------------
+# Set-based generators: every tile or node is a tuple key, its neighbours
+# are looked up in a set or dict one by one, and tuples go through the
+# per-tuple Structure constructor. locis.generators builds the same windows
+# by range arithmetic.
+
+
+def reference_gen_kary_tree(k, address, depth, halo=14):
+    """Window of the k-ary tree: ancestor chain following the address plus a
+    complete ball region around the anchor.
+
+    The window contains the anchor's ancestors c0..c<depth> and every tree
+    node within distance halo of the anchor. Tuples P_i(parent, child) mark
+    the i-th child edge. Frontier is computed exactly: a node is frontier
+    iff its parent or any of its k children is missing.
+    """
+    k = int(k)
+    if k < 2:
+        raise InvariantViolation("branching", "k must be >= 2")
+    depth = int(depth)
+    halo = int(halo)
+    if depth < 1 or halo < 1:
+        raise InvariantViolation("extent", "depth and halo must be >= 1")
+
+    addr = []
+    for m in range(depth):
+        e = address.entry(m)
+        if not isinstance(e, int) or not (1 <= e <= k):
+            raise BadAddressEntry(m, e)
+        addr.append(e)
+
+    # Nodes are (j, word): start at the anchor's j-th ancestor, then follow
+    # child labels in word. Canonical form requires word[0] != addr[j-1]
+    # (otherwise the node re-enters the chain lower down). Ids extend the
+    # parent's: c{j}, then c{j}.{i}, then c{j}.{i}-{i'}-...
+    ids = {(j, ()): f"c{j}" for j in range(depth + 1)}
+    top = min(halo, depth)
+    for j in range(top + 1):
+        budget = halo - j
+        if budget <= 0:
+            continue
+        stack = [((), f"c{j}.")]
+        while stack:
+            word, stem = stack.pop()
+            if len(word) >= budget:
+                continue
+            for i in range(1, k + 1):
+                if not word and j >= 1 and i == addr[j - 1]:
+                    continue
+                nw = word + (i,)
+                name = f"{stem}{i}"
+                ids[j, nw] = name
+                stack.append((nw, name + "-"))
+
+    def parent_of(node):
+        j, word = node
+        if word:
+            return (j, word[:-1])
+        if j >= depth:
+            return None  # above the window
+        return (j + 1, ())
+
+    def child_of(node, i):
+        j, word = node
+        if not word and j >= 1 and i == addr[j - 1]:
+            return (j - 1, ())
+        return (j, word + (i,))
+
+    language = Language([(f"P{i}", 2) for i in range(1, k + 1)])
+    tuples = []
+    frontier = []
+    for node in ids:
+        j, word = node
+        missing = False
+        par = parent_of(node)
+        if par is None or par not in ids:
+            missing = True
+        else:
+            label = word[-1] if word else addr[j]
+            tuples.append((f"P{label}", (ids[par], ids[node])))
+        for i in range(1, k + 1):
+            if child_of(node, i) not in ids:
+                missing = True
+        if missing:
+            frontier.append(ids[node])
+    return Structure(language, ids.values(), tuples, frontier=frontier)
+
+
+def reference_gen_binary_hyperbolic(address, levels, half_width, support_radius=10):
+    """Patch of the binary tiling around an anchor column.
+
+    Tiles are (level, offset) with the anchor chain at offset 0 on levels
+    0..levels. a_n = address.entry(n-1) for n >= 1; a_n = 0 below the anchor
+    level (pure labeling convention for the complete binary cone below).
+
+    Orientation convention: a_n = 0 means the chain's level-(n-1) tile is the
+    LEFT child of its level-n tile. Children of (n, m) are
+    (n-1, 2m - a_n) and (n-1, 2m - a_n + 1); Above points at the parent,
+    Right at the same-level successor.
+
+    The window spans levels -support_radius..levels. Strips cover the
+    horizontal extent of half_width anchor-level tiles, never narrower than
+    support_radius tiles, so symmetry searches have a usable interior along
+    the whole chain.
+    """
+    levels = int(levels)
+    W = int(half_width)
+    R = int(support_radius)
+    if levels < 1 or W < 1 or R < 1:
+        raise InvariantViolation("extent", "levels, half_width, support_radius must be >= 1")
+
+    a = {}
+    for n in range(1, levels + 1):
+        e = address.entry(n - 1)
+        if e not in (0, 1):
+            raise BadAddressEntry(n - 1, e)
+        a[n] = e
+    for n in range(-R, 1):
+        a[n] = 0
+
+    tiles = set()
+    for n in range(0, levels + 1):
+        w = max(W >> n, R) + 2
+        for m in range(-w, w + 1):
+            tiles.add((n, m))
+    for j in range(1, R + 1):
+        lo = -(R + 1) * (1 << j)
+        hi = (R + 2) * (1 << j)
+        for m in range(lo, hi + 1):
+            tiles.add((-j, m))
+
+    def parent_of(t):
+        n, m = t
+        an1 = a.get(n + 1)
+        if an1 is None:
+            return None  # above the top level: the parent offset is unknown
+        return (n + 1, (m + an1) // 2)
+
+    def children_of(t):
+        n, m = t
+        an = a.get(n)
+        if an is None:
+            return ()
+        return ((n - 1, 2 * m - an), (n - 1, 2 * m - an + 1))
+
+    ids = {t: f"L{t[0]}o{t[1]}" for t in tiles}
+    language = Language([("Above", 2), ("Right", 2)])
+    tuples = []
+    frontier = []
+    for t in tiles:
+        n, m = t
+        missing = False
+        par = parent_of(t)
+        if par is not None and par in tiles:
+            tuples.append(("Above", (ids[t], ids[par])))
+        else:
+            missing = True
+        kids = children_of(t)
+        if len(kids) != 2 or any(c not in tiles for c in kids):
+            missing = True
+        right = (n, m + 1)
+        if right in tiles:
+            tuples.append(("Right", (ids[t], ids[right])))
+        else:
+            missing = True
+        if (n, m - 1) not in tiles:
+            missing = True
+        if missing:
+            frontier.append(ids[t])
+    return Structure(language, ids.values(), tuples, frontier=frontier)
 
 
 def groupings(tokens):

@@ -427,6 +427,12 @@ class TestReportPlumbing:
         with open(rp) as fh:
             assert json.loads(fh.read()) == doc
 
+    def test_unwritable_report_path_is_an_error(self, tmp_path, capsys):
+        rp = str(tmp_path / "missing" / "report.json")
+        assert_user_error(capsys, "gen", "grid", "--dims", "3", "--out",
+                          str(tmp_path / "g.locis"), "--report", rp)
+        assert not os.path.exists(rp)
+
     def test_workers_flag_rejected(self, board_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--workers", "4", "census", board_file, "--h", "1"])

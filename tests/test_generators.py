@@ -9,15 +9,24 @@ plus exact ball sizes from the regular-tree counting formulas.
 """
 
 import hashlib
+from fractions import Fraction
 
 import sympy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locis.errors import BadAddressEntry, InvariantViolation, RationalSlope
+from locis.core import Language
+from locis.errors import (
+    ArityMismatch,
+    BadAddressEntry,
+    DanglingElement,
+    InvariantViolation,
+    RationalSlope,
+)
 from locis.generators import (
     AddressSequence,
+    _window,
     QuadraticIrrational,
     checkerboard_colormap,
     gen_binary_hyperbolic,
@@ -27,6 +36,8 @@ from locis.generators import (
     gen_sturmian,
     sturmian_colors,
 )
+
+from conftest import reference_gen_binary_hyperbolic, reference_gen_kary_tree
 
 HALF = sympy.Rational(1, 2)
 
@@ -269,12 +280,15 @@ TREE_DIGESTS = {
 }
 
 
+def content_digest(M):
+    return hashlib.sha256(repr(M.content_key()).encode()).hexdigest()[:16]
+
+
 def test_tree_ids_are_pinned():
     got = {}
     for k, address, depth, halo in TREE_DIGESTS:
         M = gen_kary_tree(k, AddressSequence.parse(address), depth, halo=halo)
-        digest = hashlib.sha256(repr(M.content_key()).encode()).hexdigest()[:16]
-        got[k, address, depth, halo] = digest
+        got[k, address, depth, halo] = content_digest(M)
     assert got == TREE_DIGESTS
 
 
@@ -433,3 +447,93 @@ def test_grid_rejects_bad_arguments():
         gen_grid((3,), mode="klein")
     with pytest.raises(InvariantViolation):
         gen_grid((3, 3), colormap={(0, 0): "C"})  # missing periods
+
+
+# ---------------------------------------------------------------------------
+# Pinned content of every family
+
+
+def _checkerboard(dims, mode="window", phase=None):
+    periods, cmap = checkerboard_colormap(len(dims))
+    return gen_grid(dims, mode=mode, periods=periods, colormap=cmap, phase=phase)
+
+
+def _tiling(address, levels, half_width, support_radius):
+    return gen_binary_hyperbolic(AddressSequence.parse(address), levels, half_width,
+                                 support_radius)
+
+
+# sha256 prefixes of repr(content_key()) from before generators built their
+# tuples by index arithmetic: label -> (builder, digest). The 40/64 tilings
+# are the benchmark's; the 3/2/5 ones have support_radius > half_width.
+FAMILY_DIGESTS = {
+    "tiling tm 40/64/10": (lambda: _tiling("tm", 40, 64, 10), "c7dafcdbba5a1c01"),
+    "tiling tm 6/8/3": (lambda: _tiling("tm", 6, 8, 3), "dfd12843e0badef8"),
+    "tiling tm 3/2/5": (lambda: _tiling("tm", 3, 2, 5), "525d614f764e2c9d"),
+    "tiling periodic:01 40/64/10": (lambda: _tiling("periodic:01", 40, 64, 10), "42334dc136f8b474"),
+    "tiling periodic:01 6/8/3": (lambda: _tiling("periodic:01", 6, 8, 3), "35028da4992caa3b"),
+    "tiling periodic:01 3/2/5": (lambda: _tiling("periodic:01", 3, 2, 5), "246a085b3a21f466"),
+    "tiling constant:0 40/64/10": (lambda: _tiling("constant:0", 40, 64, 10), "7f8b4d2028a71592"),
+    "tiling constant:0 6/8/3": (lambda: _tiling("constant:0", 6, 8, 3), "5592900cbf6be53a"),
+    "tiling constant:0 3/2/5": (lambda: _tiling("constant:0", 3, 2, 5), "c6e3878bf59a0fe1"),
+    "cayley k=1 r=5": (lambda: gen_cayley_free(1, 5), "665fe31e0f964eac"),
+    "cayley k=2 r=4": (lambda: gen_cayley_free(2, 4), "bcff159d661bc017"),
+    "cayley k=3 r=3": (lambda: gen_cayley_free(3, 3), "21b17bd59836c9ea"),
+    "grid window 3,3": (lambda: gen_grid((3, 3)), "31da43abf48dbb9f"),
+    "grid torus 4,4": (lambda: gen_grid((4, 4), mode="torus"), "aeba240af87bb9d5"),
+    "grid window 5 (Succ)": (lambda: gen_grid((5,)), "82879fe5231b04c1"),
+    "grid torus 6 (Succ)": (lambda: gen_grid((6,), mode="torus"), "c17108d2b7cf097b"),
+    "grid torus 1,3": (lambda: gen_grid((1, 3), mode="torus"), "a888a28ca5451bab"),
+    "checkerboard window 3,4 phase 1,0": (
+        lambda: _checkerboard((3, 4), phase=(1, 0)), "4fe1c3805c97ae90"),
+    "checkerboard torus 4,4": (lambda: _checkerboard((4, 4), mode="torus"), "c158ed6f52537d87"),
+    "sturmian sqrt2 s=0": (
+        lambda: gen_sturmian(QuadraticIrrational.sqrt(2), 0, 20), "bc034ca770244e69"),
+    "sturmian sqrt2 s=1/3": (
+        lambda: gen_sturmian(QuadraticIrrational.sqrt(2), Fraction(1, 3), 20), "0b22f5cbdda55add"),
+}
+
+
+def test_family_content_is_pinned():
+    got = {label: content_digest(build()) for label, (build, _) in FAMILY_DIGESTS.items()}
+    assert got == {label: digest for label, (_, digest) in FAMILY_DIGESTS.items()}
+
+
+@st.composite
+def tiling_params(draw):
+    levels = draw(st.integers(1, 6))
+    bits = draw(st.lists(st.integers(0, 1), min_size=levels, max_size=levels))
+    return (AddressSequence.explicit(bits), levels, draw(st.integers(1, 9)),
+            draw(st.integers(1, 4)))
+
+
+@st.composite
+def tree_params(draw):
+    k, depth = draw(st.integers(2, 4)), draw(st.integers(1, 8))
+    address = draw(st.lists(st.integers(1, k), min_size=depth, max_size=depth))
+    return k, AddressSequence.explicit(address), depth, draw(st.integers(1, 6))
+
+
+@given(tiling_params())
+@settings(max_examples=150, deadline=None)
+def test_tiling_matches_set_based_reference(params):
+    assert (gen_binary_hyperbolic(*params).content_key()
+            == reference_gen_binary_hyperbolic(*params).content_key())
+
+
+@given(tree_params())
+@settings(max_examples=150, deadline=None)
+def test_tree_matches_set_based_reference(params):
+    k, address, depth, halo = params
+    assert (gen_kary_tree(k, address, depth, halo=halo).content_key()
+            == reference_gen_kary_tree(k, address, depth, halo=halo).content_key())
+
+
+def test_rejected_symbol_lists_raise_the_named_error():
+    language = Language([("P", 2)])
+    with pytest.raises(DanglingElement):
+        _window(language, ["a", "b"], {"P": [("a", "c")]}, ())
+    with pytest.raises(ArityMismatch):
+        _window(language, ["a", "b"], {"P": [("a",)]}, ())
+    M = _window(language, ["a", "b"], {"P": [("a", "b")]}, ("b",))
+    assert M.tuples_of("P") == (("a", "b"),) and M.frontier == {"b"}
