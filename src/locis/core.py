@@ -9,18 +9,26 @@ faithful to the infinite structure.
 Element ids are opaque strings. The core never interprets them. Each
 window numbers its elements by position in its sorted element tuple, so
 int order is id order; every per-element table derived from it (Gaifman
-neighbours, depths, the census index) is a list over positions, and the
-id-keyed views depths() and adjacency() serve public callers only. Every
-distance is a breadth-first search over the int neighbours, and an id-keyed
-result lists elements in the order the search discovers them.
+rows, depths, the census index) is keyed by position, and the id-keyed
+views depths() and adjacency() serve public callers only. A local question
+is answered from the rows it reaches: a row is read on demand from the
+sorted tuple lists, and a depth is searched for around its element up to
+the radius asked for. The whole-window tables (the bulk Gaifman index, a
+list, and the depth list) are built once enough of the window has been
+read, or by the readers that need all of it. Every distance is a
+breadth-first search over the int rows, and an id-keyed result lists
+elements in the order the search discovers them.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 
 from .errors import (
     ArityMismatch,
@@ -34,6 +42,8 @@ SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # The character class of element ids; textio builds its line patterns from it.
 ELEMENT_CHARS = r"[A-Za-z0-9_.+-]"
 ELEMENT_RE = re.compile(rf"{ELEMENT_CHARS}+\Z")
+
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 class Language:
@@ -88,9 +98,12 @@ class Structure:
     construction. Derived data (the id-to-position map, the per-position
     Gaifman neighbours and depths, the id adjacency view) is computed lazily
     and cached; recomputation is idempotent, so concurrent readers are safe.
-    Incidence is computed per element on first request and memoized; the
-    whole window's table is built in one pass instead once an eighth of the
-    window has an entry, or at once over a symbol of arity 3 or more.
+    Gaifman rows and incidence are computed per element on first request
+    and memoized; the whole window's table is built in one pass instead once
+    an eighth of the window has an entry, or at once over a symbol of arity
+    3 or more. A depth is searched for around its element, and the whole
+    window's depths are computed in one pass once those searches have
+    visited as many elements as the window holds.
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -159,10 +172,12 @@ class Structure:
         self._tuple_sets = by_symbol  # membership tests only
 
         self._pos = None
-        self._nbrs = None
+        self._nbrs = None  # _Rows, then the bulk list once _gaifman() builds it
         self._adj = None
         self._incident = {}
         self._depth = None
+        self._near = {}  # position -> depth, from searches that found it exactly
+        self._searched = 0  # elements visited by those searches
         self._cache = {}
 
     def _checked_args(self, symbol, args):
@@ -220,10 +235,26 @@ class Structure:
             self._pos = dict(zip(self.elements, range(len(self.elements))))
         return self._pos
 
+    def _position(self, element, lookup):
+        """The element's position; DanglingElement naming `lookup` if the
+        window does not hold it."""
+        try:
+            return self._positions()[element]
+        except KeyError:
+            raise DanglingElement(element, lookup=lookup) from None
+
+    def _local(self, store):
+        """Whether an entry missing from a per-element store is computed on
+        its own: while fewer than an eighth of the positions have one, and
+        no symbol is wider than binary. Otherwise the whole table is built."""
+        return len(store) * 8 < len(self.elements) and all(
+            a <= 2 for _, a in self.language.symbols
+        )
+
     def _gaifman(self):
         """The int Gaifman index: nbrs[i] is the sorted tuple of positions
         co-occurring with position i in some tuple."""
-        if self._nbrs is None:
+        if type(self._nbrs) is not list:
             pos = self._positions()
             nbrs = [set() for _ in self.elements]
             for name, arity in self.language.symbols:
@@ -247,6 +278,47 @@ class Structure:
             self._nbrs = [tuple(sorted(s)) for s in nbrs]
         return self._nbrs
 
+    def _row(self, i):
+        """_gaifman()[i], read on demand.
+
+        Over unary and binary symbols a row is read by bisection from the
+        sorted tuple lists: out-neighbours from each symbol's list, and
+        in-neighbours from one copy of it sorted by the second argument,
+        made on first use. Rows read are kept in _rows(). Once an eighth of
+        the window has one, or when some symbol is wider, _gaifman() builds
+        every row instead: the rule incident() follows (see _local).
+        """
+        nbrs = self._rows()
+        if type(nbrs) is list or i in nbrs:
+            return nbrs[i]
+        if not self._local(nbrs):
+            return self._gaifman()[i]
+        e = self.elements[i]
+        found = set()
+        for name, arity in self.language.symbols:
+            if arity != 2:
+                continue
+            ts = self.tuples_by_symbol[name]
+            lo = bisect_left(ts, e, key=_first)
+            found.update(map(_second, ts[lo : bisect_right(ts, e, lo, key=_first)]))
+            key = ("by second", name)
+            ts = self._cache.get(key)
+            if ts is None:
+                ts = self._cache[key] = sorted(self.tuples_by_symbol[name], key=_second)
+            lo = bisect_left(ts, e, key=_second)
+            found.update(map(_first, ts[lo : bisect_right(ts, e, lo, key=_second)]))
+        found.discard(e)
+        nbrs[i] = row = tuple(map(self._positions().__getitem__, sorted(found)))
+        return row
+
+    def _rows(self):
+        """The row store, indexed by position: the bulk index once it is
+        built, and before that the rows read so far, which reads a missing
+        one by _row. A search may keep using the store it was handed."""
+        if self._nbrs is None:
+            self._nbrs = _Rows(self)
+        return self._nbrs
+
     def adjacency(self):
         """Gaifman adjacency: u ~ v iff they co-occur in some tuple.
 
@@ -263,8 +335,8 @@ class Structure:
         symbols in declaration order, each symbol's tuples in sorted order.
 
         Over unary and binary symbols an entry is looked up from the
-        element's Gaifman neighbours, so a search that meets a few elements
-        of a large window builds only their entries. Once an eighth of the
+        element's Gaifman row, so a search that meets a few elements of a
+        large window builds only their entries and rows. Once an eighth of the
         window has one, or when some symbol is wider, the whole table is
         built in one pass, which is cheaper per entry.
         """
@@ -273,7 +345,7 @@ class Structure:
         except KeyError:
             pass
         inc = self._incident
-        if len(inc) * 8 < len(self.elements) and all(a <= 2 for _, a in self.language.symbols):
+        if self._local(inc):
             inc[element] = entry = self._incident_entry(element)
             return entry
         if len(inc) < len(self.elements):
@@ -284,7 +356,7 @@ class Structure:
         """incident(element) over unary and binary symbols: the candidate
         pairs are the element with itself and with each Gaifman neighbour."""
         at = self.elements.__getitem__
-        nb = list(map(at, self._gaifman()[self._positions()[element]]))
+        nb = list(map(at, self._row(self._positions()[element])))
         pairs = [(element, v) for v in nb]
         pairs += [(v, element) for v in nb]
         pairs.append((element, element))
@@ -343,15 +415,16 @@ class Structure:
         """Gaifman distance to the nearest source, for every element within
         `limit` of one (every reachable element when limit is None).
 
-        Breadth-first over the int index. The dict lists elements in
-        discovery order, sources first: neighbours are scanned in int order,
-        which is id order, so this is the order in which a FIFO queue over
+        Breadth-first over the int rows: read on demand within a limit, from
+        the bulk index without one. The dict lists elements in discovery
+        order, sources first: neighbours are scanned in int order, which is
+        id order, so this is the order in which a FIFO queue over
         adjacency() meets them. ball_elements and the step words of symmetry
         rely on that order. A negative limit is rejected.
         """
         if limit is not None and limit < 0:
             raise InvariantViolation("radius", f"negative radius {limit}")
-        nbrs = self._gaifman()
+        nbrs = self._gaifman() if limit is None else self._rows()
         dist = dict.fromkeys(map(self._positions().__getitem__, sources), 0)
         layer, d = list(dist), 0
         while layer and (limit is None or d < limit):
@@ -379,10 +452,54 @@ class Structure:
         """
         return dict(zip(self.elements, self._depth_list()))
 
+    def _depth_within(self, i, cap):
+        """min(depth of position i, cap).
+
+        A breadth-first search from i that stops at the first layer holding
+        a frontier element, or at radius cap; a closed window answers at
+        once. Exact depths are memoized. Once these searches have visited
+        as many elements in total as the window holds, the depth list is
+        built and read instead, so asking for every depth stays linear.
+        """
+        if self._depth is None and self._searched >= len(self.elements):
+            self._depth_list()
+        if self._depth is not None:
+            return min(self._depth[i], cap)
+        if not self.frontier:
+            return cap  # every depth is math.inf
+        if i in self._near:
+            return min(self._near[i], cap)
+        frontier, at, nbrs = self.frontier, self.elements.__getitem__, self._rows()
+        seen, layer, d = {i}, [i], 0
+        found = at(i) in frontier
+        while not found and d < cap:
+            d += 1
+            nxt = []
+            for u in layer:
+                for v in nbrs[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            layer = nxt
+            if not layer:
+                d = math.inf  # the component holds no frontier element
+                break
+            found = not frontier.isdisjoint(map(at, layer))
+        self._searched += len(seen)
+        if found or d is math.inf:
+            self._near[i] = d
+        return min(d, cap)
+
     def depth(self, element):
-        if element not in self._eset:
-            raise DanglingElement(element, lookup="depth lookup")
-        return self._depth_list()[self._positions()[element]]
+        """Distance from the element to the nearest frontier element.
+
+        Answered locally: a search around the element stops at the first
+        layer that holds a frontier element, and reads only the Gaifman
+        rows it reaches. Exact answers are memoized. The whole-window depth
+        list is built once such searches have visited as many elements as
+        the window holds, and read from then on (see _depth_within).
+        """
+        return self._depth_within(self._position(element, "depth lookup"), math.inf)
 
     def is_closed(self):
         return not self.frontier
@@ -432,13 +549,19 @@ class Structure:
         return self.distances((center,), h)
 
     def ball(self, center, h):
-        """Extract (B(center,h), center) as a standalone closed structure."""
-        if center not in self._eset:
-            raise DanglingElement(center, lookup="ball centre")
+        """Extract (B(center,h), center) as a standalone closed structure.
+
+        Answered locally: only depth >= h is asked of the centre, so its
+        depth search stops at radius h (below h the depth is exact, and the
+        error names it), and the ball is read from the rows and incidence
+        entries of its members. No whole-window table is built unless the
+        window is mostly read already.
+        """
+        i = self._position(center, "ball centre")
         h = int(h)
         if h < 0:
             raise InvariantViolation("radius", f"negative radius {h}")
-        d = self.depth(center)
+        d = self._depth_within(i, h)
         if d < h:
             raise UnfaithfulRadius(center, h, d)
         sub = self.restrict(self.ball_elements(center, h), frontier=())
@@ -473,6 +596,21 @@ class Structure:
             f"Structure(|elements|={len(self.elements)}, "
             f"|tuples|={self.tuple_count()}, |frontier|={len(self.frontier)})"
         )
+
+
+class _Rows(dict):
+    """The Gaifman rows of a window read so far, {position: row}. A missing
+    row is read by the window's _row; the window is held weakly, so it and
+    its rows form no reference cycle."""
+
+    __slots__ = ("window",)
+
+    def __init__(self, window):
+        super().__init__()
+        self.window = weakref.ref(window)
+
+    def __missing__(self, i):
+        return self.window()._row(i)
 
 
 @dataclass(frozen=True)

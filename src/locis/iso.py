@@ -161,7 +161,6 @@ def _layers(M, center, dist):
     """The Gaifman layers around center, one per next(): each a list of ids
     in id order, and [] once the ball stops growing. dist records each
     element's layer as it is yielded."""
-    nbrs = M._gaifman()
     at = M.elements.__getitem__
     layer = [M._positions()[center]]
     seen = set(layer)
@@ -170,6 +169,7 @@ def _layers(M, center, dist):
         ids = list(map(at, layer))
         dist.update(dict.fromkeys(ids, level))
         yield ids
+        nbrs = M._rows()  # per layer: the bulk index may have replaced it
         layer = sorted({v for u in layer for v in nbrs[u]} - seen)
         seen.update(layer)
         level += 1
@@ -211,17 +211,20 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     sends a tuple (x_1,...,x_k) of M onto the tuple of N that lists the
     images backwards. The search reverses u's tuples once, when it builds
     the checks below, and reads N as it is.
+
+    Answered locally: each depth is searched for only up to target_radius,
+    since only min(depth_a, depth_b, target_radius) is used, and each layer
+    is read from the Gaifman rows and incidence entries of the layer
+    before, so a search that stays small builds no whole-window table.
     """
     if M.language != N.language:
         raise LanguageMismatch(M.language, N.language)
     if target_radius < 0:
         raise InvariantViolation("radius", f"negative radius {target_radius}")
-    depth_a = M.depth(a)
-    depth_b = N.depth(b)
-    certifiable = min(depth_a, depth_b, target_radius)
-    if certifiable is math.inf:
-        certifiable = target_radius
-    certifiable = int(certifiable)
+    certifiable = int(min(
+        M._depth_within(M._position(a, "depth lookup"), target_radius),
+        N._depth_within(N._position(b, "depth lookup"), target_radius),
+    ))
 
     dist_a, dist_b = {}, {}
     grow_a, grow_b = _layers(M, a, dist_a), _layers(N, b, dist_b)
@@ -762,8 +765,9 @@ def _forest_layout(M):
             lab[j] = si
             kids[i] |= bit
     full = (1 << len(M.language.symbols)) - 1
-    for d, p, bits in zip(M._depth_list(), par, kids):
-        if d >= 1 and (p < 0 or bits != full):
+    frontier = M.frontier  # the elements of depth 0
+    for e, p, bits in zip(M.elements, par, kids):
+        if e not in frontier and (p < 0 or bits != full):
             return None
     return par, lab
 

@@ -91,6 +91,15 @@ def find_symmetries(
     reaches radii far past the window's ball depth. The identity candidate
     (anchor, forward) is skipped unless requested, so reported maps are
     nontrivial.
+
+    With an explicit anchor the search is local: the anchor's depth is
+    searched for only up to `displacement`, and candidates, engine layers
+    and exact candidate depths (the certified radius a found map reports)
+    are read from the Gaifman rows they reach. A whole-window table is
+    built only when the search reads much of the window: the neighbour
+    index once an eighth of it has rows, the depth list once the depth
+    searches have visited as many elements as it holds. Without an anchor,
+    picking the deepest element reads every depth.
     """
     negative = " and ".join(
         f"{name} {v}" for name, v in (("displacement", displacement), ("radius", radius)) if v < 0
@@ -99,7 +108,8 @@ def find_symmetries(
         raise InvariantViolation("radius", f"negative {negative}")
     if anchor is None:
         anchor = M.deepest_element()
-    depth_x = M.depth(anchor)
+    # a depth below displacement is exact
+    depth_x = M._depth_within(M._position(anchor, "depth lookup"), displacement)
     if depth_x < displacement:
         raise WindowExhausted(
             f"anchor depth {depth_x} below displacement {displacement}", displacement
@@ -358,11 +368,11 @@ def _word_between(M, a, b, bound):
     # Walk back from b. The neighbour one step closer with the least BFS
     # rank is the one that discovered it.
     rank = {e: i for i, e in enumerate(dist)}
-    pos, nbrs, at = M._positions(), M._gaifman(), M.elements.__getitem__
+    pos, at = M._positions(), M.elements.__getitem__
     path = [b]
     while path[-1] != a:
         d = dist[path[-1]] - 1
-        back = (at(j) for j in nbrs[pos[path[-1]]])
+        back = (at(j) for j in M._row(pos[path[-1]]))
         path.append(min((v for v in back if dist.get(v) == d), key=rank.__getitem__))
     path.reverse()
     steps = []

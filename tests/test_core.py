@@ -453,3 +453,99 @@ def test_symmetry_search_on_a_deep_tiling_fills_few_incidence_entries():
     rep = find_symmetries(M, 4, 12, anchor="L-1o-1")
     assert rep.verdict == "found"
     assert 0 < len(M._incident) < 0.05 * len(M)
+
+
+LANG_LOCAL = Language([("U", 1), ("P", 2), ("Q", 2)])
+LANG_LOCAL_T = Language([("U", 1), ("P", 2), ("Q", 2), ("T", 3)])
+
+
+@st.composite
+def two_component_window(draw):
+    """(language, ids, tuples, frontier, order): a window whose ids split
+    into two parts with no tuple between them, the frontier drawn from the
+    first part only (so it may be empty, and the second part is a
+    frontier-free component beside it), and a random order of positions.
+    Binary tuples take self-loops, both directions and repeats across P and
+    Q; a ternary symbol, when drawn, sends every row to the bulk index."""
+    ternary = draw(st.booleans())
+    language = LANG_LOCAL_T if ternary else LANG_LOCAL
+    n = draw(st.integers(min_value=1, max_value=24))
+    ids = [f"v{i:02d}" for i in range(n)]
+    cut = draw(st.integers(min_value=1, max_value=n))
+    tuples = []
+    for lo, hi in ((0, cut), (cut, n)):
+        if lo == hi:
+            continue
+        pick = st.integers(min_value=lo, max_value=hi - 1)
+        for _ in range(draw(st.integers(min_value=0, max_value=2 * (hi - lo)))):
+            sym = draw(st.sampled_from([name for name, _ in language.symbols]))
+            args = tuple(ids[draw(pick)] for _ in range(language.arities[sym]))
+            tuples.append((sym, args))
+            if len(args) == 2 and draw(st.booleans()):
+                tuples.append((draw(st.sampled_from(["P", "Q"])), args[::-1]))
+            if len(args) == 2 and draw(st.booleans()):
+                tuples.append(("Q" if sym == "P" else "P", args))
+    frontier = [ids[i] for i in range(cut) if draw(st.booleans())]
+    order = draw(st.permutations(range(n)))
+    return language, ids, tuples, frontier, order
+
+
+@given(two_component_window(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_local_rows_and_depths_match_the_bulk_tables(case, data):
+    """Rows and depths read on demand, in a random order so the switch to
+    the bulk tables happens mid-test, equal the bulk tables' entries."""
+    language, ids, tuples, frontier, order = case
+    bulk = Structure(language, ids, tuples, frontier=frontier)
+    nbrs = bulk._gaifman()
+    depth = bulk._distance_list(map(bulk._positions().__getitem__, frontier))
+
+    M = Structure(language, ids, tuples, frontier=frontier)
+    for i in order:
+        assert M._row(i) == nbrs[i]
+
+    M = Structure(language, ids, tuples, frontier=frontier)
+    caps = st.one_of(st.integers(min_value=0, max_value=6), st.just(math.inf))
+    for i in order:
+        cap = data.draw(caps)
+        assert M._depth_within(i, cap) == min(depth[i], cap)
+        assert M.depth(M.elements[i]) == depth[i]
+
+
+@pytest.mark.parametrize(
+    "build, anchor, displacement, radius",
+    [
+        (lambda: gen_binary_hyperbolic(AddressSequence.parse("tm"), 40, 64), "L-1o-1", 4, 12),
+        (lambda: gen_kary_tree(2, AddressSequence.parse("tm12"), 2000, halo=14), "c0", 8, 50),
+    ],
+    ids=["tiling_tm", "tree_tm"],
+)
+def test_symmetry_search_with_an_anchor_reads_rows_and_depths_locally(
+    build, anchor, displacement, radius
+):
+    M = build()
+    rep = find_symmetries(M, displacement, radius, anchor=anchor)
+    assert rep.verdict == "none_found"
+    assert M._depth is None
+    assert not isinstance(M._nbrs, list) and 0 < len(M._nbrs) * 8 < len(M)
+
+
+def test_every_depth_of_a_grid_builds_the_depth_list_once(monkeypatch):
+    want = gen_grid((20, 20), mode="window").depths()
+    M = gen_grid((20, 20), mode="window")
+    assert len(M) == 41 * 41 and M.frontier
+    calls = []
+    whole = Structure._distance_list
+
+    def counted(self, starts):
+        calls.append(self)
+        return whole(self, starts)
+
+    monkeypatch.setattr(Structure, "_distance_list", counted)
+    got = {}
+    for e in M.elements:
+        got[e] = M.depth(e)
+        if len(got) == 1:
+            assert M._depth is None  # the first depth is searched around e
+    assert got == want
+    assert calls == [M]
