@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
+from struct import pack
 
 from .core import Structure
 from .errors import (
@@ -397,7 +399,8 @@ class _Index:
     """Integer incidence index of a window, by position in M.elements.
 
     Each element's entries list its tuples once each as (slot, args), args
-    in element positions, sorted. slots[s] is the (symbol index, arity,
+    in element positions, sorted; they are built one symbol at a time, and
+    over unary and binary symbols from whole argument columns. slots[s] is the (symbol index, arity,
     unary bit) of slot s. Slots rank the pairs (symbol name, positions of the
     element) over all of M, so they also order the pairs of any ball of M.
     Unary symbols get bits with the first declared one most significant, so
@@ -407,21 +410,46 @@ class _Index:
     number of entries. label, one reusable list over positions and markers,
     maps member positions to member numbers (-1 outside the current ball)
     and n + s to s, so one map over a template yields a member's words.
+    Raw words (see words) read -1 for an argument outside the ball, so memo
+    keys pack words as signed ints: struct typecode "h" when every word is
+    below 2**15, else "i".
     """
 
-    __slots__ = ("language", "slots", "template", "counts", "label", "typecode")
+    __slots__ = ("language", "slots", "width", "template", "counts", "label", "typecode")
 
     def __init__(self, M):
         self.language = M.language
         pos = M._positions()
-        keyed = [[] for _ in M.elements]
-        for name, _ in M.language.symbols:
-            for t in M.tuples_by_symbol[name]:
-                args = tuple([pos[x] for x in t])
-                for x in set(args):
-                    key = (name, tuple([i for i, y in enumerate(args) if y == x]))
-                    keyed[x].append((key, args))
-        keys = sorted({key for ks in keyed for key, _ in ks})
+        n = len(M.elements)
+        # Each slot that occurs, keyed (name, places), lists its (element,
+        # args) entries in tuple order. A unary or binary symbol's argument
+        # columns are read once; a binary tuple's slots are (0,) and (1,),
+        # or (0, 1) for a loop.
+        entries = {}
+        for name, arity in M.language.symbols:
+            ts = M.tuples_by_symbol[name]
+            if not ts:
+                continue
+            if arity > 2:
+                for t in ts:
+                    args = tuple(map(pos.__getitem__, t))
+                    for x in set(args):
+                        key = (name, tuple([i for i, y in enumerate(args) if y == x]))
+                        entries.setdefault(key, []).append((x, args))
+                continue
+            cols = [list(map(pos.__getitem__, map(itemgetter(k), ts))) for k in range(arity)]
+            if arity == 1:
+                entries[name, (0,)] = zip(cols[0], zip(cols[0]))
+                continue
+            pairs = list(zip(*cols))
+            moves = [t for t in pairs if t[0] != t[1]]
+            loops = [t for t in pairs if t[0] == t[1]]
+            if moves:
+                entries[name, (0,)] = zip(map(itemgetter(0), moves), moves)
+                entries[name, (1,)] = zip(map(itemgetter(1), moves), moves)
+            if loops:
+                entries[name, (0, 1)] = zip(map(itemgetter(0), loops), loops)
+        keys = sorted(entries)
         unary = M.language.unary_symbols
         sym = {name: i for i, (name, _) in enumerate(M.language.symbols)}
         self.slots = [
@@ -432,16 +460,19 @@ class _Index:
             )
             for name, _ in keys
         ]
-        n = len(M.elements)
-        marker = {key: n + s for s, key in enumerate(keys)}
-        for ks in keyed:
-            ks.sort()  # keys sort as their slots do
-        self.template = [[x for key, args in ks for x in (marker[key], *args)] for ks in keyed]
+        self.width = [1 + arity for _, arity, _ in self.slots]
+        # Slot by slot in rank order, each in tuple order, which over
+        # positions is id order: every element's entries arrive sorted.
+        keyed = [[] for _ in range(n)]
+        for s, key in enumerate(keys):
+            m = n + s
+            for x, args in entries[key]:
+                keyed[x].append((m, *args))
+        self.template = [list(chain.from_iterable(ks)) for ks in keyed]
         self.counts = list(map(len, keyed))
         self.label = [-1] * n + list(range(len(keys)))
-        # memo keys pack words into the narrowest array that holds them all
         bound = max(n, len(keys), max(self.counts, default=0))
-        self.typecode = "H" if bound < 1 << 16 else "I"
+        self.typecode = "h" if bound < 1 << 15 else "i"
 
     def words(self, center, h):
         """Flat integer encoding of the h-ball around position `center`.
@@ -452,11 +483,15 @@ class _Index:
         scan passes over them). Distances are Gaifman distances, since the
         entries hold the co-occurrences the Gaifman index does. The words
         list, member by member, its distance, its entry count, then per entry
-        the slot and the member numbers; a slot fixes its arity, so the words
-        determine the ball's form exactly. Members at distance h keep only
-        the tuples inside the ball. Returns (words, number of members).
+        the slot and the member numbers; a slot fixes its arity. Members at
+        distance h list every entry too, so an argument outside the ball
+        reads -1: raw words also record the tuples that leave the ball, and
+        trim() turns them into the words of the exact form, which determine
+        the ball's form exactly. Returns (words, number of members, offset
+        of the first member at distance h), the offset being len(words) when
+        no member lies at distance h.
         """
-        template, counts, label, slots = self.template, self.counts, self.label, self.slots
+        template, counts, label = self.template, self.counts, self.label
         get = label.__getitem__
         label[center] = 0
         members = [center]
@@ -475,36 +510,66 @@ class _Index:
                 words += (d, counts[u])
                 words += map(get, block)
             lo, d = hi, d + 1
-        # members at distance h keep the entries with every argument inside
+        edge = len(words)
         for u in members[lo:]:
-            block = list(map(get, template[u]))
-            if -1 not in block:
-                words += (d, counts[u])
-                words += block
-                continue
-            kept, count, j = [], 0, 0
-            while j < len(block):
-                part = block[j : j + 1 + slots[block[j]][1]]
-                j += len(part)
-                if -1 not in part:
-                    kept += part
-                    count += 1
-            words += (d, count)
-            words += kept
+            words += (d, counts[u])
+            words += map(get, template[u])
         for x in members:
             label[x] = -1
-        return words, m
+        return words, m, edge
+
+    def trim(self, words, start=0):
+        """The exact form of raw words: each entry that holds -1, a tuple
+        leaving the ball, is dropped and its member's count lowered. Words
+        that hold no -1 are returned as they are; the member numbering never
+        changes. The result determines the ball's form exactly. `start`, the
+        offset of a member at or before the first -1 (the edge words()
+        returns), spares reading the members before it."""
+        if -1 not in words:
+            return words
+        width = self.width
+        left = words.count(-1)
+        neg = words.index(-1, start)  # the next -1 not yet dropped
+        i = start
+        while True:  # find the member that holds it
+            j = i + 2
+            for _ in range(words[i + 1]):
+                j += width[words[j]]
+            if j > neg:
+                break
+            i = j
+        out = words[:i]
+        end = len(words)
+        while i < end:
+            count = words[i + 1]
+            head = len(out)
+            out += (words[i], count)
+            j = run = i + 2  # run: the first entry not yet copied
+            for _ in range(count):
+                k = j + width[words[j]]
+                if neg < k:
+                    out += words[run:j]
+                    run = k
+                    count -= 1
+                    while neg < k:
+                        left -= 1
+                        neg = words.index(-1, neg + 1) if left else end
+                j = k
+            out += words[run:j]
+            out[head + 1] = count
+            i = j
+        return out
 
     def key(self, words):
-        """Exact memo key of the form that words encode."""
-        return array(self.typecode, words).tobytes()
+        """Memo key of words, raw or trimmed: equal keys iff equal words."""
+        return pack(f"{len(words)}{self.typecode}", *words)
 
     def signature(self, words):
-        """The canonical signature of the ball that words encode."""
+        """The canonical signature of the ball that trimmed words encode."""
         return BallSignature(_canonical_code(self.language, *self.form(words)))
 
     def form(self, words):
-        """(init, inc, rows) of the ball encoded by words.
+        """(init, inc, rows) of the ball encoded by trimmed words.
 
         init ranks the members' (distance, unary profile) pairs, inc lists
         each member's (slot, args) entries, and rows lists each symbol's
@@ -686,7 +751,7 @@ def signature(A):
     """
     S = A.structure
     index = _Index(S)
-    words, n = index.words(S._positions()[A.center], len(S))
+    words, n, _ = index.words(S._positions()[A.center], len(S))
     if n != len(S):
         raise InvariantViolation(
             "ball-connected", "pointed ball has elements unreachable from its center"
@@ -937,10 +1002,13 @@ def class_ids(M, h, extended=False):
     cover exactly the faithful elements (depth >= h). The window's layout,
     detected once by _layout, picks the method: linear tokens on a path or
     cycle, upward label words on a forest, canonical signatures of ball
-    forms otherwise (tilings included). With extended=True, a forest window
-    may certify tokens past the faithful region (it decides classes from
-    ancestor words alone); the other methods stay depth-bounded. Tokens are
-    comparable within one call; use signatures to compare across structures.
+    forms otherwise (tilings included): one canonical code per distinct
+    exact form, reached through a memo on raw words, so that a ball whose
+    raw words were seen costs one breadth-first read and one key. With
+    extended=True, a forest window may certify tokens past the faithful
+    region (it decides classes from ancestor words alone); the other
+    methods stay depth-bounded. Tokens are comparable within one call; use
+    signatures to compare across structures.
     """
     if h < 0:
         raise InvariantViolation("radius", f"negative radius {h}")
@@ -957,17 +1025,27 @@ def class_ids(M, h, extended=False):
         if extended:
             return {e: w for e, w, _ in words if len(w) == h}
         return {e: w for e, w, d in words if d >= h and len(w) == h}
-    # Equal forms share one code; the keys live as long as this call.
+    # Two memos that live as long as this call: equal raw words share one
+    # signature, and a raw key first seen is trimmed, so that equal exact
+    # forms share one code. Raw words also record the tuples that leave the
+    # ball, so one form can have several raw keys; a code per raw key would
+    # pay the canonical search once per key instead of once per form.
     index = _Index(M)
-    codes = {}
+    seen, codes = {}, {}
     out = {}
     for i, (e, d) in enumerate(zip(M.elements, depths)):
         if d >= h:
-            words, _ = index.words(i, h)
-            key = index.key(words)
-            if key not in codes:
-                codes[key] = index.signature(words)
-            out[e] = codes[key]
+            words, _, edge = index.words(i, h)
+            raw = index.key(words)
+            sig = seen.get(raw)
+            if sig is None:
+                words = index.trim(words, edge)
+                key = index.key(words)
+                sig = codes.get(key)
+                if sig is None:
+                    sig = codes[key] = index.signature(words)
+                seen[raw] = sig
+            out[e] = sig
     return out
 
 

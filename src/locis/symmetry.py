@@ -10,6 +10,7 @@ limit yields a verified automorphism-approximant.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -458,10 +459,17 @@ def periodic_isomorphism(M, N, pre_radius=1, period_report=None):
     otherwise every target anchor gets one engine search at the window
     limit, which stops at the first layer where it dies. Survival to the
     limit returns a verified approximant; death of every candidate
-    returns None. The period_report parameter is informational: periodicity
-    of N is what justifies reading the window-limit certificate as evidence
-    for a full isomorphism.
+    returns None. Periodicity of N is what justifies reading the
+    window-limit certificate as evidence for a full isomorphism; the search
+    does not need N's period report. period_report is ignored and
+    deprecated: passing one emits a DeprecationWarning.
     """
+    if period_report is not None:
+        warnings.warn(
+            "periodic_isomorphism ignores period_report; the parameter will be removed",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     if not M.elements or not N.elements:
         return None
     compare = extraction_compare(M, N, pre_radius)

@@ -334,6 +334,74 @@ def reference_forest_class_keys(M, h, extended=False):
 # by range arithmetic.
 
 
+def reference_index(M):
+    """(slots, template, counts) of iso._Index as built one tuple at a time:
+    each tuple gives each of its distinct elements the entry (key, args),
+    key = (symbol name, places of the element), and every element's entries
+    are sorted by key and args."""
+    pos = M._positions()
+    keyed = [[] for _ in M.elements]
+    for name, _ in M.language.symbols:
+        for t in M.tuples_by_symbol[name]:
+            args = tuple(pos[x] for x in t)
+            for x in set(args):
+                key = (name, tuple(i for i, y in enumerate(args) if y == x))
+                keyed[x].append((key, args))
+    keys = sorted({key for ks in keyed for key, _ in ks})
+    unary = M.language.unary_symbols
+    sym = {name: i for i, (name, _) in enumerate(M.language.symbols)}
+    slots = [
+        (
+            sym[name],
+            M.language.arities[name],
+            1 << (len(unary) - 1 - unary.index(name)) if name in unary else 0,
+        )
+        for name, _ in keys
+    ]
+    n = len(M.elements)
+    marker = {key: n + s for s, key in enumerate(keys)}
+    for ks in keyed:
+        ks.sort()
+    template = [[x for key, args in ks for x in (marker[key], *args)] for ks in keyed]
+    return slots, template, [len(ks) for ks in keyed]
+
+
+def reference_words(M, center, h):
+    """The exact-form words of the h-ball around position `center`, built
+    from reference_index: members numbered in slot-ordered discovery, and
+    members at distance h keeping only the entries inside the ball."""
+    slots, template, counts = reference_index(M)
+    n = len(M.elements)
+    label = {center: 0}
+    members = [center]
+    layers = [[center]]
+    while len(layers) <= h:
+        layer = []
+        for u in layers[-1]:
+            for x in template[u]:
+                if x < n and x not in label:
+                    label[x] = len(members)
+                    members.append(x)
+                    layer.append(x)
+        if not layer:
+            break
+        layers.append(layer)
+    words = []
+    for d, layer in enumerate(layers):
+        for u in layer:
+            block, j, kept = template[u], 0, []
+            while j < len(block):
+                s = block[j] - n
+                args = block[j + 1 : j + 1 + slots[s][1]]
+                j += 1 + len(args)
+                if all(x in label for x in args):
+                    kept.append([s] + [label[x] for x in args])
+            words += [d, len(kept)]
+            for entry in kept:
+                words += entry
+    return words
+
+
 def reference_gen_kary_tree(k, address, depth, halo=14):
     """Window of the k-ary tree: ancestor chain following the address plus a
     complete ball region around the anchor.

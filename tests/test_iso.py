@@ -42,6 +42,7 @@ from locis.iso import (
     BallSignature,
     EngineResult,
     PartialIso,
+    _Index,
     _layout,
     _linear_layout,
     _token_groups,
@@ -61,6 +62,7 @@ from conftest import (
     colored_line,
     groupings,
     reference_forest_class_keys,
+    reference_index,
     reference_linear_class_keys,
     reference_linear_layout,
     brute_force_pointed_iso,
@@ -71,6 +73,7 @@ from conftest import (
     random_closed_structure,
     random_labeled_forest,
     reference_windowed_pointed_iso,
+    reference_words,
     reversed_structure,
 )
 
@@ -832,6 +835,46 @@ def test_class_ids_agree_with_signature_and_brute_force(M):
         for e in keys:
             for f in keys:
                 assert (tokens[e] == tokens[f]) == (keys[e] == keys[f])
+
+
+@given(diff_window())
+@settings(max_examples=300, deadline=None)
+def test_index_built_per_symbol_and_trimmed_words_match_the_reference(M):
+    # The per-symbol build gives the per-tuple build's slots and templates,
+    # and trimming raw words gives the words that filtered distance-h
+    # entries one by one; words without -1 come back as they are.
+    index = _Index(M)
+    slots, template, counts = reference_index(M)
+    assert (index.slots, index.template, index.counts) == (slots, template, counts)
+    for i in range(len(M.elements)):
+        for h in range(5):
+            raw, _, edge = index.words(i, h)
+            trimmed = index.trim(raw)
+            assert index.trim(raw, edge) == trimmed
+            assert trimmed == reference_words(M, i, h)
+            assert -1 not in trimmed
+            assert index.trim(trimmed) is trimmed
+
+
+def test_raw_keys_add_no_canonical_search(monkeypatch):
+    # Raw words also record the tuples that leave the ball, so one form can
+    # have several raw keys; each form still gets one canonical code.
+    calls = []
+    wrapped = _Index.signature
+
+    def counted(self, words):
+        calls.append(1)
+        return wrapped(self, words)
+
+    monkeypatch.setattr(_Index, "signature", counted)
+    periods, cmap = checkerboard_colormap()
+    board = gen_grid((4, 4), mode="window", periods=periods, colormap=cmap)
+    cases = [(board, h, 2) for h in (1, 2, 3)]
+    cases += [(star(7), 1, 2), (rook(4), 1, 15), (shrikhande(), 1, 9)]
+    for M, h, codes in cases:
+        calls.clear()
+        class_ids(M, h)
+        assert len(calls) == codes, (M, h)
 
 
 def test_forms_that_differ_only_in_wiring_keep_their_codes():

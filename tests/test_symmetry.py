@@ -669,3 +669,15 @@ class TestPeriodicIsomorphism:
         p = periodic_isomorphism(two, shifted)
         assert p is not None
         assert p.certified_radius >= 39
+
+    def test_period_report_is_deprecated_and_ignored(self):
+        two = gen_grid((40,), mode="window", periods=(2,),
+                       colormap={(0,): "White", (1,): "Black"})
+        shifted = gen_grid((44,), mode="window", periods=(2,),
+                           colormap={(0,): "White", (1,): "Black"}, phase=(1,))
+        report = detect_periodicity(shifted, 2)
+        with pytest.warns(DeprecationWarning, match="period_report"):
+            p = periodic_isomorphism(two, shifted, period_report=report)
+        q = periodic_isomorphism(two, shifted)
+        assert p.mapping == q.mapping
+        assert p.certified_radius == q.certified_radius
