@@ -17,6 +17,7 @@ error, in one `error:` line and exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import textio
@@ -439,7 +440,11 @@ def _cmd_quotient(args):
 # Parser.
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    """The locis argument parser, built once per process: parsing leaves it
+    unchanged, so in-process callers (tests, the benchmark, notebooks) do
+    not rebuild it on every main call."""
     parser = argparse.ArgumentParser(
         prog="locis",
         description="Finite-window analyses of uniformly locally finite relational structures.",

@@ -23,8 +23,8 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, starmap
+from operator import itemgetter, not_
 from struct import pack
 
 from .core import Structure
@@ -400,22 +400,40 @@ class _Index:
 
     Each element's entries list its tuples once each as (slot, args), args
     in element positions, sorted; they are built one symbol at a time, and
-    over unary and binary symbols from whole argument columns. slots[s] is the (symbol index, arity,
-    unary bit) of slot s. Slots rank the pairs (symbol name, positions of the
-    element) over all of M, so they also order the pairs of any ball of M.
-    Unary symbols get bits with the first declared one most significant, so
-    profile bitmasks order as the 0/1 flag tuples of Structure.unary_profile
-    do. template[i] spells element i's entries as one list, slot s as the
-    marker n + s, one int shared by every template, and counts[i] is the
-    number of entries. label, one reusable list over positions and markers,
-    maps member positions to member numbers (-1 outside the current ball)
-    and n + s to s, so one map over a template yields a member's words.
-    Raw words (see words) read -1 for an argument outside the ball, so memo
-    keys pack words as signed ints: struct typecode "h" when every word is
-    below 2**15, else "i".
+    over unary and binary symbols from whole argument columns. slots[s] is
+    the (symbol index, arity, unary bit) of slot s. Slots rank the pairs
+    (symbol name, positions of the element) over all of M, so they also
+    order the pairs of any ball of M. Unary symbols get bits with the first
+    declared one most significant, so profile bitmasks order as the 0/1 flag
+    tuples of Structure.unary_profile do.
+
+    An element's template spells its entry count and its entries as ints:
+    the count c as the marker n + len(slots) + c, then per entry the slot s
+    as the marker n + s and the argument positions; one int object per
+    marker value is shared by every template. read[i] is one
+    operator.itemgetter over element i's template and holds its only copy:
+    an itemgetter pickles as (itemgetter, items), so __reduce__ hands the
+    items back without a copy. label, one reusable list over positions and
+    markers, maps member positions to member numbers (-1 outside the current
+    ball), n + s to s and n + len(slots) + c to c, so read[u](label) yields a
+    member's count and entries in one C call. isolated holds the elements
+    without entries, whose one-item getters would return a scalar.
+
+    The templates are filled one entry at a time and turned into getters in
+    bulk by one starmap, and nothing else is kept per element: a table that
+    costs more to build than it saves loses where elements are read only a
+    few times, as on the 40-level Thue-Morse tiling (48,257 tiles), where a
+    census reads each tile about 5 times at h=2 and 6 at h=3, against 19
+    times for an element of a checkerboard grid at h=3. A discovery row per
+    element (its template without repeats) was left out: it saves a few
+    loop turns per read on the grid and none on the tiling, and it would
+    add about half to the index's memory.
+
+    Memo keys of exact forms pack words as struct typecode "h" when every
+    word is below 2**15, else "i".
     """
 
-    __slots__ = ("language", "slots", "width", "template", "counts", "label", "typecode")
+    __slots__ = ("language", "slots", "width", "read", "isolated", "label", "typecode")
 
     def __init__(self, M):
         self.language = M.language
@@ -462,37 +480,47 @@ class _Index:
         ]
         self.width = [1 + arity for _, arity, _ in self.slots]
         # Slot by slot in rank order, each in tuple order, which over
-        # positions is id order: every element's entries arrive sorted.
-        keyed = [[] for _ in range(n)]
+        # positions is id order: every element's entries arrive sorted. Each
+        # template opens with a place for its count marker.
+        templates = [[0] for _ in range(n)]
+        counts = [0] * n
         for s, key in enumerate(keys):
             m = n + s
             for x, args in entries[key]:
-                keyed[x].append((m, *args))
-        self.template = [list(chain.from_iterable(ks)) for ks in keyed]
-        self.counts = list(map(len, keyed))
-        self.label = [-1] * n + list(range(len(keys)))
-        bound = max(n, len(keys), max(self.counts, default=0))
-        self.typecode = "h" if bound < 1 << 15 else "i"
+                t = templates[x]
+                t.append(m)
+                t += args
+                counts[x] += 1
+        top = max(counts, default=0)
+        marks = list(range(n + len(keys), n + len(keys) + top + 1))
+        for t, c in zip(templates, counts):
+            t[0] = marks[c]
+        self.read = list(starmap(itemgetter, templates))
+        self.isolated = frozenset(compress(range(n), map(not_, counts)))
+        self.label = [-1] * n + list(range(len(keys))) + list(range(top + 1))
+        self.typecode = "h" if max(n, len(keys), top) < 1 << 15 else "i"
 
     def words(self, center, h):
         """Flat integer encoding of the h-ball around position `center`.
 
         Members are numbered in slot-ordered discovery: breadth-first from
-        the center, reading each member's entries in order and numbering
+        the center, reading each member's template in order and numbering
         every argument when first met (markers carry labels >= 0, so the
         scan passes over them). Distances are Gaifman distances, since the
         entries hold the co-occurrences the Gaifman index does. The words
-        list, member by member, its distance, its entry count, then per entry
-        the slot and the member numbers; a slot fixes its arity. Members at
-        distance h list every entry too, so an argument outside the ball
-        reads -1: raw words also record the tuples that leave the ball, and
-        trim() turns them into the words of the exact form, which determine
-        the ball's form exactly. Returns (words, number of members, offset
-        of the first member at distance h), the offset being len(words) when
-        no member lies at distance h.
+        list, member by member, its distance, then what its getter reads
+        through label: its entry count and per entry the slot and the member
+        numbers; a slot fixes its arity. Members at distance h list every
+        entry too, so an argument outside the ball reads -1: raw words also
+        record the tuples that leave the ball, and trim() turns them into the
+        words of the exact form, which determine the ball's form exactly.
+        Returns (words, number of members, offset of the first member at
+        distance h), the offset being len(words) when no member lies at
+        distance h.
         """
-        template, counts, label = self.template, self.counts, self.label
-        get = label.__getitem__
+        if center in self.isolated:
+            return [0, 0], 1, 0 if h == 0 else 2
+        read, label = self.read, self.label
         label[center] = 0
         members = [center]
         m = 1
@@ -501,19 +529,19 @@ class _Index:
         while d < h and lo < m:
             hi = m
             for u in members[lo:hi]:
-                block = template[u]
-                for x in block:
+                get = read[u]
+                for x in get.__reduce__()[1]:
                     if label[x] < 0:
                         label[x] = m
                         m += 1
                         members.append(x)
-                words += (d, counts[u])
-                words += map(get, block)
+                words += (d,)
+                words += get(label)
             lo, d = hi, d + 1
         edge = len(words)
         for u in members[lo:]:
-            words += (d, counts[u])
-            words += map(get, template[u])
+            words += (d,)
+            words += read[u](label)
         for x in members:
             label[x] = -1
         return words, m, edge
@@ -561,7 +589,7 @@ class _Index:
         return out
 
     def key(self, words):
-        """Memo key of words, raw or trimmed: equal keys iff equal words."""
+        """Memo key of trimmed words: equal keys iff equal words."""
         return pack(f"{len(words)}{self.typecode}", *words)
 
     def signature(self, words):
@@ -601,26 +629,38 @@ class _Index:
         return [seed_rank[key] for key in seeds], inc, rows
 
 
-def _refine(colors, inc):
+def _readers(inc):
+    """(reads, tail) for refining the colorings of a form with incidence inc.
+
+    reads[u] holds one operator.itemgetter per entry (slot, args) of u.
+    Over the list colors + tail, where tail[s] = s sits at position
+    len(inc) + s, it reads the entry's key (slot, *argument colors) in one
+    C call, so refinement rounds build no entry key in Python.
+    """
+    n = len(inc)
+    reads = [[itemgetter(n + s, *args) for s, args in entries] for entries in inc]
+    return reads, list(range(1 + max(map(itemgetter(0), chain.from_iterable(inc)), default=-1)))
+
+
+def _refine(colors, reads, tail):
     """One round of color refinement: (new colors, number of cells).
 
     An element's key is its color followed by the sorted entries (slot,
-    argument colors) of its tuples; the new colors rank the distinct keys,
-    so cells keep their relative order and split in place.
+    argument colors) of its tuples, each read by its getter in reads (see
+    _readers); the new colors rank the distinct keys, so cells keep their
+    relative order and split in place.
     """
-    keys = [
-        (colors[u], tuple(sorted([(s, *[colors[x] for x in args]) for s, args in entries])))
-        for u, entries in enumerate(inc)
-    ]
+    look = colors + tail
+    keys = list(zip(colors, [tuple(sorted([get(look) for get in gets])) for gets in reads]))
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     return [rank[key] for key in keys], len(rank)
 
 
-def _equitable(colors, inc):
+def _equitable(colors, reads, tail):
     """Refine until a round changes no color or the coloring is discrete."""
     n = len(colors)
     while True:
-        new, cells = _refine(colors, inc)
+        new, cells = _refine(colors, reads, tail)
         if new == colors or cells == n:
             return new, cells
         colors = new
@@ -688,7 +728,8 @@ def _canonical_code(language, init, inc, rows):
     branch onto the other: automorphic subtrees yield the same leaf codes.
     """
     n = len(init)
-    colors, cells = _equitable(init, inc)
+    reads, tail = _readers(inc)
+    colors, cells = _equitable(init, reads, tail)
     if cells == n:
         return _serialize(language, rows, colors)
     first = best = None  # (code, labels, path)
@@ -705,7 +746,7 @@ def _canonical_code(language, init, inc, rows):
         path.append(w)
         colors = list(stack[-1].colors)
         colors[w] = n + 1
-        colors, cells = _equitable(colors, inc)
+        colors, cells = _equitable(colors, reads, tail)
         if cells < n:
             stack.append(_Node(colors))
             continue
@@ -1003,8 +1044,10 @@ def class_ids(M, h, extended=False):
     detected once by _layout, picks the method: linear tokens on a path or
     cycle, upward label words on a forest, canonical signatures of ball
     forms otherwise (tilings included): one canonical code per distinct
-    exact form, reached through a memo on raw words, so that a ball whose
-    raw words were seen costs one breadth-first read and one key. With
+    exact form. The memo also keeps raw keys, the words of a ball read with
+    the tuples that leave it, but only a raw key whose exact form already
+    has a code: a repeating ball then costs one breadth-first read and one
+    tuple, and a window whose balls never repeat stores forms alone. With
     extended=True, a forest window may certify tokens past the faithful
     region (it decides classes from ancestor words alone); the other
     methods stay depth-bounded. Tokens are comparable within one call; use
@@ -1025,26 +1068,32 @@ def class_ids(M, h, extended=False):
         if extended:
             return {e: w for e, w, _ in words if len(w) == h}
         return {e: w for e, w, d in words if d >= h and len(w) == h}
-    # Two memos that live as long as this call: equal raw words share one
-    # signature, and a raw key first seen is trimmed, so that equal exact
-    # forms share one code. Raw words also record the tuples that leave the
-    # ball, so one form can have several raw keys; a code per raw key would
-    # pay the canonical search once per key instead of once per form.
+    # One memo that lives as long as this call. Raw words also record the
+    # tuples that leave the ball, so one exact form can have several raw
+    # words, and a code per raw key would pay the canonical search once per
+    # key instead of once per form: a raw miss is trimmed, and its exact
+    # form looked up by its packed key. A new form stores its code alone; a
+    # raw key is stored when its form already has a code, so the memo
+    # answers a raw key from its third sight at the latest, and a window
+    # whose balls never repeat keeps no raw key. Raw keys are tuples, which
+    # cost 8 bytes a word against 2 packed but are made and hashed in a
+    # third of the time; form keys are bytes, so the two never collide.
     index = _Index(M)
-    seen, codes = {}, {}
+    memo = {}
     out = {}
     for i, (e, d) in enumerate(zip(M.elements, depths)):
         if d >= h:
             words, _, edge = index.words(i, h)
-            raw = index.key(words)
-            sig = seen.get(raw)
+            raw = tuple(words)
+            sig = memo.get(raw)
             if sig is None:
-                words = index.trim(words, edge)
-                key = index.key(words)
-                sig = codes.get(key)
+                exact = index.trim(words, edge)
+                key = index.key(exact)
+                sig = memo.get(key)
                 if sig is None:
-                    sig = codes[key] = index.signature(words)
-                seen[raw] = sig
+                    sig = memo[key] = index.signature(exact)
+                else:
+                    memo[raw] = sig
             out[e] = sig
     return out
 

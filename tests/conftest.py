@@ -366,6 +366,49 @@ def reference_index(M):
     return slots, template, [len(ks) for ks in keyed]
 
 
+def reference_raw_words(M, center, h):
+    """(raw words, members, edge) of iso._Index.words, read from a template
+    list per element: each member's template is scanned int by int for new
+    arguments, and its words are its distance, its entry count and its
+    template mapped through the member numbers (-1 outside the ball)."""
+    slots, template, counts = reference_index(M)
+    n = len(M.elements)
+    label = [-1] * n + list(range(len(slots)))
+    label[center] = 0
+    members = [center]
+    m = 1
+    words = []
+    lo, d = 0, 0
+    while d < h and lo < m:
+        hi = m
+        for u in members[lo:hi]:
+            for x in template[u]:
+                if label[x] < 0:
+                    label[x] = m
+                    m += 1
+                    members.append(x)
+            words += (d, counts[u])
+            words += [label[x] for x in template[u]]
+        lo, d = hi, d + 1
+    edge = len(words)
+    for u in members[lo:]:
+        words += (d, counts[u])
+        words += [label[x] for x in template[u]]
+    return words, m, edge
+
+
+def reference_refine(colors, inc):
+    """One round of color refinement over inc[u] = [(slot, args)]: each
+    element's key is its color and its sorted (slot, *argument colors)
+    entries, and the new colors rank the distinct keys."""
+    keys = [
+        (colors[u], tuple(sorted([(s, *[colors[x] for x in args]) for s, args in entries])))
+        for u, entries in enumerate(inc)
+    ]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys], len(rank)
+
+
 def reference_words(M, center, h):
     """The exact-form words of the h-ball around position `center`, built
     from reference_index: members numbered in slot-ordered discovery, and

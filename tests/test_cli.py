@@ -401,6 +401,38 @@ class TestUnknownIds:
         assert captured.out == ""
 
 
+class TestParserBuiltOnce:
+    """main reuses one parser per process; no call may leave state in it."""
+
+    def test_one_parser_per_process(self):
+        assert locis.cli._build_parser() is locis.cli._build_parser()
+
+    def test_others_default_does_not_leak(self, board_file, tmp_path, capsys):
+        other = str(tmp_path / "board4.locis")
+        run(capsys, "gen", "grid", "--dims", "4,4", "--mode", "torus",
+            "--colors", "checkerboard", "--out", other)
+        argv = ("algebra", board_file, "--check", "regularity", "--max-len", "2")
+        _, doc = run(capsys, *argv, "--others", other)
+        assert doc["inputs"] == [board_file, other]
+        assert doc["result"]["family"] == 2
+        _, doc = run(capsys, *argv)
+        assert doc["inputs"] == [board_file]
+        assert doc["result"]["family"] == 1
+
+    def test_usage_error_leaves_later_reports_unchanged(self, board_file, capsys):
+        def report(*argv):
+            assert main(list(argv)) == 0
+            out = capsys.readouterr().out
+            return "".join(line for line in out.splitlines(True) if '"generated_at"' not in line)
+
+        before = report("census", board_file, "--h", "1")
+        with pytest.raises(SystemExit) as exc:
+            main(["census", board_file, "--h", "one"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert report("census", board_file, "--h", "1") == before
+
+
 class TestReportPlumbing:
     def test_reports_are_deterministic(self, board_file, capsys):
         _, doc1 = run(capsys, "census", board_file, "--h", "1")

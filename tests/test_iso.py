@@ -45,6 +45,8 @@ from locis.iso import (
     _Index,
     _layout,
     _linear_layout,
+    _readers,
+    _refine,
     _token_groups,
     census,
     class_ids,
@@ -65,6 +67,8 @@ from conftest import (
     reference_index,
     reference_linear_class_keys,
     reference_linear_layout,
+    reference_raw_words,
+    reference_refine,
     brute_force_pointed_iso,
     brute_pointed_canonical,
     cfi_pair,
@@ -798,7 +802,9 @@ def diff_window(draw, max_n=12):
 
     Arguments repeat freely, S ties several tuples inside one slot, and up
     to two frontier elements bound the faithful radii. Sparse tuples leave
-    many small components, so balls of one window often share a form.
+    many small components, so balls of one window often share a form. An
+    isolated element (an empty template), a loop (slot (0, 1)) and a
+    ternary tuple are each drawn on purpose as well.
     """
     n = draw(st.integers(1, max_n))
     elements = [str(i) for i in range(n)]
@@ -813,8 +819,15 @@ def diff_window(draw, max_n=12):
             max_size=2 * n,
         )
     )
+    if draw(st.booleans()):
+        x = draw(element)
+        tuples.append((draw(st.sampled_from(("P", "S"))), (x, x)))
+    if draw(st.booleans()):
+        tuples.append(("T", draw(st.tuples(element, element, element))))
     tuples += [("S", t[::-1]) for sym, t in tuples if sym == "S"]
-    frontier = draw(st.lists(element, unique=True, max_size=2))
+    if draw(st.booleans()):
+        elements.append(str(n))  # named by no tuple
+    frontier = draw(st.lists(st.sampled_from(elements), unique=True, max_size=2))
     return Structure(LANG_DIFF, elements, tuples, frontier=frontier)
 
 
@@ -840,20 +853,58 @@ def test_class_ids_agree_with_signature_and_brute_force(M):
 @given(diff_window())
 @settings(max_examples=300, deadline=None)
 def test_index_built_per_symbol_and_trimmed_words_match_the_reference(M):
-    # The per-symbol build gives the per-tuple build's slots and templates,
-    # and trimming raw words gives the words that filtered distance-h
-    # entries one by one; words without -1 come back as they are.
+    # The bulk build gives the per-tuple build's slots, and each element's
+    # getter reads its count marker and then its per-tuple template. Raw
+    # words equal those of a template scan, and trimming them gives the
+    # words that filtered distance-h entries one by one; words without -1
+    # come back as they are.
     index = _Index(M)
     slots, template, counts = reference_index(M)
-    assert (index.slots, index.template, index.counts) == (slots, template, counts)
-    for i in range(len(M.elements)):
+    n, base = len(M.elements), len(M.elements) + len(slots)
+    assert index.slots == slots
+    assert [get.__reduce__()[1] for get in index.read] == [
+        (base + c, *t) for c, t in zip(counts, template)
+    ]
+    assert index.isolated == {i for i, c in enumerate(counts) if not c}
+    for i in range(n):
         for h in range(5):
-            raw, _, edge = index.words(i, h)
+            raw, m, edge = index.words(i, h)
+            assert (raw, m, edge) == reference_raw_words(M, i, h)
             trimmed = index.trim(raw)
             assert index.trim(raw, edge) == trimmed
             assert trimmed == reference_words(M, i, h)
             assert -1 not in trimmed
             assert index.trim(trimmed) is trimmed
+
+
+@st.composite
+def colored_incidence(draw):
+    """(colors, inc): inc[u] lists (slot, args) entries over unary, binary
+    and ternary slots, args drawn freely from the n elements, and colors is
+    any coloring of them."""
+    n = draw(st.integers(1, 8))
+    arity = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    member = st.integers(0, n - 1)
+    entry = st.integers(0, len(arity) - 1).flatmap(
+        lambda s: st.tuples(st.just(s), st.lists(member, min_size=arity[s], max_size=arity[s]))
+    )
+    inc = draw(st.lists(st.lists(entry, max_size=4), min_size=n, max_size=n))
+    colors = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    return colors, inc
+
+
+@given(colored_incidence())
+@settings(max_examples=300, deadline=None)
+def test_getter_refinement_matches_the_reference(case):
+    # Each round reads (slot, *argument colors) through one itemgetter per
+    # entry; the rounds give the colors and cell counts of a refinement that
+    # builds every key in Python.
+    colors, inc = case
+    reads, tail = _readers(inc)
+    for _ in range(3):
+        got = _refine(colors, reads, tail)
+        assert got == reference_refine(colors, inc)
+        colors = got[0]
 
 
 def test_raw_keys_add_no_canonical_search(monkeypatch):
@@ -875,6 +926,57 @@ def test_raw_keys_add_no_canonical_search(monkeypatch):
         calls.clear()
         class_ids(M, h)
         assert len(calls) == codes, (M, h)
+
+
+def test_raw_keys_are_stored_once_their_form_is_known(monkeypatch):
+    # class_ids trims every raw miss and stores a raw key only when its
+    # exact form already has a code. So a raw key is trimmed at its first
+    # sight, and at its second only when its first sight found a new form;
+    # after that the memo answers. A window whose balls never repeat trims
+    # and codes every ball.
+    trims, codes = Counter(), []
+    trim, code = _Index.trim, _Index.signature
+
+    def counted_trim(self, words, start=0):
+        trims[self.key(words)] += 1
+        return trim(self, words, start)
+
+    def counted_code(self, words):
+        codes.append(1)
+        return code(self, words)
+
+    periods, cmap = checkerboard_colormap()
+    board = gen_grid((6, 6), mode="window", periods=periods, colormap=cmap)
+    speckled = speckled_grid(6, 8)
+    cases = [(board, 1), (board, 2), (board, 3), (speckled, 2), (speckled, 3)]
+    cases += [(star(7), 1), (rook(4), 1), (shrikhande(), 1)]
+    for M, h in cases:
+        index, depths = _Index(M), M._depth_list()
+        want, forms, stored = Counter(), set(), set()
+        balls = 0
+        for i, d in enumerate(depths):
+            if d < h:
+                continue
+            balls += 1
+            words, _, _ = index.words(i, h)
+            raw, form = index.key(words), index.key(index.trim(words))
+            if raw in stored:
+                continue
+            want[raw] += 1
+            if form in forms:
+                stored.add(raw)
+            forms.add(form)
+        trims.clear()
+        codes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_Index, "trim", counted_trim)
+            patch.setattr(_Index, "signature", counted_code)
+            class_ids(M, h)
+        assert trims == want, (M, h)
+        assert len(codes) == len(forms), (M, h)
+        assert max(trims.values()) <= 2
+        if M is speckled:
+            assert len(codes) == sum(trims.values()) == balls
 
 
 def test_forms_that_differ_only_in_wiring_keep_their_codes():
