@@ -15,9 +15,10 @@ is answered from the rows it reaches: a row is read on demand from the
 sorted tuple lists, and a depth is searched for around its element up to
 the radius asked for. The whole-window tables (the bulk Gaifman index, a
 list, and the depth list) are built once enough of the window has been
-read, or by the readers that need all of it. Every distance is a
-breadth-first search over the int rows, and an id-keyed result lists
-elements in the order the search discovers them.
+read, or by the readers that need all of it. Every distance, depth and
+ball, and every layer the isomorphism engine and the forest tokens read,
+comes from one breadth-first search over the int rows, Structure._bfs, and
+an id-keyed result lists elements in the order that search discovers them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import re
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import (
@@ -103,7 +104,8 @@ class Structure:
     an eighth of the window has an entry, or at once over a symbol of arity
     3 or more. A depth is searched for around its element, and the whole
     window's depths are computed in one pass once those searches have
-    visited as many elements as the window holds.
+    visited as many elements as the window holds. One generator, _bfs,
+    grows every breadth-first layer over the Gaifman rows.
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -390,44 +392,24 @@ class Structure:
                     inc[a].append((name, t))
         return {e: tuple(v) for e, v in inc.items()}
 
-    def _distance_list(self, starts):
-        """Per-position distance to the nearest of the positions in `starts`,
-        math.inf where unreached: the whole-window search of distances(),
-        with a list for the visited test instead of a dict."""
-        nbrs = self._gaifman()
-        inf = math.inf
-        dist = [inf] * len(nbrs)
-        layer, d = list(starts), 0
-        for i in layer:
-            dist[i] = 0
-        while layer:
-            d += 1
-            nxt = []
-            for u in layer:
-                for v in nbrs[u]:
-                    if dist[v] is inf:
-                        dist[v] = d
-                        nxt.append(v)
-            layer = nxt
-        return dist
+    def _bfs(self, dist, rows=None):
+        """The breadth-first layers around the positions keyed in `dist`,
+        one list per next(), the sources first; the window's one search
+        over Gaifman rows.
 
-    def distances(self, sources, limit=None):
-        """Gaifman distance to the nearest source, for every element within
-        `limit` of one (every reachable element when limit is None).
-
-        Breadth-first over the int rows: read on demand within a limit, from
-        the bulk index without one. The dict lists elements in discovery
-        order, sources first: neighbours are scanned in int order, which is
-        id order, so this is the order in which a FIFO queue over
-        adjacency() meets them. ball_elements and the step words of symmetry
-        rely on that order. A negative limit is rejected.
+        Each layer lists positions in discovery order: neighbours are
+        scanned in int order, which is id order. dist[v] is set to v's
+        distance as v is discovered, so after the search has yielded layer L
+        it holds exactly the positions within L. Layer L+1 is read only when
+        it is asked for, and the search ends after the last non-empty
+        layer. Rows come from `rows` when given, else from _rows() afresh at
+        each layer, since the bulk index may replace the local store
+        mid-search.
         """
-        if limit is not None and limit < 0:
-            raise InvariantViolation("radius", f"negative radius {limit}")
-        nbrs = self._gaifman() if limit is None else self._rows()
-        dist = dict.fromkeys(map(self._positions().__getitem__, sources), 0)
         layer, d = list(dist), 0
-        while layer and (limit is None or d < limit):
+        while layer:
+            yield layer
+            nbrs = self._rows() if rows is None else rows
             d += 1
             nxt = []
             for u in layer:
@@ -436,6 +418,34 @@ class Structure:
                         dist[v] = d
                         nxt.append(v)
             layer = nxt
+
+    def _distance_list(self, starts):
+        """Per-position distance to the nearest of the positions in `starts`,
+        math.inf where unreached: the whole-window search of distances(),
+        as a list."""
+        dist = dict.fromkeys(starts, 0)
+        for _ in self._bfs(dist, self._gaifman()):
+            pass
+        return list(map(dist.get, range(len(self.elements)), repeat(math.inf)))
+
+    def distances(self, sources, limit=None):
+        """Gaifman distance to the nearest source, for every element within
+        `limit` of one (every reachable element when limit is None).
+
+        One _bfs over the int rows: read on demand within a limit, from the
+        bulk index without one. The dict lists elements in discovery order,
+        sources first: neighbours are scanned in int order, which is id
+        order, so this is the order in which a FIFO queue over adjacency()
+        meets them. ball_elements and the step words of symmetry rely on
+        that order. A negative limit is rejected.
+        """
+        if limit is not None and limit < 0:
+            raise InvariantViolation("radius", f"negative radius {limit}")
+        dist = dict.fromkeys(map(self._positions().__getitem__, sources), 0)
+        rows = self._gaifman() if limit is None else None
+        for d, _ in enumerate(self._bfs(dist, rows)):
+            if limit is not None and d >= limit:
+                break
         return dict(zip(map(self.elements.__getitem__, dist), dist.values()))
 
     def _depth_list(self):
@@ -455,11 +465,11 @@ class Structure:
     def _depth_within(self, i, cap):
         """min(depth of position i, cap).
 
-        A breadth-first search from i that stops at the first layer holding
-        a frontier element, or at radius cap; a closed window answers at
-        once. Exact depths are memoized. Once these searches have visited
-        as many elements in total as the window holds, the depth list is
-        built and read instead, so asking for every depth stays linear.
+        A _bfs from i that stops at the first layer holding a frontier
+        element, or at radius cap; a closed window answers at once. Exact
+        depths are memoized. Once these searches have visited as many
+        elements in total as the window holds, the depth list is built and
+        read instead, so asking for every depth stays linear.
         """
         if self._depth is None and self._searched >= len(self.elements):
             self._depth_list()
@@ -469,25 +479,17 @@ class Structure:
             return cap  # every depth is math.inf
         if i in self._near:
             return min(self._near[i], cap)
-        frontier, at, nbrs = self.frontier, self.elements.__getitem__, self._rows()
-        seen, layer, d = {i}, [i], 0
-        found = at(i) in frontier
-        while not found and d < cap:
-            d += 1
-            nxt = []
-            for u in layer:
-                for v in nbrs[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            layer = nxt
-            if not layer:
-                d = math.inf  # the component holds no frontier element
+        frontier, at = self.frontier, self.elements.__getitem__
+        dist = {i: 0}
+        for d, layer in enumerate(self._bfs(dist)):
+            if not frontier.isdisjoint(map(at, layer)):
+                self._near[i] = d
                 break
-            found = not frontier.isdisjoint(map(at, layer))
-        self._searched += len(seen)
-        if found or d is math.inf:
-            self._near[i] = d
+            if d >= cap:
+                break
+        else:
+            self._near[i] = d = math.inf  # the component holds no frontier element
+        self._searched += len(dist)
         return min(d, cap)
 
     def depth(self, element):

@@ -160,21 +160,16 @@ class EngineResult:
 
 
 def _layers(M, center, dist):
-    """The Gaifman layers around center, one per next(): each a list of ids
-    in id order, and [] once the ball stops growing. dist records each
+    """The layers of M._bfs around center, one per next(): each a list of
+    ids in id order, and [] once the ball stops growing. dist records each
     element's layer as it is yielded."""
     at = M.elements.__getitem__
-    layer = [M._positions()[center]]
-    seen = set(layer)
-    level = 0
-    while True:
-        ids = list(map(at, layer))
+    for level, layer in enumerate(M._bfs({M._positions()[center]: 0})):
+        ids = list(map(at, sorted(layer)))
         dist.update(dict.fromkeys(ids, level))
         yield ids
-        nbrs = M._rows()  # per layer: the bulk index may have replaced it
-        layer = sorted({v for u in layer for v in nbrs[u]} - seen)
-        seen.update(layer)
-        level += 1
+    while True:
+        yield []
 
 
 def _layer_summary(M, layer, dist, level):
@@ -847,8 +842,10 @@ def _forest_layout(M):
     Applicable when all symbols are binary (no colors), every element is the
     child slot (position 2) of at most one tuple, every (element, symbol)
     pair parents at most one child, and every element of depth >= 1 has
-    exactly one parent and one child per symbol. Then the pointed h-ball of
-    a faithful element is determined exactly by its upward label word.
+    exactly one parent and one child per symbol. Then, where every parent
+    chain reaches a root, the pointed h-ball of a faithful element is
+    determined exactly by its upward label word. The parent map is not
+    checked for loops here; class_ids finds them (see _forest_words).
     Returns (par, lab) over positions in M.elements: par[j] is the position
     of j's parent (-1 for none) and lab[j] the index of the joining symbol.
     """
@@ -876,27 +873,6 @@ def _forest_layout(M):
         if e not in frontier and (p < 0 or bits != full):
             return None
     return par, lab
-
-
-def _parents_first(par):
-    """(order, rest): the positions below a root, each after its parent, and
-    the positions whose ancestor chain never reaches a root (it loops)."""
-    kids = [[] for _ in par]
-    order = []
-    for j, p in enumerate(par):
-        if p < 0:
-            order.append(j)
-        else:
-            kids[p].append(j)
-    roots = len(order)
-    for i in order:  # the list grows while it is read: breadth-first
-        order += kids[i]
-    if len(order) == len(par):
-        return order[roots:], []
-    reached = bytearray(len(par))
-    for j in order:
-        reached[j] = 1
-    return order[roots:], [j for j, seen in enumerate(reached) if not seen]
 
 
 def _tiling_layout(M):
@@ -960,8 +936,10 @@ def _layout(M):
 
     A _Layout, or None when no fast path applies. kind is 'path' or 'cycle'
     for a directed path or cycle, whose order, word and deps class_ids reads
-    as linear tokens; 'forest' for a uniform labeled forest; 'tiling' for a
-    two-relation tiling window, whose classes stay generic.
+    as linear tokens; 'forest' for a uniform labeled forest, which gets
+    forest tokens only where every position is reached from a root (a
+    window whose parent chains loop takes the generic path); 'tiling' for
+    a two-relation tiling window, whose classes stay generic.
 
     chain = (par, lab, forked) is set where upward chain words decide
     pointed balls: on forests, on tilings, and on uncoloured paths and
@@ -1020,20 +998,25 @@ def _chain_word(par, lab, j, length):
     return labels
 
 
-def _forest_words(par, lab, h):
+def _forest_words(M, par, lab, h):
     """Position-ordered upward label words of length up to h, one character
-    per label: each word extends its parent's, cut to h."""
-    chars = [chr(48 + si) for si in range(max(lab, default=0) + 1)]
-    if h <= 1:
-        return [chars[si][:h] if p >= 0 else "" for p, si in zip(par, lab)]
-    order, rest = _parents_first(par)
+    per label: each word extends its parent's, cut to h. None when some
+    position's chain never reaches a root (it loops).
+
+    Parents come before children in the order of one _bfs from the roots:
+    every position has at most one parent, so each component holding a
+    root is a tree, and a search from the root meets a parent first.
+    """
+    chars = [chr(48 + si)[:h] for si in range(max(lab, default=0) + 1)]  # all empty at h = 0
+    dist = dict.fromkeys([j for j, p in enumerate(par) if p < 0], 0)
     words = [""] * len(par)
     cut = h - 1
-    for j in order:
-        words[j] = chars[lab[j]] + words[par[j]][:cut]
-    for j in rest:  # chains that loop never meet a finished parent word
-        words[j] = "".join([chars[si] for si in _chain_word(par, lab, j, h)])
-    return words
+    layers = M._bfs(dist, M._gaifman())
+    next(layers, None)  # the roots keep the empty word
+    for layer in layers:
+        for j in layer:
+            words[j] = chars[lab[j]] + words[par[j]][:cut]
+    return words if len(dist) == len(par) else None
 
 
 def class_ids(M, h, extended=False):
@@ -1042,16 +1025,17 @@ def class_ids(M, h, extended=False):
     Equal tokens iff the pointed h-balls are isomorphic. By default tokens
     cover exactly the faithful elements (depth >= h). The window's layout,
     detected once by _layout, picks the method: linear tokens on a path or
-    cycle, upward label words on a forest, canonical signatures of ball
-    forms otherwise (tilings included): one canonical code per distinct
-    exact form. The memo also keeps raw keys, the words of a ball read with
-    the tuples that leave it, but only a raw key whose exact form already
-    has a code: a repeating ball then costs one breadth-first read and one
-    tuple, and a window whose balls never repeat stores forms alone. With
-    extended=True, a forest window may certify tokens past the faithful
-    region (it decides classes from ancestor words alone); the other
-    methods stay depth-bounded. Tokens are comparable within one call; use
-    signatures to compare across structures.
+    cycle, upward label words on a forest where every position is reached
+    from a root, canonical signatures of ball forms otherwise (tilings, and
+    forests whose parent chains loop, at every h): one canonical code per
+    distinct exact form. The memo also keeps raw keys, the words of a ball
+    read with the tuples that leave it, but only a raw key whose exact form
+    already has a code: a repeating ball then costs one breadth-first read
+    and one tuple, and a window whose balls never repeat stores forms
+    alone. With extended=True, a forest window without loops may certify
+    tokens past the faithful region (it decides classes from ancestor words
+    alone); the other methods stay depth-bounded. Tokens are comparable
+    within one call; use signatures to compare across structures.
     """
     if h < 0:
         raise InvariantViolation("radius", f"negative radius {h}")
@@ -1062,12 +1046,14 @@ def class_ids(M, h, extended=False):
         tokens = _linear_tokens(h, layout)
         return {e: t for e, t in zip(layout.order, tokens) if t is not None}
     if kind == "forest":
-        # a word of length h is the class, wherever the window shows it
         par, lab, _ = layout.chain
-        words = zip(M.elements, _forest_words(par, lab, h), depths)
-        if extended:
-            return {e: w for e, w, _ in words if len(w) == h}
-        return {e: w for e, w, d in words if d >= h and len(w) == h}
+        words = _forest_words(M, par, lab, h)
+        if words is not None:  # else some chain loops: the generic path below
+            # a word of length h is the class, wherever the window shows it
+            words = zip(M.elements, words, depths)
+            if extended:
+                return {e: w for e, w, _ in words if len(w) == h}
+            return {e: w for e, w, d in words if d >= h and len(w) == h}
     # One memo that lives as long as this call. Raw words also record the
     # tuples that leave the ball, so one exact form can have several raw
     # words, and a code per raw key would pay the canonical search once per

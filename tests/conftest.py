@@ -309,10 +309,19 @@ def reference_chain_words(M, length):
 def reference_forest_class_keys(M, h, extended=False):
     """Upward label words of length h, each walked afresh through an
     id-keyed parent map; None when M is not a uniform labeled forest (the
-    conditions of iso._forest_layout)."""
+    conditions of iso._forest_layout) or when some element's parent chain
+    loops. A ball around a loop is not a tree, its upward word does not
+    decide it, and iso.class_ids reads such a window on the generic path."""
     parent = reference_forest_parent(M)
     if parent is None:
         return None
+    for e in M.elements:
+        seen, x = set(), e
+        while x in parent and x not in seen:
+            seen.add(x)
+            x = parent[x][0]
+        if x in seen:
+            return None
     depths = M.depths()
     keys = {}
     for e in M.elements:
@@ -625,9 +634,19 @@ def reversed_structure(M):
     )
 
 
+def on_loop(par, j):
+    """True when position j's ancestor chain, par[j], par[par[j]], ...,
+    never reaches a root (-1)."""
+    seen = set()
+    while j >= 0 and j not in seen:
+        seen.add(j)
+        j = par[j]
+    return j >= 0
+
+
 def _grow_layers(M, center, limit):
     """The BFS layers of B(center, limit), each sorted, and the distances."""
-    dist = M.distances((center,), limit)
+    dist = reference_distances(M, (center,), limit)
     layers = [[] for _ in range(max(dist.values()) + 1)]
     for u, d in dist.items():
         layers[d].append(u)
@@ -825,6 +844,20 @@ def random_labeled_forest(rng, k):
     if rng.random() < 0.5:
         frontier = [e for e in frontier if rng.random() < 0.9]
     return Structure(lang, ids, tuples, frontier=frontier)
+
+
+def looping_forest_window():
+    """Seven elements over S0/2 and S1/2 that the forest layout accepts,
+    with the loop f05 -> f24 -> f05: only f05 and f10 are off the frontier.
+    Both have upward label words of length 1 ending in S1, but the 1-ball
+    of f05 holds 3 elements and that of f10 holds 4."""
+    lang = Language([("S0", 2), ("S1", 2)])
+    tuples = [
+        ("S0", ("f05", "f24")), ("S1", ("f05", "f20")), ("S1", ("f24", "f05")),
+        ("S0", ("f10", "f03")), ("S1", ("f10", "f18")), ("S1", ("f11", "f10")),
+    ]
+    ids = ["f03", "f05", "f10", "f11", "f18", "f20", "f24"]
+    return Structure(lang, ids, tuples, frontier=[e for e in ids if e not in ("f05", "f10")])
 
 
 def enumerate_closed_structures(n_max=2):

@@ -18,6 +18,8 @@ from locis import textio
 from locis.cli import main
 from locis.core import Language, Structure
 
+from conftest import looping_forest_window
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -148,6 +150,15 @@ class TestBallAndCensus:
         code, doc = run(capsys, "census", sturmian_file, "--h", "4")
         assert code == 0
         assert doc["result"]["classes"] == 10  # 2h+2
+
+    def test_census_splits_a_looping_forest_window(self, tmp_path, capsys):
+        # forest-kind, but f05's parent chain loops: the two 1-balls differ
+        path = str(tmp_path / "loop.locis")
+        textio.save(looping_forest_window(), path)
+        code, doc = run(capsys, "census", path, "--h", "1")
+        assert code == 0
+        assert doc["result"]["classes"] == 2
+        assert [e["multiplicity"] for e in doc["result"]["entries"]] == [1, 1]
 
     def test_census_negative_radius_is_an_error(self, board_file, capsys):
         assert_user_error(capsys, "census", board_file, "--h", "-1")

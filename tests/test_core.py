@@ -377,7 +377,8 @@ class TestIntIndexAgainstReferences:
         for _ in range(300):
             M = mixed_window(rng)
             picks = [rng.choice(M.elements) for _ in range(rng.randrange(0, 4))]
-            for sources in (picks, M.frontier, M.elements[:1]):
+            repeats = picks + picks[::-1]  # every pick twice, the first ones apart
+            for sources in (picks, repeats, M.frontier, M.elements[:1]):
                 for limit in (None, 0, 1, 2, 3):
                     got = M.distances(sources, limit)
                     assert list(got.items()) == list(reference_distances(M, sources, limit).items())
@@ -494,11 +495,13 @@ def two_component_window(draw):
 @settings(max_examples=200, deadline=None)
 def test_local_rows_and_depths_match_the_bulk_tables(case, data):
     """Rows and depths read on demand, in a random order so the switch to
-    the bulk tables happens mid-test, equal the bulk tables' entries."""
+    the bulk tables happens mid-test, equal the bulk Gaifman rows and the
+    depths of the id-keyed reference search."""
     language, ids, tuples, frontier, order = case
     bulk = Structure(language, ids, tuples, frontier=frontier)
     nbrs = bulk._gaifman()
-    depth = bulk._distance_list(map(bulk._positions().__getitem__, frontier))
+    near = reference_distances(bulk, frontier)
+    depth = [near.get(e, math.inf) for e in bulk.elements]
 
     M = Structure(language, ids, tuples, frontier=frontier)
     for i in order:

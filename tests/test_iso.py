@@ -43,6 +43,7 @@ from locis.iso import (
     EngineResult,
     PartialIso,
     _Index,
+    _layers,
     _layout,
     _linear_layout,
     _readers,
@@ -63,7 +64,11 @@ from conftest import (
     LANG2,
     colored_line,
     groupings,
+    looping_forest_window,
+    on_loop,
+    reference_distances,
     reference_forest_class_keys,
+    reference_forest_parent,
     reference_index,
     reference_linear_class_keys,
     reference_linear_layout,
@@ -1103,25 +1108,32 @@ class TestFastPathsAgainstReferences:
         assert wide > 0
 
     def test_forest_words_group_like_the_reference(self):
+        # Acyclic forests get the reference's words; a window where some
+        # parent chain loops gets generic tokens on the faithful elements.
         rng = random.Random(1972)
         forests = loops = 0
         for trial in range(150):
             M = random_labeled_forest(rng, 1 + trial % 3)
             layout = _layout(M)
-            reference = reference_forest_class_keys(M, 0)
             if layout is None or layout.kind != "forest":
                 # a path or cycle wins for one symbol; otherwise both refuse
-                assert reference is None or layout is not None
+                assert reference_forest_parent(M) is None or layout is not None
                 continue
             forests += 1
             par = layout.chain[0]
-            loops += any(_on_loop(par, j) for j in range(len(par)))
+            looping = any(on_loop(par, j) for j in range(len(par)))
+            loops += looping
             for h in range(8):
                 for extended in (False, True):
                     want = reference_forest_class_keys(M, h, extended)
                     got = class_ids(M, h, extended=extended)
-                    assert groupings(got) == groupings(want), (trial, h, extended)
-        assert forests > 50 and loops > 0
+                    if looping:
+                        assert want is None
+                        assert set(got) == set(M.faithful_elements(h)), (trial, h)
+                        assert all(isinstance(t, BallSignature) for t in got.values())
+                    else:
+                        assert groupings(got) == groupings(want), (trial, h, extended)
+        assert forests > 50 and loops > 10
 
     def test_tree_words_group_like_the_reference(self):
         for k, address, depth, halo in ((2, "tm12", 12, 4), (3, "periodic:123", 8, 3)):
@@ -1133,10 +1145,55 @@ class TestFastPathsAgainstReferences:
                     assert groupings(class_ids(M, h, extended=extended)) == groupings(want)
 
 
-def _on_loop(par, j):
-    """True when position j's ancestor chain never reaches a root."""
-    seen = set()
-    while j >= 0 and j not in seen:
-        seen.add(j)
-        j = par[j]
-    return j >= 0
+def test_forest_class_ids_group_like_ball_signatures():
+    # Forest-kind windows with and without looping chains, against the
+    # canonical signatures of the extracted balls; extended tokens of
+    # faithful elements too.
+    rng = random.Random(77)
+    windows = [random_labeled_forest(rng, 1 + trial % 3) for trial in range(300)]
+    for k, address in ((2, "tm12"), (3, "periodic:123")):
+        windows.append(gen_kary_tree(k, AddressSequence.parse(address), depth=4, halo=2))
+    pairs = Counter()
+    for M in windows:
+        layout = _layout(M)
+        if layout is None or layout.kind != "forest":
+            continue
+        par = layout.chain[0]
+        looping = any(on_loop(par, j) for j in range(len(par)))
+        for h in range(7):
+            want = {e: signature(M.ball(e, h)) for e in M.faithful_elements(h)}
+            assert groupings(class_ids(M, h)) == groupings(want), (M, h)
+            extended = class_ids(M, h, extended=True)
+            assert groupings({e: extended[e] for e in want}) == groupings(want)
+            pairs[looping] += 1
+    assert pairs[True] > 1000 and pairs[False] > 200
+
+
+def test_a_looping_forest_window_splits_its_classes():
+    M = looping_forest_window()
+    assert _layout(M).kind == "forest"
+    assert len(M.ball("f05", 1)) == 3 and len(M.ball("f10", 1)) == 4
+    for extended in (False, True):
+        tokens = class_ids(M, 1, extended=extended)
+        assert set(tokens) == {"f05", "f10"} and tokens["f05"] != tokens["f10"]
+    assert windowed_pointed_iso(M, "f05", M, "f10", 1) == EngineResult("dead", 1)
+    assert [e.multiplicity for e in census(M, 1).entries] == [1, 1]
+
+
+def test_layers_are_the_sorted_reference_layers_then_empty():
+    rng = random.Random(5)
+    windows = [random_labeled_forest(rng, 2) for _ in range(20)]
+    windows += [random_closed_structure(rng, rng.randrange(1, 12)) for _ in range(20)]
+    windows += [gen_grid((3, 3), mode="window"), looping_forest_window()]
+    for M in windows:
+        for center in M.elements:
+            want = reference_distances(M, (center,))
+            layers = [[] for _ in range(max(want.values()) + 1)]
+            for e, d in want.items():
+                layers[d].append(e)
+            dist = {}
+            grow = _layers(M, center, dist)
+            for layer in layers:
+                assert next(grow) == sorted(layer)
+            assert next(grow) == [] and next(grow) == []
+            assert dist == want

@@ -35,7 +35,6 @@ from locis.iso import (
     PartialIso,
     _chain_word,
     _layout,
-    _parents_first,
     class_ids,
     extraction_compare,
     windowed_pointed_iso,
@@ -50,7 +49,7 @@ from locis.symmetry import (
     periodic_isomorphism,
 )
 
-from conftest import mk, random_labeled_forest, reference_chain_words
+from conftest import mk, on_loop, random_labeled_forest, reference_chain_words
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +314,7 @@ def test_chain_words_match_the_id_walk():
         par, lab, forked = chain
         words, want_forked = reference
         kinds[layout.kind] += 1
-        loops += bool(_parents_first(par)[1])
+        loops += any(on_loop(par, j) for j in range(len(par)))
         for j, e in enumerate(M.elements):
             for length in (0, 1, 4, 9):
                 assert _chain_word(par, lab, j, length) == words[e][:length], (e, length)
