@@ -9,16 +9,17 @@ faithful to the infinite structure.
 Element ids are opaque strings. The core never interprets them. Each
 window numbers its elements by position in its sorted element tuple, so
 int order is id order; every per-element table derived from it (Gaifman
-rows, depths, the census index) is keyed by position, and the id-keyed
-views depths() and adjacency() serve public callers only. A local question
-is answered from the rows it reaches: a row is read on demand from the
-sorted tuple lists, and a depth is searched for around its element up to
-the radius asked for. The whole-window tables (the bulk Gaifman index, a
-list, and the depth list) are built once enough of the window has been
-read, or by the readers that need all of it. Every distance, depth and
-ball, and every layer the isomorphism engine and the forest tokens read,
-comes from one breadth-first search over the int rows, Structure._bfs, and
-an id-keyed result lists elements in the order that search discovers them.
+rows, the incidence store, depths, the census index) is keyed by position,
+and the id-keyed views incident(), depths() and adjacency() serve public
+callers only. A local question is answered from the rows and entries it
+reaches, each read on demand from the sorted tuple lists, and a depth is
+searched for around its element up to the radius asked for. The
+whole-window tables (the bulk Gaifman index and incidence store, and the
+depth list) are built once enough of the window has been read, or by the
+readers that need all of it. Every distance, depth and ball, and every
+layer the isomorphism engine and the forest tokens read, comes from one
+breadth-first search over the int rows, Structure._bfs, and an id-keyed
+result lists elements in the order that search discovers them.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class Language:
     and signatures list symbols in declaration order.
     """
 
-    __slots__ = ("symbols", "arities", "unary_symbols", "_key")
+    __slots__ = ("symbols", "arities", "unary_symbols", "narrow", "slot", "_key")
 
     def __init__(self, symbols):
         symbols = tuple((str(name), int(arity)) for name, arity in symbols)
@@ -70,6 +71,8 @@ class Language:
         self.symbols = symbols
         self.arities = {name: arity for name, arity in symbols}
         self.unary_symbols = tuple(n for n, a in symbols if a == 1)
+        self.narrow = all(a <= 2 for _, a in symbols)  # no symbol wider than binary
+        self.slot = _Slots(self)
         self._key = symbols
 
     def arity(self, symbol):
@@ -91,21 +94,52 @@ class Language:
         return f"Language({inner})"
 
 
+class _Slots(dict):
+    """A language's incidence slots, {(symbol name, places): number}, the
+    places being the argument positions one element fills in a tuple. Slots
+    are numbered in sorted pair order in every window of the language, each
+    worked out on first use. key, info and flip map a slot met so far to its
+    pair, its (declaration index, arity, unary bit; the first declared unary
+    symbol most significant), and the slot of its places read backwards."""
+
+    def __init__(self, language):
+        super().__init__()
+        self.arities, self.unary = language.arities, language.unary_symbols
+        self.declared = {name: k for k, (name, _) in enumerate(language.symbols)}
+        self.key, self.info, self.flip = {}, {}, {}
+        self.offset, base = {}, 0
+        for name, arity in sorted(language.symbols):
+            self.offset[name], base = base, base + (1 << arity) - 1
+
+    def __missing__(self, key):
+        name, places = key
+        k, unary = self.arities[name], self.unary
+        # the rank of places among the nonempty subsets of range(k) in tuple order
+        s, lo = self.offset[name] + len(places) - 1, 0
+        for p in places:
+            s, lo = s + (1 << k - lo) - (1 << k - p), p + 1
+        self[key], self.key[s] = s, key
+        bit = 1 << len(unary) - 1 - unary.index(name) if name in unary else 0
+        self.info[s] = (self.declared[name], k, bit)
+        self.flip[s] = self[name, tuple(sorted(k - 1 - p for p in places))]
+        return s
+
+
 class Structure:
     """A finite window: elements, tuples, and a frontier of truncated elements.
 
     `tuples` is any iterable of (symbol, argument sequence) pairs and is
     consumed once, so a generator streams straight in. Immutable after
     construction. Derived data (the id-to-position map, the per-position
-    Gaifman neighbours and depths, the id adjacency view) is computed lazily
-    and cached; recomputation is idempotent, so concurrent readers are safe.
-    Gaifman rows and incidence are computed per element on first request
-    and memoized; the whole window's table is built in one pass instead once
-    an eighth of the window has an entry, or at once over a symbol of arity
-    3 or more. A depth is searched for around its element, and the whole
-    window's depths are computed in one pass once those searches have
-    visited as many elements as the window holds. One generator, _bfs,
-    grows every breadth-first layer over the Gaifman rows.
+    Gaifman neighbours, incidence and depths, the id adjacency view) is
+    computed lazily and cached; recomputation is idempotent, so concurrent
+    readers are safe. The one incidence store lists position i's tuples
+    once each as sorted (slot, argument positions) pairs (slots: see
+    _Slots); its bulk form and the census index (iso._Index) fill from
+    one read of the argument columns. Rows and store entries are read per
+    position until an eighth of the window has one (see _local), and depths
+    by local searches until those have visited as many elements as the
+    window holds; then the whole table is built in one pass.
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -174,9 +208,9 @@ class Structure:
         self._tuple_sets = by_symbol  # membership tests only
 
         self._pos = None
-        self._nbrs = None  # _Rows, then the bulk list once _gaifman() builds it
+        self._nbrs = None  # _Local, then the bulk list once _gaifman() builds it
         self._adj = None
-        self._incident = {}
+        self._inc = None  # _Local, then the bulk list once _bulk_incidence() builds it
         self._depth = None
         self._near = {}  # position -> depth, from searches that found it exactly
         self._searched = 0  # elements visited by those searches
@@ -223,6 +257,7 @@ class Structure:
 
     def unary_profile(self, element):
         """Tuple of 0/1 flags, one per unary symbol in declaration order."""
+        self._position(element, "profile lookup")
         return tuple(
             1 if (element,) in self._tuple_sets[name] else 0
             for name in self.language.unary_symbols
@@ -246,12 +281,10 @@ class Structure:
             raise DanglingElement(element, lookup=lookup) from None
 
     def _local(self, store):
-        """Whether an entry missing from a per-element store is computed on
-        its own: while fewer than an eighth of the positions have one, and
-        no symbol is wider than binary. Otherwise the whole table is built."""
-        return len(store) * 8 < len(self.elements) and all(
-            a <= 2 for _, a in self.language.symbols
-        )
+        """Whether an entry missing from a per-position store is read on its
+        own: while no symbol is wider than binary and fewer than an eighth
+        of the positions have one. Otherwise the whole table is built."""
+        return self.language.narrow and len(store) * 8 < len(self.elements)
 
     def _gaifman(self):
         """The int Gaifman index: nbrs[i] is the sorted tuple of positions
@@ -280,16 +313,25 @@ class Structure:
             self._nbrs = [tuple(sorted(s)) for s in nbrs]
         return self._nbrs
 
-    def _row(self, i):
-        """_gaifman()[i], read on demand.
+    def _binary_at(self, name, e):
+        """(binary `name`'s tuples with e first, those with e second), by
+        bisection of the sorted list and of a copy sorted by the second
+        argument: the one local read for rows and store entries."""
+        ts = self.tuples_by_symbol[name]
+        lo = bisect_left(ts, e, key=_first)
+        out = ts[lo : bisect_right(ts, e, lo, key=_first)]
+        key = ("by second", name)
+        ts = self._cache.get(key)
+        if ts is None:
+            ts = self._cache[key] = sorted(self.tuples_by_symbol[name], key=_second)
+        lo = bisect_left(ts, e, key=_second)
+        return out, ts[lo : bisect_right(ts, e, lo, key=_second)]
 
-        Over unary and binary symbols a row is read by bisection from the
-        sorted tuple lists: out-neighbours from each symbol's list, and
-        in-neighbours from one copy of it sorted by the second argument,
-        made on first use. Rows read are kept in _rows(). Once an eighth of
-        the window has one, or when some symbol is wider, _gaifman() builds
-        every row instead: the rule incident() follows (see _local).
-        """
+    def _row(self, i):
+        """_gaifman()[i], read on demand: over unary and binary symbols from
+        the element's tuples found by _binary_at, and kept in _rows(); by
+        _gaifman() once an eighth of the window has a row or when some
+        symbol is wider (see _local)."""
         nbrs = self._rows()
         if type(nbrs) is list or i in nbrs:
             return nbrs[i]
@@ -298,17 +340,10 @@ class Structure:
         e = self.elements[i]
         found = set()
         for name, arity in self.language.symbols:
-            if arity != 2:
-                continue
-            ts = self.tuples_by_symbol[name]
-            lo = bisect_left(ts, e, key=_first)
-            found.update(map(_second, ts[lo : bisect_right(ts, e, lo, key=_first)]))
-            key = ("by second", name)
-            ts = self._cache.get(key)
-            if ts is None:
-                ts = self._cache[key] = sorted(self.tuples_by_symbol[name], key=_second)
-            lo = bisect_left(ts, e, key=_second)
-            found.update(map(_first, ts[lo : bisect_right(ts, e, lo, key=_second)]))
+            if arity == 2:
+                out, into = self._binary_at(name, e)
+                found.update(map(_second, out))
+                found.update(map(_first, into))
         found.discard(e)
         nbrs[i] = row = tuple(map(self._positions().__getitem__, sorted(found)))
         return row
@@ -318,7 +353,7 @@ class Structure:
         built, and before that the rows read so far, which reads a missing
         one by _row. A search may keep using the store it was handed."""
         if self._nbrs is None:
-            self._nbrs = _Rows(self)
+            self._nbrs = _Local(self, Structure._row)
         return self._nbrs
 
     def adjacency(self):
@@ -336,75 +371,104 @@ class Structure:
         """All tuples containing the element, as (symbol, args) pairs:
         symbols in declaration order, each symbol's tuples in sorted order.
 
-        Over unary and binary symbols an entry is looked up from the
-        element's Gaifman row, so a search that meets a few elements of a
-        large window builds only their entries and rows. Once an eighth of the
-        window has one, or when some symbol is wider, the whole table is
-        built in one pass, which is cheaper per entry.
+        An id-keyed view of the element's store entry, made on each call.
         """
-        try:
-            return self._incident[element]
-        except KeyError:
-            pass
-        inc = self._incident
-        if self._local(inc):
-            inc[element] = entry = self._incident_entry(element)
-            return entry
-        if len(inc) < len(self.elements):
-            self._incident = inc = self._incidence_table()
-        return inc[element]
+        entry = self._entry(self._position(element, "incidence lookup"))
+        info, at = self.language.slot.info, self.elements.__getitem__
+        found = sorted([(info[s][0], t) for s, t in entry])  # positions sort as ids
+        return tuple([(self.language.symbols[k][0], tuple(map(at, t))) for k, t in found])
 
-    def _incident_entry(self, element):
-        """incident(element) over unary and binary symbols: the candidate
-        pairs are the element with itself and with each Gaifman neighbour."""
-        at = self.elements.__getitem__
-        nb = list(map(at, self._row(self._positions()[element])))
-        pairs = [(element, v) for v in nb]
-        pairs += [(v, element) for v in nb]
-        pairs.append((element, element))
-        unit = (element,)
+    def _incidence(self):
+        """The incidence store by position, as _rows() is for rows: the bulk
+        list, or the entries read so far (a missing one read by _entry)."""
+        if self._inc is None:
+            self._inc = _Local(self, Structure._entry)
+        return self._inc
+
+    def _entry(self, i):
+        """_incidence()[i], read on demand, by the rule _row follows: over
+        unary and binary symbols from the element's unary memberships and
+        its tuples found by _binary_at, and by _bulk_incidence() once an
+        eighth of the window has an entry or when some symbol is wider."""
+        inc = self._incidence()
+        if type(inc) is list or i in inc:
+            return inc[i]
+        if not self._local(inc):
+            return self._bulk_incidence()[i]
+        e = self.elements[i]
+        pos, slot = self._positions(), self.language.slot
         entry = []
         for name, arity in self.language.symbols:
-            ts = self._tuple_sets[name]
             if arity == 1:
-                if unit in ts:
-                    entry.append((name, unit))
+                if (e,) in self._tuple_sets[name]:
+                    entry.append((slot[name, (0,)], (i,)))
                 continue
-            found = [t for t in pairs if t in ts]
-            found.sort()
-            entry += [(name, t) for t in found]
-        return tuple(entry)
+            out, into = self._binary_at(name, e)
+            for _, y in out:
+                j = pos[y]
+                entry.append((slot[name, (0,) if j != i else (0, 1)], (i, j)))
+            entry += [(slot[name, (1,)], (pos[x], i)) for x, _ in into if x != e]
+        entry.sort()
+        inc[i] = entry = tuple(entry)
+        return entry
 
-    def _incidence_table(self):
-        """{element: incident(element)} for the whole window."""
-        inc = {e: [] for e in self.elements}
+    def _incidence_columns(self):
+        """The window's incidence read by argument columns: {slot key
+        (symbol name, places): (position, argument positions) pairs} over
+        the keys that occur. Each key's pairs come in tuple order, so
+        filling per-position lists key by key in sorted key order sorts
+        every position's entries. A unary or binary symbol's argument
+        columns are mapped to positions once, and its pairs are iterators,
+        read once."""
+        pos = self._positions()
+        entries = {}
         for name, arity in self.language.symbols:
             ts = self.tuples_by_symbol[name]
-            if arity == 2:
-                for t in ts:
-                    a, b = t
-                    inc[a].append((name, t))
-                    if b != a:
-                        inc[b].append((name, t))
+            if not ts:
                 continue
-            for t in ts:
-                for a in set(t):
-                    inc[a].append((name, t))
-        return {e: tuple(v) for e, v in inc.items()}
+            if arity > 2:
+                for t in ts:
+                    args = tuple(map(pos.__getitem__, t))
+                    for x in set(args):
+                        key = (name, tuple([k for k, y in enumerate(args) if y == x]))
+                        entries.setdefault(key, []).append((x, args))
+                continue
+            cols = [list(map(pos.__getitem__, map(itemgetter(k), ts))) for k in range(arity)]
+            if arity == 1:
+                entries[name, (0,)] = zip(cols[0], zip(cols[0]))
+                continue
+            pairs = list(zip(*cols))
+            moves = [t for t in pairs if t[0] != t[1]]
+            loops = [t for t in pairs if t[0] == t[1]]
+            if moves:
+                entries[name, (0,)] = zip(map(_first, moves), moves)
+                entries[name, (1,)] = zip(map(_second, moves), moves)
+            if loops:
+                entries[name, (0, 1)] = zip(map(_first, loops), loops)
+        return entries
+
+    def _bulk_incidence(self):
+        """The whole incidence store, filled from _incidence_columns()."""
+        if type(self._inc) is not list:
+            slot = self.language.slot
+            store = [[] for _ in self.elements]
+            for key, pairs in sorted(self._incidence_columns().items()):
+                s = slot[key]
+                for x, args in pairs:
+                    store[x].append((s, args))
+            self._inc = list(map(tuple, store))
+        return self._inc
 
     def _bfs(self, dist, rows=None):
         """The breadth-first layers around the positions keyed in `dist`,
         one list per next(), the sources first; the window's one search
         over Gaifman rows.
 
-        Each layer lists positions in discovery order: neighbours are
-        scanned in int order, which is id order. dist[v] is set to v's
-        distance as v is discovered, so after the search has yielded layer L
-        it holds exactly the positions within L. Layer L+1 is read only when
-        it is asked for, and the search ends after the last non-empty
-        layer. Rows come from `rows` when given, else from _rows() afresh at
-        each layer, since the bulk index may replace the local store
-        mid-search.
+        Each layer lists positions in discovery order (neighbours in int,
+        so id, order). dist[v] is set as v is discovered, so after layer L
+        is yielded it holds exactly the positions within L; layer L+1 is
+        read only when asked for. Rows come from `rows` when given, else
+        from _rows() afresh at each layer, which the bulk index may replace.
         """
         layer, d = list(dist), 0
         while layer:
@@ -432,12 +496,10 @@ class Structure:
         """Gaifman distance to the nearest source, for every element within
         `limit` of one (every reachable element when limit is None).
 
-        One _bfs over the int rows: read on demand within a limit, from the
-        bulk index without one. The dict lists elements in discovery order,
-        sources first: neighbours are scanned in int order, which is id
-        order, so this is the order in which a FIFO queue over adjacency()
-        meets them. ball_elements and the step words of symmetry rely on
-        that order. A negative limit is rejected.
+        One _bfs over the int rows (the bulk index without a limit). The
+        dict lists elements in discovery order, sources first, as a FIFO
+        queue over adjacency() meets them; ball_elements and the step words
+        of symmetry rely on that order. A negative limit is rejected.
         """
         if limit is not None and limit < 0:
             raise InvariantViolation("radius", f"negative radius {limit}")
@@ -463,13 +525,11 @@ class Structure:
         return dict(zip(self.elements, self._depth_list()))
 
     def _depth_within(self, i, cap):
-        """min(depth of position i, cap).
-
-        A _bfs from i that stops at the first layer holding a frontier
-        element, or at radius cap; a closed window answers at once. Exact
-        depths are memoized. Once these searches have visited as many
-        elements in total as the window holds, the depth list is built and
-        read instead, so asking for every depth stays linear.
+        """min(depth of position i, cap), by a _bfs from i that stops at
+        the first layer holding a frontier element or at radius cap. Exact
+        depths are memoized; once these searches have visited as many
+        elements as the window holds, the depth list is built and read
+        instead, so asking for every depth stays linear.
         """
         if self._depth is None and self._searched >= len(self.elements):
             self._depth_list()
@@ -493,14 +553,8 @@ class Structure:
         return min(d, cap)
 
     def depth(self, element):
-        """Distance from the element to the nearest frontier element.
-
-        Answered locally: a search around the element stops at the first
-        layer that holds a frontier element, and reads only the Gaifman
-        rows it reaches. Exact answers are memoized. The whole-window depth
-        list is built once such searches have visited as many elements as
-        the window holds, and read from then on (see _depth_within).
-        """
+        """Distance from the element to the nearest frontier element,
+        answered locally (see _depth_within)."""
         return self._depth_within(self._position(element, "depth lookup"), math.inf)
 
     def is_closed(self):
@@ -571,11 +625,18 @@ class Structure:
 
     def restrict(self, members, frontier):
         """Induced substructure on a member set with an explicit frontier,
-        read from the members' incident() entries."""
-        members = set(members)
-        inside = members.issuperset
-        tuples = [(name, t) for e in members for name, t in self.incident(e) if inside(t)]
-        return Structure(self.language, members, tuples, frontier=frontier)
+        read from the members' store entries: each tuple inside the set
+        once, from the entry of its first argument."""
+        inside = {self._position(e, "restrict member") for e in members}
+        keys, inc = self.language.slot.key, self._incidence()
+        at = self.elements.__getitem__
+        lists = {name: [] for name, _ in self.language.symbols}
+        within = inside.issuperset
+        for i in inside:
+            for s, t in inc[i]:
+                if t[0] == i and within(t):
+                    lists[keys[s][0]].append(tuple(map(at, t)))
+        return Structure._from_symbol_lists(self.language, map(at, inside), lists, frontier)
 
     # -- equality ----------------------------------------------------------
 
@@ -600,19 +661,20 @@ class Structure:
         )
 
 
-class _Rows(dict):
-    """The Gaifman rows of a window read so far, {position: row}. A missing
-    row is read by the window's _row; the window is held weakly, so it and
-    its rows form no reference cycle."""
+class _Local(dict):
+    """A window's rows or incidence entries read so far, {position: entry};
+    a missing one is read by read(window, position), Structure._row or
+    _entry. The window is held weakly, so the two form no reference cycle."""
 
-    __slots__ = ("window",)
+    __slots__ = ("window", "read")
 
-    def __init__(self, window):
+    def __init__(self, window, read):
         super().__init__()
         self.window = weakref.ref(window)
+        self.read = read
 
     def __missing__(self, i):
-        return self.window()._row(i)
+        return self.read(self.window(), i)
 
 
 @dataclass(frozen=True)

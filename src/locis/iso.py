@@ -15,6 +15,9 @@ reports which of the three cases happened: iso found at the requested
 radius, death at a certified layer, or window exhaustion with the candidate
 still alive. A kill radius is tight: the balls are isomorphic at L-1 and not
 at L.
+
+The engine and PartialIso.verify read the windows' incidence stores by
+position (see core.Structure); ids appear only in mappings and errors.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, starmap
+from itertools import chain, compress, repeat, starmap
 from operator import itemgetter, not_
 from struct import pack
 
@@ -69,26 +72,32 @@ class PartialIso:
                 raise VerificationFailed("domain", f"{u!r} is not an element of the source")
             if v not in self.target:
                 raise VerificationFailed("image", f"{v!r} is not an element of the target")
-        # the sets answer membership; scanning the mapping names a seed-independent failure
-        dom = set(self.mapping)
-        img = set(self.mapping.values())
-        if len(img) != len(dom):
+        if len(set(self.mapping.values())) != len(self.mapping):
             raise VerificationFailed("injectivity", "mapping is not injective")
-        step = -1 if self.reversed_target else 1
-        inverse = {v: k for k, v in self.mapping.items()}
-        for u in self.mapping:
-            for sym, t in self.source.incident(u):
-                if all(x in dom for x in t):
-                    image = tuple(self.mapping[x] for x in t)
-                    if not self.target.has_tuple(sym, image[::step]):
-                        raise VerificationFailed("preservation", (sym, t))
-        for v in inverse:
-            for sym, t in self.target.incident(v):
-                t = t[::step]
-                if all(x in inverse for x in t):
-                    pre = tuple(inverse[x] for x in t)
-                    if not self.source.has_tuple(sym, pre):
-                        raise VerificationFailed("reflection", (sym, t))
+        if self.source.language != self.target.language:
+            raise LanguageMismatch(self.source.language, self.target.language)
+        # Both stores are read by position (each entry through its window's
+        # slot table), each way in mapping order, so the failure named does
+        # not depend on the hash seed. An image tuple holds the image of i at
+        # i's places, so the image's entry lists it under i's slot, flipped
+        # when the tuple is read backwards.
+        rev = self.reversed_target
+        step = -1 if rev else 1
+        S, T = self.source, self.target
+        sp, tp = S._positions(), T._positions()
+        fwd = {sp[u]: tp[v] for u, v in self.mapping.items()}
+        bwd = {j: i for i, j in fwd.items()}
+        for stage, A, B, f, read in (
+            ("preservation", S, T, fwd, 1), ("reflection", T, S, bwd, step)
+        ):
+            src, tgt, slot = A._incidence(), B._incidence(), A.language.slot
+            for i, j in f.items():
+                for s, t in src[i]:
+                    if all(x in f for x in t):
+                        image = tuple([f[x] for x in t])[::step]
+                        if (slot.flip[s] if rev else s, image) not in tgt[j]:
+                            t = tuple(map(A.elements.__getitem__, t[::read]))
+                            raise VerificationFailed(stage, (slot.key[s][0], t))
         return True
 
     def as_dict(self):
@@ -159,43 +168,45 @@ class EngineResult:
     mapping: dict | None = None
 
 
-def _layers(M, center, dist):
-    """The layers of M._bfs around center, one per next(): each a list of
-    ids in id order, and [] once the ball stops growing. dist records each
-    element's layer as it is yielded."""
-    at = M.elements.__getitem__
-    for level, layer in enumerate(M._bfs({M._positions()[center]: 0})):
-        ids = list(map(at, sorted(layer)))
-        dist.update(dict.fromkeys(ids, level))
-        yield ids
-    while True:
-        yield []
-
-
 def _layer_summary(M, layer, dist, level):
-    """Set-level invariants of one layer: profiles and finished tuples.
+    """Set-level invariants of one layer of positions: unary profile
+    bitmasks and finished tuples per symbol.
 
     A tuple is counted at the level where its farthest argument lives; it is
-    attributed once, via its lexicographically least farthest argument.
-    Neither count depends on argument order, so a reversed search compares
-    the summaries of both windows as they are.
+    attributed once, via its least farthest argument. Neither count depends
+    on argument order, so a reversed search compares the summaries of both
+    windows as they are.
     """
-    profiles = Counter(M.unary_profile(u) for u in layer)
+    inc, info = M._incidence(), M.language.slot.info
+    profiles = Counter()
     tuples = Counter()
     for u in layer:
-        for sym, t in M.incident(u):
-            farthest = None
-            ok = True
-            for x in t:
-                dx = dist.get(x)
-                if dx is None or dx > level:
-                    ok = False
-                    break
-                if dx == level and (farthest is None or x < farthest):
-                    farthest = x
-            if ok and farthest == u:
-                tuples[sym] += 1
+        profile = 0
+        for s, t in inc[u]:
+            symbol, _, bit = info[s]
+            profile |= bit
+            if all(dist.get(x, level + 1) <= level for x in t):
+                if min(x for x in t if dist[x] == level) == u:
+                    tuples[symbol] += 1
+        profiles[profile] += 1
     return profiles, tuples
+
+
+def _compatible(entries, closing, u, v, fwd, bwd):
+    """Whether v, with store entry `entries`, can take the place of u, with
+    checked tuples `closing`, under the partial map fwd (bwd its inverse).
+
+    Each checked tuple's image, u replaced by v, holds v at u's places, so
+    v's entry must list it under the same slot. fwd is injective, so those
+    images are distinct tuples of v among mapped elements; each of those
+    has a preimage exactly when there are no more of them than checked
+    tuples. Unary tuples are among both, so the unary profiles agree too.
+    """
+    for s, t in closing:
+        if (s, tuple([v if x == u else fwd[x] for x in t])) not in entries:
+            return False
+    mapped = sum([all(x == v or x in bwd for x in t) for _, t in entries])
+    return mapped == len(closing)
 
 
 def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
@@ -209,35 +220,39 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     images backwards. The search reverses u's tuples once, when it builds
     the checks below, and reads N as it is.
 
-    Answered locally: each depth is searched for only up to target_radius,
-    since only min(depth_a, depth_b, target_radius) is used, and each layer
-    is read from the Gaifman rows and incidence entries of the layer
-    before, so a search that stays small builds no whole-window table.
+    Answered locally, on positions: depths are searched for up to
+    target_radius only, and each layer is read from the rows and store
+    entries of the layer before, so a small search builds no whole-window
+    table. Ids appear only in the mapping returned.
     """
     if M.language != N.language:
         raise LanguageMismatch(M.language, N.language)
     if target_radius < 0:
         raise InvariantViolation("radius", f"negative radius {target_radius}")
-    certifiable = int(min(
-        M._depth_within(M._position(a, "depth lookup"), target_radius),
-        N._depth_within(N._position(b, "depth lookup"), target_radius),
-    ))
+    i, j = M._position(a, "depth lookup"), N._position(b, "depth lookup")
+    certifiable = int(min(M._depth_within(i, target_radius), N._depth_within(j, target_radius)))
 
-    dist_a, dist_b = {}, {}
-    grow_a, grow_b = _layers(M, a, dist_a), _layers(N, b, dist_b)
+    # Each side's layers in position (so id) order, one per next(), and []
+    # once its ball stops growing; dist holds the positions within the last
+    # layer read, each at its distance.
+    dist_a, dist_b = {i: 0}, {j: 0}
+    grow_a = chain(map(sorted, M._bfs(dist_a)), repeat([]))
+    grow_b = chain(map(sorted, N._bfs(dist_b)), repeat([]))
+    inc_a, inc_b = M._incidence(), N._incidence()  # each read through its own slot table
+    info_a, info_b, flip = M.language.slot.info, N.language.slot.info, M.language.slot.flip
     layers_b = []
 
     # The order grows a layer at a time, so when the search reaches u,
-    # exactly the elements before u are mapped. compatible() checks the
+    # exactly the elements before u are mapped. _compatible() checks the
     # tuples of u whose other arguments all come earlier, and candidates come
     # from the first of them that has another argument, the pivot: the v
-    # worth trying complete the pivot's image in N, found among the tuples of
-    # one mapped argument's image. compatible() rejects every other v of the
-    # layer, so the search visits the same nodes in the same order as a scan
-    # of the whole layer, which positions without a pivot (the center among
-    # them) still use. A reversed search stores each tuple backwards, so its
-    # image is read from N as it is; the mapped-tuple count ignores argument
-    # order.
+    # worth trying sit at u's place in a tuple of the pivot's symbol at the
+    # image of one mapped argument. _compatible() rejects every other v of
+    # the layer, so the search visits the same nodes in the same order as a
+    # scan of the whole layer, which positions without a pivot (the center
+    # among them) still use. A reversed search stores each tuple backwards,
+    # under the flipped slot, so its image is read from N as it is; the
+    # mapped-tuple count ignores argument order.
     step = -1 if reverse else 1
     order, closing, pivots = [], [], []
     position = {}
@@ -255,59 +270,28 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
         for idx, u in enumerate(la, start):
             order.append((u, level))
             mine = [
-                (sym, t[::step])
-                for sym, t in M.incident(u)
+                (flip[s] if reverse else s, t[::step])
+                for s, t in inc_a[u]
                 if all(position.get(x, end) <= idx for x in t)
             ]
             closing.append(mine)
-            pivot = None
-            for sym, t in mine:
-                others = [x for x in t if x != u]
-                if others:
-                    pivot = (sym, others[0], tuple(None if x == u else x for x in t))
-                    break
-            pivots.append(pivot)
+            pivot = ((info_a[s][0], x, t.index(u)) for s, t in mine for x in t if x != u)
+            pivots.append(next(pivot, None))
         return True
 
-    fwd = {}
-    bwd = {}
+    fwd, bwd = {}, {}
 
     def candidates(idx):
-        u, level = order[idx]
-        pivot = pivots[idx]
-        if pivot is None:
+        level = order[idx][1]
+        if pivots[idx] is None:
             return layers_b[level]
-        sym, anchor, pattern = pivot
-        found = set()
-        for sym2, t in N.incident(fwd[anchor]):
-            if sym2 != sym:
-                continue
-            v = None
-            for x, y in zip(pattern, t):
-                if x is None:
-                    if v is None:
-                        v = y
-                    elif y != v:
-                        break
-                elif fwd[x] != y:
-                    break
-            else:
-                if dist_b.get(v) == level and v not in bwd:
-                    found.add(v)
-        return sorted(found)
+        k, anchor, place = pivots[idx]
+        found = {t[place] for s, t in inc_b[fwd[anchor]] if info_b[s][0] == k}
+        return sorted([v for v in found if dist_b.get(v) == level and v not in bwd])
 
-    def compatible(idx, v):
-        u = order[idx][0]
-        if M.unary_profile(u) != N.unary_profile(v):
-            return False
-        for sym, t in closing[idx]:
-            if not N.has_tuple(sym, tuple(v if x == u else fwd[x] for x in t)):
-                return False
-        # fwd is injective, so the images of u's checked tuples are distinct
-        # tuples of v among mapped elements; each of those has a preimage
-        # exactly when there are no more of them than checked tuples.
-        mapped = sum(all(x == v or x in bwd for x in t) for _, t in N.incident(v))
-        return mapped == len(closing[idx])
+    def mapping():
+        at_a, at_b = M.elements.__getitem__, N.elements.__getitem__
+        return {at_a(u): at_b(v) for u, v in fwd.items()}
 
     # Iterative DFS over layer-respecting assignments, in the order above;
     # each position tries the candidates of its pivot tuple, or its whole
@@ -323,19 +307,19 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
         if idx == len(order):
             if level == certifiable:
                 if level >= target_radius:
-                    return EngineResult("iso", target_radius, fwd)
-                return EngineResult("exhausted", level, fwd)
+                    return EngineResult("iso", target_radius, mapping())
+                return EngineResult("exhausted", level, mapping())
             level += 1
             if not enter(level):
                 return EngineResult("dead", level)
             if idx == len(order):
                 # Balls that stopped growing inside the window: the radius
                 # reached already determines every larger radius.
-                return EngineResult("iso", target_radius, fwd)
+                return EngineResult("iso", target_radius, mapping())
             iters[idx] = iter(candidates(idx))
         u = order[idx][0]
         for v in iters[idx]:
-            if v not in bwd and compatible(idx, v):
+            if v not in bwd and _compatible(inc_b[v], closing[idx], u, v, fwd, bwd):
                 fwd[u] = v
                 bwd[v] = u
                 idx += 1
@@ -379,104 +363,48 @@ def pointed_iso(A, B):
 # ---------------------------------------------------------------------------
 # Canonical signatures.
 #
-# The search runs on an integer form of the ball: members are numbered
-# 0..n-1 in the order a breadth-first read from the center first meets them,
-# each member's incidences read in slot order, and inc[u] lists u's tuples
-# as (slot, args), where args are member numbers and slot ranks the pair
-# (symbol name, positions of u in the tuple). Entries (slot, *argument
-# colors) therefore sort exactly as (symbol name, positions, argument colors)
-# would. The code does not depend on the numbering, so class_ids computes
-# one code per distinct form: on windows of finite local complexity balls
-# repeat, and slot order gives translated rigid balls identical forms.
+# The search runs on an integer form of the ball: members numbered in the
+# order a breadth-first read in slot order meets them, and inc[u] lists u's
+# tuples as (slot, member numbers), so entries (slot, *argument colors) sort
+# as (symbol name, places, argument colors) would. The code does not depend
+# on the numbering, so class_ids computes one code per distinct form.
 
 
 class _Index:
-    """Integer incidence index of a window, by position in M.elements.
+    """Integer incidence index of a window, by position in M.elements,
+    built once per window (see _index).
 
-    Each element's entries list its tuples once each as (slot, args), args
-    in element positions, sorted; they are built one symbol at a time, and
-    over unary and binary symbols from whole argument columns. slots[s] is
-    the (symbol index, arity, unary bit) of slot s. Slots rank the pairs
-    (symbol name, positions of the element) over all of M, so they also
-    order the pairs of any ball of M. Unary symbols get bits with the first
-    declared one most significant, so profile bitmasks order as the 0/1 flag
-    tuples of Structure.unary_profile do.
+    Each element's entries are its incidence store entry, filled from the
+    same read of argument columns, with slots renumbered to rank only the
+    pairs (symbol name, places) that occur in M; they still order the pairs
+    of any ball of M. slots[s] is the language's slot info of slot s.
 
-    An element's template spells its entry count and its entries as ints:
-    the count c as the marker n + len(slots) + c, then per entry the slot s
-    as the marker n + s and the argument positions; one int object per
-    marker value is shared by every template. read[i] is one
-    operator.itemgetter over element i's template and holds its only copy:
-    an itemgetter pickles as (itemgetter, items), so __reduce__ hands the
-    items back without a copy. label, one reusable list over positions and
-    markers, maps member positions to member numbers (-1 outside the current
-    ball), n + s to s and n + len(slots) + c to c, so read[u](label) yields a
-    member's count and entries in one C call. isolated holds the elements
-    without entries, whose one-item getters would return a scalar.
-
-    The templates are filled one entry at a time and turned into getters in
-    bulk by one starmap, and nothing else is kept per element: a table that
-    costs more to build than it saves loses where elements are read only a
-    few times, as on the 40-level Thue-Morse tiling (48,257 tiles), where a
-    census reads each tile about 5 times at h=2 and 6 at h=3, against 19
-    times for an element of a checkerboard grid at h=3. A discovery row per
-    element (its template without repeats) was left out: it saves a few
-    loop turns per read on the grid and none on the tiling, and it would
-    add about half to the index's memory.
+    An element's template spells its entry count c as the marker
+    n + len(slots) + c, then per entry the slot s as the marker n + s and
+    the argument positions. read[i] is one operator.itemgetter over element
+    i's template, its only copy (__reduce__ hands the items back). A label
+    list, made by labels() for each reader so that concurrent readers share
+    no scratch, maps member positions to member numbers (-1 outside the
+    current ball), n + s to s and n + len(slots) + c to c, so read[u](label)
+    yields a member's count and entries in one C call. isolated holds the
+    elements without entries, whose one-item getters would return a scalar.
 
     Memo keys of exact forms pack words as struct typecode "h" when every
     word is below 2**15, else "i".
     """
 
-    __slots__ = ("language", "slots", "width", "read", "isolated", "label", "typecode")
+    __slots__ = ("language", "slots", "width", "read", "isolated", "tail", "typecode")
 
     def __init__(self, M):
         self.language = M.language
-        pos = M._positions()
         n = len(M.elements)
-        # Each slot that occurs, keyed (name, places), lists its (element,
-        # args) entries in tuple order. A unary or binary symbol's argument
-        # columns are read once; a binary tuple's slots are (0,) and (1,),
-        # or (0, 1) for a loop.
-        entries = {}
-        for name, arity in M.language.symbols:
-            ts = M.tuples_by_symbol[name]
-            if not ts:
-                continue
-            if arity > 2:
-                for t in ts:
-                    args = tuple(map(pos.__getitem__, t))
-                    for x in set(args):
-                        key = (name, tuple([i for i, y in enumerate(args) if y == x]))
-                        entries.setdefault(key, []).append((x, args))
-                continue
-            cols = [list(map(pos.__getitem__, map(itemgetter(k), ts))) for k in range(arity)]
-            if arity == 1:
-                entries[name, (0,)] = zip(cols[0], zip(cols[0]))
-                continue
-            pairs = list(zip(*cols))
-            moves = [t for t in pairs if t[0] != t[1]]
-            loops = [t for t in pairs if t[0] == t[1]]
-            if moves:
-                entries[name, (0,)] = zip(map(itemgetter(0), moves), moves)
-                entries[name, (1,)] = zip(map(itemgetter(1), moves), moves)
-            if loops:
-                entries[name, (0, 1)] = zip(map(itemgetter(0), loops), loops)
+        entries = M._incidence_columns()
         keys = sorted(entries)
-        unary = M.language.unary_symbols
-        sym = {name: i for i, (name, _) in enumerate(M.language.symbols)}
-        self.slots = [
-            (
-                sym[name],
-                M.language.arities[name],
-                1 << (len(unary) - 1 - unary.index(name)) if name in unary else 0,
-            )
-            for name, _ in keys
-        ]
+        slot = M.language.slot
+        self.slots = [slot.info[slot[key]] for key in keys]
         self.width = [1 + arity for _, arity, _ in self.slots]
-        # Slot by slot in rank order, each in tuple order, which over
-        # positions is id order: every element's entries arrive sorted. Each
-        # template opens with a place for its count marker.
+        # Slot by slot in rank order, so every element's entries arrive
+        # sorted; each template opens with a place for its count marker.
         templates = [[0] for _ in range(n)]
         counts = [0] * n
         for s, key in enumerate(keys):
@@ -492,30 +420,33 @@ class _Index:
             t[0] = marks[c]
         self.read = list(starmap(itemgetter, templates))
         self.isolated = frozenset(compress(range(n), map(not_, counts)))
-        self.label = [-1] * n + list(range(len(keys))) + list(range(top + 1))
+        self.tail = list(range(len(keys))) + list(range(top + 1))
         self.typecode = "h" if max(n, len(keys), top) < 1 << 15 else "i"
 
-    def words(self, center, h):
+    def labels(self):
+        """A fresh label list: -1 at every position, then the markers'."""
+        return [-1] * len(self.read) + self.tail
+
+    def words(self, center, h, label=None):
         """Flat integer encoding of the h-ball around position `center`.
 
         Members are numbered in slot-ordered discovery: breadth-first from
         the center, reading each member's template in order and numbering
         every argument when first met (markers carry labels >= 0, so the
-        scan passes over them). Distances are Gaifman distances, since the
-        entries hold the co-occurrences the Gaifman index does. The words
-        list, member by member, its distance, then what its getter reads
-        through label: its entry count and per entry the slot and the member
-        numbers; a slot fixes its arity. Members at distance h list every
-        entry too, so an argument outside the ball reads -1: raw words also
-        record the tuples that leave the ball, and trim() turns them into the
-        words of the exact form, which determine the ball's form exactly.
-        Returns (words, number of members, offset of the first member at
-        distance h), the offset being len(words) when no member lies at
-        distance h.
+        scan passes over them). The words list, member by member, its
+        Gaifman distance, then what its getter reads through `label` (from
+        labels(), left as found; a fresh one when None): its entry count and
+        per entry the slot and the member numbers. Members at distance h
+        list every entry too, so an argument outside the ball reads -1: raw
+        words also record the tuples that leave the ball, and trim() turns
+        them into the words of the exact form. Returns (words, number of
+        members, offset of the first member at distance h, or len(words)).
         """
         if center in self.isolated:
             return [0, 0], 1, 0 if h == 0 else 2
-        read, label = self.read, self.label
+        read = self.read
+        if label is None:
+            label = self.labels()
         label[center] = 0
         members = [center]
         m = 1
@@ -786,13 +717,21 @@ def signature(A):
     unchanged.
     """
     S = A.structure
-    index = _Index(S)
+    index = _index(S)
     words, n, _ = index.words(S._positions()[A.center], len(S))
     if n != len(S):
         raise InvariantViolation(
             "ball-connected", "pointed ball has elements unreachable from its center"
         )
     return index.signature(words)
+
+
+def _index(M):
+    """M's _Index, built on first use and memoized on M."""
+    index = M._cache.get("index")
+    if index is None:
+        index = M._cache["index"] = _Index(M)
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -943,15 +882,13 @@ def _layout(M):
 
     chain = (par, lab, forked) is set where upward chain words decide
     pointed balls: on forests, on tilings, and on uncoloured paths and
-    cycles that _forest_layout accepts. Over positions in M.elements, par[j]
-    is the position of j's successor along the chain (-1 where the chain
-    leaves the window) and lab[j] the label of that hop. forked holds the
-    positions whose reversed candidates die at radius 1: on a forest over
-    two or more symbols every position (a reversed map would need one
-    in-edge per child label at the image, and forest nodes have one
-    parent), on a tiling the tiles with two level predecessors (their
-    children would need two distinct level successors at the image, and
-    tiles have one).
+    cycles that _forest_layout accepts. Over positions, par[j] is j's
+    successor along the chain (-1 where it leaves the window) and lab[j]
+    the label of that hop. forked holds the positions whose reversed
+    candidates die at radius 1: on a forest over two or more symbols every
+    position (forest nodes have one parent, not one per child label), on a
+    tiling the tiles with two level predecessors (tiles have one level
+    successor, not two).
     """
     if "layout" in M._cache:
         return M._cache["layout"]
@@ -1003,20 +940,25 @@ def _forest_words(M, par, lab, h):
     per label: each word extends its parent's, cut to h. None when some
     position's chain never reaches a root (it loops).
 
-    Parents come before children in the order of one _bfs from the roots:
-    every position has at most one parent, so each component holding a
-    root is a tree, and a search from the root meets a parent first.
+    Parents come before children in the order of one _bfs from the roots,
+    memoized on M (None when it misses a position): every position has at
+    most one parent, so a search from a root meets a parent first.
     """
+    if "parents first" not in M._cache:
+        dist = dict.fromkeys([j for j, p in enumerate(par) if p < 0], 0)
+        layers = M._bfs(dist, M._gaifman())
+        next(layers, None)  # the roots keep the empty word
+        order = list(chain.from_iterable(layers))
+        M._cache["parents first"] = order if len(dist) == len(par) else None
+    order = M._cache["parents first"]
+    if order is None:
+        return None
     chars = [chr(48 + si)[:h] for si in range(max(lab, default=0) + 1)]  # all empty at h = 0
-    dist = dict.fromkeys([j for j, p in enumerate(par) if p < 0], 0)
     words = [""] * len(par)
     cut = h - 1
-    layers = M._bfs(dist, M._gaifman())
-    next(layers, None)  # the roots keep the empty word
-    for layer in layers:
-        for j in layer:
-            words[j] = chars[lab[j]] + words[par[j]][:cut]
-    return words if len(dist) == len(par) else None
+    for j in order:
+        words[j] = chars[lab[j]] + words[par[j]][:cut]
+    return words
 
 
 def class_ids(M, h, extended=False):
@@ -1028,14 +970,12 @@ def class_ids(M, h, extended=False):
     cycle, upward label words on a forest where every position is reached
     from a root, canonical signatures of ball forms otherwise (tilings, and
     forests whose parent chains loop, at every h): one canonical code per
-    distinct exact form. The memo also keeps raw keys, the words of a ball
-    read with the tuples that leave it, but only a raw key whose exact form
-    already has a code: a repeating ball then costs one breadth-first read
-    and one tuple, and a window whose balls never repeat stores forms
-    alone. With extended=True, a forest window without loops may certify
-    tokens past the faithful region (it decides classes from ancestor words
-    alone); the other methods stay depth-bounded. Tokens are comparable
-    within one call; use signatures to compare across structures.
+    distinct exact form, memoized also by raw words (see below), so a
+    repeating ball costs one breadth-first read. With extended=True, a
+    forest window without loops may certify tokens past the faithful region
+    (it decides classes from ancestor words alone); the other methods stay
+    depth-bounded. Tokens are comparable within one call; use signatures to
+    compare across structures.
     """
     if h < 0:
         raise InvariantViolation("radius", f"negative radius {h}")
@@ -1054,22 +994,18 @@ def class_ids(M, h, extended=False):
             if extended:
                 return {e: w for e, w, _ in words if len(w) == h}
             return {e: w for e, w, d in words if d >= h and len(w) == h}
-    # One memo that lives as long as this call. Raw words also record the
-    # tuples that leave the ball, so one exact form can have several raw
-    # words, and a code per raw key would pay the canonical search once per
-    # key instead of once per form: a raw miss is trimmed, and its exact
-    # form looked up by its packed key. A new form stores its code alone; a
-    # raw key is stored when its form already has a code, so the memo
-    # answers a raw key from its third sight at the latest, and a window
-    # whose balls never repeat keeps no raw key. Raw keys are tuples, which
-    # cost 8 bytes a word against 2 packed but are made and hashed in a
-    # third of the time; form keys are bytes, so the two never collide.
-    index = _Index(M)
+    # One memo for this call. One exact form can have several raw words, so
+    # a raw miss is trimmed and its form looked up by its packed key; a raw
+    # key is stored only once its form has a code. Raw keys are tuples (made
+    # and hashed in a third of the time of packed ones) and form keys bytes,
+    # so the two never collide.
+    index = _index(M)
+    label = index.labels()
     memo = {}
     out = {}
     for i, (e, d) in enumerate(zip(M.elements, depths)):
         if d >= h:
-            words, _, edge = index.words(i, h)
+            words, _, edge = index.words(i, h, label)
             raw = tuple(words)
             sig = memo.get(raw)
             if sig is None:

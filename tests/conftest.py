@@ -14,7 +14,7 @@ import pytest
 
 from locis.core import ELEMENT_RE, Language, Structure
 from locis.errors import BadAddressEntry, InvariantViolation, ParseError
-from locis.iso import EngineResult, _layer_summary
+from locis.iso import EngineResult
 
 LANG2 = Language([("P", 2), ("Q", 2)])
 
@@ -147,6 +147,30 @@ def reference_incident(M):
     tuple of the window: symbols in declaration order, each symbol's tuples
     in sorted order."""
     return {e: tuple((name, t) for name, t in M.all_tuples() if e in t) for e in M.elements}
+
+
+def reference_store(M):
+    """M's incidence store as a list by position, read from
+    reference_incident: each tuple of an element as (slot, argument
+    positions), slot ranking the pairs (symbol name, places of the element
+    in the tuple) over every nonempty set of places of every symbol, and
+    each element's entries sorted."""
+    keys = sorted(
+        (name, places)
+        for name, arity in M.language.symbols
+        for size in range(1, arity + 1)
+        for places in itertools.combinations(range(arity), size)
+    )
+    rank = {key: s for s, key in enumerate(keys)}
+    pos = M._positions()
+    inc = reference_incident(M)
+    return [
+        tuple(sorted(
+            (rank[name, tuple(k for k, x in enumerate(t) if x == e)], tuple(pos[x] for x in t))
+            for name, t in inc[e]
+        ))
+        for e in M.elements
+    ]
 
 
 def reference_restrict(M, members, frontier):
@@ -644,6 +668,21 @@ def on_loop(par, j):
     return j >= 0
 
 
+def reference_layer_summary(M, layer, dist, level):
+    """The engine's layer precheck over ids: the Counter of unary profiles
+    of the layer, and per symbol the number of tuples whose arguments all
+    lie within `level` and whose least argument at `level` is in the
+    layer."""
+    profiles = Counter(M.unary_profile(u) for u in layer)
+    tuples = Counter()
+    for u in layer:
+        for sym, t in M.incident(u):
+            if all(dist.get(x, math.inf) <= level for x in t):
+                if min(x for x in t if dist[x] == level) == u:
+                    tuples[sym] += 1
+    return profiles, tuples
+
+
 def _grow_layers(M, center, limit):
     """The BFS layers of B(center, limit), each sorted, and the distances."""
     dist = reference_distances(M, (center,), limit)
@@ -685,8 +724,8 @@ def reference_windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
             level
             for level in range(top)
             if len(layer(layers_a, level)) != len(layer(layers_b, level))
-            or _layer_summary(M, layer(layers_a, level), dist_a, level)
-            != _layer_summary(N, layer(layers_b, level), dist_b, level)
+            or reference_layer_summary(M, layer(layers_a, level), dist_a, level)
+            != reference_layer_summary(N, layer(layers_b, level), dist_b, level)
         ),
         None,
     )

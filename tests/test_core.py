@@ -42,6 +42,7 @@ from conftest import (
     reference_distances,
     reference_incident,
     reference_restrict,
+    reference_store,
 )
 
 
@@ -404,16 +405,32 @@ class TestIntIndexAgainstReferences:
             frontier = [e for e in members if rng.random() < 0.3]
             assert M.restrict(members, frontier) == reference_restrict(M, members, frontier)
 
-    def test_incident_matches_the_reference(self):
+    def test_incident_matches_the_reference(self, monkeypatch):
         rng = random.Random(2012)
         for trial in range(300):
             M = mixed_window(rng, ternary=trial % 2 == 0)
-            want = reference_incident(M)
-            # asked in a random order, so no entry leans on an earlier one
+            want, store = reference_incident(M), reference_store(M)
+            # Asked in a random order, so no entry leans on an earlier one:
+            # local reads first, then, once an eighth of the window has an
+            # entry, the bulk store (at once over the ternary language).
+            order = rng.sample(range(len(M)), len(M))
+            for i in order:
+                assert M._entry(i) == store[i]
+            assert type(M._incidence()) is list or len(M) == 1
             for e in rng.sample(M.elements, len(M.elements)):
                 assert M.incident(e) == want[e]
-            if trial % 2:  # self-loops included
-                assert {e: M._incident_entry(e) for e in M.elements} == want
+            assert copy_window(M)._bulk_incidence() == store
+            if trial % 2:  # self-loops included; every entry read locally
+                with monkeypatch.context() as patch:
+                    patch.setattr(Structure, "_local", lambda self, store: True)
+                    L = copy_window(M)
+                    assert [L._entry(i) for i in order] == [store[i] for i in order]
+                    assert type(L._incidence()) is not list
+
+
+def copy_window(M):
+    """A fresh copy of M, with no derived data built yet."""
+    return Structure(M.language, M.elements, M.all_tuples(), frontier=M.frontier)
 
 
 def generator_windows():
@@ -435,14 +452,17 @@ def generator_windows():
     ]
 
 
-def test_incident_and_restrict_match_the_references_on_every_family():
+def test_incident_and_restrict_match_the_references_on_every_family(monkeypatch):
     for M in generator_windows():
-        want = reference_incident(M)
+        want, store = reference_incident(M), reference_store(M)
         assert {e: M.incident(e) for e in M.elements} == want
-        # Both builders, whichever of them incident() picked.
-        assert M._incidence_table() == want
-        if all(arity <= 2 for _, arity in M.language.symbols):
-            assert {e: M._incident_entry(e) for e in M.elements} == want
+        # Both reads, whichever of them incident() picked.
+        assert copy_window(M)._bulk_incidence() == store
+        if M.language.narrow:
+            with monkeypatch.context() as patch:
+                patch.setattr(Structure, "_local", lambda self, store: True)
+                L = copy_window(M)
+                assert [L._entry(i) for i in range(len(L))] == store
         for e in M.elements[::3]:
             members = M.ball_elements(e, 2)
             frontier = [u for u, d in members.items() if d == 2]
@@ -453,7 +473,44 @@ def test_symmetry_search_on_a_deep_tiling_fills_few_incidence_entries():
     M = gen_binary_hyperbolic(AddressSequence.parse("periodic:01"), 40, 64)
     rep = find_symmetries(M, 4, 12, anchor="L-1o-1")
     assert rep.verdict == "found"
-    assert 0 < len(M._incident) < 0.05 * len(M)
+    assert 0 < len(M._incidence()) < 0.05 * len(M)
+
+
+def test_a_wide_symbol_numbers_only_the_slots_it_meets():
+    # A 40-ary symbol has 2^40 - 1 slots; the store numbers the few its
+    # tuples fill, by rank, without listing the others.
+    ids = [f"e{k:02d}" for k in range(40)]
+    t = tuple(ids[:39] + ids[:1])
+    M = Structure(Language([("U", 1), ("W", 40)]), ids, [("W", t), ("U", ("e05",))])
+    assert M.incident("e00") == (("W", t),)
+    assert M.incident("e05") == (("U", ("e05",)), ("W", t))
+    assert M.restrict(ids[1:], frontier=()).tuple_count() == 1
+    assert len(M.ball("e01", 1)) == 39 and M.restrict(ids, frontier=()) == M
+    assert len(M.language.slot) < 50
+    assert M._bulk_incidence()[0] == ((M.language.slot["W", (0, 39)], tuple(range(39)) + (0,)),)
+
+
+def test_incident_of_an_unknown_id_names_the_lookup():
+    with pytest.raises(DanglingElement) as exc:
+        gen_grid((4, 4), mode="torus").incident("zz")
+    assert str(exc.value) == "element 'zz' is not in the window (incidence lookup)"
+
+
+def test_restrict_to_an_unknown_member_names_the_lookup():
+    with pytest.raises(DanglingElement) as exc:
+        gen_grid((4, 4), mode="torus").restrict(["0_0", "zz"], frontier=())
+    assert str(exc.value) == "element 'zz' is not in the window (restrict member)"
+
+
+def test_unary_profile_of_an_unknown_id_names_the_lookup():
+    # without unary symbols the profile is () and with them all zeros, so
+    # neither could tell an unknown id from a known one
+    periods, cmap = checkerboard_colormap()
+    for M in (gen_grid((4, 4), mode="torus"),
+              gen_grid((4, 4), mode="window", periods=periods, colormap=cmap)):
+        with pytest.raises(DanglingElement) as exc:
+            M.unary_profile("zz")
+        assert str(exc.value) == "element 'zz' is not in the window (profile lookup)"
 
 
 LANG_LOCAL = Language([("U", 1), ("P", 2), ("Q", 2)])

@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -43,7 +44,6 @@ from locis.iso import (
     EngineResult,
     PartialIso,
     _Index,
-    _layers,
     _layout,
     _linear_layout,
     _readers,
@@ -375,15 +375,16 @@ def test_layer_precheck_prunes_before_the_search(monkeypatch):
     N = binary_tree(6, [(63, 126)])
     assert len(M) == 127
     calls = [0]
-    has_tuple = Structure.has_tuple
+    compatible = locis.iso._compatible
 
-    def counted(self, sym, args):
+    def counted(*args):
         calls[0] += 1
         assert calls[0] <= 4 * len(M), "the search ran past the layer precheck"
-        return has_tuple(self, sym, args)
+        return compatible(*args)
 
-    monkeypatch.setattr(Structure, "has_tuple", counted)
+    monkeypatch.setattr(locis.iso, "_compatible", counted)
     assert windowed_pointed_iso(M, "0", N, "0", 6) == EngineResult("dead", 6)
+    assert calls[0] > 0
 
 
 def test_a_dead_candidate_reads_only_the_layers_its_search_reaches(monkeypatch, sqrt2):
@@ -1180,20 +1181,128 @@ def test_a_looping_forest_window_splits_its_classes():
     assert [e.multiplicity for e in census(M, 1).entries] == [1, 1]
 
 
-def test_layers_are_the_sorted_reference_layers_then_empty():
+def test_layers_are_the_sorted_reference_layers_then_empty(monkeypatch):
+    # A search of a window onto itself completes every layer it reads, so it
+    # reads the layers of the centre's ball up to its depth, each in
+    # position order and with the distances within it, then [] once the
+    # ball stops growing.
+    seen = []
+    summary = locis.iso._layer_summary
+
+    def recorded(M, layer, dist, level):
+        seen.append((list(layer), dict(dist), level))
+        return summary(M, layer, dist, level)
+
+    monkeypatch.setattr(locis.iso, "_layer_summary", recorded)
     rng = random.Random(5)
     windows = [random_labeled_forest(rng, 2) for _ in range(20)]
     windows += [random_closed_structure(rng, rng.randrange(1, 12)) for _ in range(20)]
     windows += [gen_grid((3, 3), mode="window"), looping_forest_window()]
     for M in windows:
+        pos = M._positions()
         for center in M.elements:
-            want = reference_distances(M, (center,))
+            want = {pos[e]: d for e, d in reference_distances(M, (center,)).items()}
             layers = [[] for _ in range(max(want.values()) + 1)]
-            for e, d in want.items():
-                layers[d].append(e)
-            dist = {}
-            grow = _layers(M, center, dist)
-            for layer in layers:
-                assert next(grow) == sorted(layer)
-            assert next(grow) == [] and next(grow) == []
-            assert dist == want
+            for i, d in want.items():
+                layers[d].append(i)
+            seen.clear()
+            assert windowed_pointed_iso(M, center, M, center, len(M)).status != "dead"
+            reads = seen[::2]  # each level reads M's layer, then the same layer again
+            assert seen[1::2] == reads
+            depth = min(M.depth(center), len(M))
+            assert len(reads) == (depth + 1 if depth < len(layers) else len(layers) + 1)
+            for layer, dist, level in reads:
+                assert layer == sorted(layers[level]) if level < len(layers) else layer == []
+                assert dist == {i: d for i, d in want.items() if d <= level}
+
+
+def test_forest_class_ids_search_from_the_roots_once(monkeypatch):
+    # The parents-first order depends on the window only: two class_ids
+    # calls on a tree make one search from its roots, and on a window whose
+    # chains loop one search finds the loop for both.
+    calls = [0]
+    bfs = Structure._bfs
+
+    def counted(self, dist, rows=None):
+        calls[0] += 1
+        return bfs(self, dist, rows)
+
+    tree = gen_kary_tree(2, AddressSequence.parse("tm12"), depth=6, halo=3)
+    for M in (tree, looping_forest_window()):
+        assert _layout(M).kind == "forest"
+        M._depth_list()
+        with monkeypatch.context() as patch:
+            patch.setattr(Structure, "_bfs", counted)
+            calls[0] = 0
+            first, second = class_ids(M, 1), class_ids(M, 2)
+            assert calls[0] == 1
+        assert isinstance(first[min(first)], BallSignature) == (M is not tree)
+        assert groupings(second) == groupings(
+            {e: signature(M.ball(e, 2)) for e in M.faithful_elements(2)}
+        )
+
+
+def test_class_ids_builds_one_index_per_window(monkeypatch):
+    calls = [0]
+    init = _Index.__init__
+
+    def counted(self, M):
+        calls[0] += 1
+        init(self, M)
+
+    monkeypatch.setattr(_Index, "__init__", counted)
+    periods, cmap = checkerboard_colormap()
+    M = gen_grid((6, 6), mode="window", periods=periods, colormap=cmap)
+    assert class_ids(M, 1) != class_ids(M, 2)
+    assert calls[0] == 1
+
+
+def test_class_ids_from_threads_match_one_thread():
+    # The threads share the window's memoized index; each call reads balls
+    # through a label list of its own.
+    periods, cmap = checkerboard_colormap()
+    M = gen_grid((21, 21), mode="window", periods=periods, colormap=cmap)
+    want = {h: class_ids(M, h) for h in (2, 3)}
+    got = {}
+
+    def run(k):
+        got[k] = class_ids(M, 2 + k % 2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got[k] for k in range(4)] == [want[2 + k % 2] for k in range(4)]
+
+
+def test_windows_of_equal_languages_read_each_other_by_slot():
+    # Equal languages built apart number their slots alike, each reading
+    # its own window's entries: the search reads N's Q2 tuple at the pivot
+    # anchor "a" before any window of M's language has met a Q2 tuple, and
+    # both agree with a search over one shared language.
+    def window(language, link):
+        edges = [("P", ("c", "a")), ("P", ("c", "d")), ("P", ("a", "d")), (link, ("a", "b"))]
+        return Structure(language, "abcd", edges)
+
+    def outcomes(M, N):
+        identity = {e: e for e in M.elements}
+        stages = []
+        for rev in (False, True):
+            try:
+                stages.append(PartialIso(M, N, identity, "c", 2, rev).verify())
+            except VerificationFailed as exc:
+                stages.append((exc.stage, exc.detail))
+        return windowed_pointed_iso(M, "c", N, "c", 3), stages
+
+    symbols = [("P", 2), ("Q1", 2), ("Q2", 2)]
+    shared = Language(symbols)
+    got = outcomes(window(Language(symbols), "Q1"), window(Language(symbols), "Q2"))
+    assert got == outcomes(window(shared, "Q1"), window(shared, "Q2"))
+    assert got[0] == EngineResult("dead", 2)
