@@ -344,9 +344,10 @@ def _as_mapping(auto):
 
 
 def _verify_automorphism(M, mapping):
-    if set(mapping) != M._eset:
-        raise NotAutomorphism("domain", sorted(M._eset ^ set(mapping))[:5])
-    if set(mapping.values()) != M._eset:
+    ids = M._positions().keys()
+    if ids != set(mapping):
+        raise NotAutomorphism("domain", sorted(ids ^ set(mapping))[:5])
+    if ids != set(mapping.values()):
         raise NotAutomorphism("bijection", None)
     for sym, t in M.all_tuples():
         image = tuple(mapping[x] for x in t)

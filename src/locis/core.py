@@ -6,18 +6,19 @@ its complete 1-neighborhood. depth(u) is the Gaifman distance from u to the
 nearest frontier element, and bounds the radius at which balls around u are
 faithful to the infinite structure.
 
-Element ids are opaque strings. The core never interprets them. Each
-window numbers its elements by position in its sorted element tuple, so
-int order is id order; every per-element table derived from it (Gaifman
-rows, the incidence store, depths, the census index) is keyed by position,
-and the id-keyed views incident(), depths() and adjacency() serve public
-callers only. A local question is answered from the rows and entries it
-reaches, each read on demand from the sorted tuple lists, and a depth is
-searched for around its element up to the radius asked for. The
-whole-window tables (the bulk Gaifman index and incidence store, and the
-depth list) are built once enough of the window has been read, or by the
-readers that need all of it. Every distance, depth and ball, and every
-layer the isomorphism engine and the forest tokens read, comes from one
+Element ids are opaque strings. The core never interprets them. A window
+keeps each id and tuple once: its sorted ids with one id-to-position map
+(so int order is id order), each symbol's tuples as one sorted tuple, and
+per-position tables (Gaifman rows, the incidence store, depths, the census
+index). An id is looked up in the map and a tuple found by bisection; the
+id-keyed views incident(), depths() and adjacency() serve public callers
+only. A local question is answered from the rows and entries it reaches,
+each read on demand from the sorted tuple lists, and a depth is searched
+for around its element up to the radius asked for. The whole-window
+tables (the bulk Gaifman index and incidence store, and the depth list)
+are built once enough of the window has been read, or by the readers that
+need all of it. Every distance, depth and ball, and every layer the
+isomorphism engine and the forest tokens read, comes from one
 breadth-first search over the int rows, Structure._bfs, and an id-keyed
 result lists elements in the order that search discovers them.
 """
@@ -130,16 +131,18 @@ class Structure:
 
     `tuples` is any iterable of (symbol, argument sequence) pairs and is
     consumed once, so a generator streams straight in. Immutable after
-    construction. Derived data (the id-to-position map, the per-position
-    Gaifman neighbours, incidence and depths, the id adjacency view) is
-    computed lazily and cached; recomputation is idempotent, so concurrent
-    readers are safe. The one incidence store lists position i's tuples
-    once each as sorted (slot, argument positions) pairs (slots: see
-    _Slots); its bulk form and the census index (iso._Index) fill from
-    one read of the argument columns. Rows and store entries are read per
-    position until an eighth of the window has one (see _local), and depths
-    by local searches until those have visited as many elements as the
-    window holds; then the whole table is built in one pass.
+    construction. It keeps the sorted ids (`elements`) and their positions
+    map, each symbol's sorted tuples (`tuples_by_symbol`, searched by
+    bisection), and per-position tables, computed lazily and cached:
+    Gaifman rows, incidence and depths (and the id adjacency view);
+    recomputation is idempotent, so concurrent readers are safe. The one
+    incidence store lists position i's tuples once each as sorted (slot,
+    argument positions) pairs (slots: see _Slots); its bulk form and the
+    census index (iso._Index) fill from one read of the argument columns.
+    Rows and entries are read per position until an eighth of the window
+    has one (see _Local), and depths by local searches until those have
+    visited as many elements as the window holds; then the whole table is
+    built in one pass.
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -159,7 +162,7 @@ class Structure:
         # Sorting the input order, not the set's, makes sorted input linear.
         elements.sort()
         self.elements = tuple(elements)
-        self._eset = eset
+        self._pos = dict(zip(self.elements, range(len(elements))))
 
         frontier = list(map(str, frontier))
         if not eset.issuperset(frontier):
@@ -185,18 +188,19 @@ class Structure:
     @classmethod
     def _from_symbol_lists(cls, language, elements, lists, frontier=()):
         """The structure whose tuples of each symbol are the str tuples in
-        lists[symbol], each list checked in bulk; None when some tuple has
-        the wrong arity or a dangling id, for the caller to find and name.
+        lists[symbol], each list checked in bulk; a list the check rejects
+        is read again by _checked_args, which raises the constructor's error
+        for the same tuples in declaration order.
 
         The constructor checks and stores the elements and frontier.
         """
         M = cls(language, elements, (), frontier=frontier)
-        within = M._eset.issuperset
+        within = frozenset(M.elements).issuperset  # held for these checks only
         by_symbol = {}
         for name, arity in M.language.symbols:
             ts = lists.get(name, ())
             if not set(map(len, ts)) <= {arity} or not within(chain.from_iterable(ts)):
-                return None
+                ts = [M._checked_args(name, t) for t in ts]
             by_symbol[name] = dict.fromkeys(ts)
         M._set_tuples(by_symbol)
         return M
@@ -205,9 +209,7 @@ class Structure:
         """Store the deduplicated tuples, {symbol: {args: None}}, and start
         the derived data empty."""
         self.tuples_by_symbol = {name: tuple(sorted(ts)) for name, ts in by_symbol.items()}
-        self._tuple_sets = by_symbol  # membership tests only
 
-        self._pos = None
         self._nbrs = None  # _Local, then the bulk list once _gaifman() builds it
         self._adj = None
         self._inc = None  # _Local, then the bulk list once _bulk_incidence() builds it
@@ -225,14 +227,14 @@ class Structure:
         if len(args) != self.language.arities[symbol]:
             raise ArityMismatch(symbol, self.language.arities[symbol], len(args))
         for a in args:
-            if a not in self._eset:
+            if a not in self._pos:
                 raise DanglingElement(a, (symbol, args))
         return args
 
     # -- basic queries ---------------------------------------------------
 
     def __contains__(self, element):
-        return element in self._eset
+        return element in self._pos
 
     def __len__(self):
         return len(self.elements)
@@ -245,7 +247,18 @@ class Structure:
     def has_tuple(self, symbol, args):
         if symbol not in self.language.arities:
             raise UnknownSymbol(symbol, self.language)
-        return tuple(args) in self._tuple_sets[symbol]
+        args = tuple(args)
+        try:
+            return self._holds(symbol, args)
+        except TypeError:  # an argument that no str id compares with
+            return False
+
+    def _holds(self, symbol, args):
+        """Whether the window holds symbol(args), by bisection of the
+        symbol's sorted tuple list."""
+        ts = self.tuples_by_symbol[symbol]
+        i = bisect_left(ts, args)
+        return i < len(ts) and ts[i] == args
 
     def all_tuples(self):
         for name, _ in self.language.symbols:
@@ -259,24 +272,22 @@ class Structure:
         """Tuple of 0/1 flags, one per unary symbol in declaration order."""
         self._position(element, "profile lookup")
         return tuple(
-            1 if (element,) in self._tuple_sets[name] else 0
-            for name in self.language.unary_symbols
+            1 if self._holds(name, (element,)) else 0 for name in self.language.unary_symbols
         )
 
     # -- derived maps ----------------------------------------------------
 
     def _positions(self):
         """The window's one id-to-position map, over the sorted self.elements
-        (so int order is id order). Built on first use, like the tables below."""
-        if self._pos is None:
-            self._pos = dict(zip(self.elements, range(len(self.elements))))
+        (so int order is id order); built by the constructor, it also
+        answers membership."""
         return self._pos
 
     def _position(self, element, lookup):
         """The element's position; DanglingElement naming `lookup` if the
         window does not hold it."""
         try:
-            return self._positions()[element]
+            return self._pos[element]
         except KeyError:
             raise DanglingElement(element, lookup=lookup) from None
 
@@ -290,7 +301,7 @@ class Structure:
         """The int Gaifman index: nbrs[i] is the sorted tuple of positions
         co-occurring with position i in some tuple."""
         if type(self._nbrs) is not list:
-            pos = self._positions()
+            pos = self._pos
             nbrs = [set() for _ in self.elements]
             for name, arity in self.language.symbols:
                 ts = self.tuples_by_symbol[name]
@@ -328,15 +339,8 @@ class Structure:
         return out, ts[lo : bisect_right(ts, e, lo, key=_second)]
 
     def _row(self, i):
-        """_gaifman()[i], read on demand: over unary and binary symbols from
-        the element's tuples found by _binary_at, and kept in _rows(); by
-        _gaifman() once an eighth of the window has a row or when some
-        symbol is wider (see _local)."""
-        nbrs = self._rows()
-        if type(nbrs) is list or i in nbrs:
-            return nbrs[i]
-        if not self._local(nbrs):
-            return self._gaifman()[i]
+        """_gaifman()[i] read on its own, over unary and binary symbols:
+        from the element's tuples found by _binary_at."""
         e = self.elements[i]
         found = set()
         for name, arity in self.language.symbols:
@@ -345,15 +349,14 @@ class Structure:
                 found.update(map(_second, out))
                 found.update(map(_first, into))
         found.discard(e)
-        nbrs[i] = row = tuple(map(self._positions().__getitem__, sorted(found)))
-        return row
+        return tuple(map(self._pos.__getitem__, sorted(found)))
 
     def _rows(self):
         """The row store, indexed by position: the bulk index once it is
-        built, and before that the rows read so far, which reads a missing
-        one by _row. A search may keep using the store it was handed."""
+        built, and before that a _Local of the rows read so far. A search
+        may keep using the store it was handed."""
         if self._nbrs is None:
-            self._nbrs = _Local(self, Structure._row)
+            self._nbrs = _Local(self, Structure._row, Structure._gaifman)
         return self._nbrs
 
     def adjacency(self):
@@ -373,34 +376,28 @@ class Structure:
 
         An id-keyed view of the element's store entry, made on each call.
         """
-        entry = self._entry(self._position(element, "incidence lookup"))
+        entry = self._incidence()[self._position(element, "incidence lookup")]
         info, at = self.language.slot.info, self.elements.__getitem__
         found = sorted([(info[s][0], t) for s, t in entry])  # positions sort as ids
         return tuple([(self.language.symbols[k][0], tuple(map(at, t))) for k, t in found])
 
     def _incidence(self):
         """The incidence store by position, as _rows() is for rows: the bulk
-        list, or the entries read so far (a missing one read by _entry)."""
+        list, or a _Local of the entries read so far."""
         if self._inc is None:
-            self._inc = _Local(self, Structure._entry)
+            self._inc = _Local(self, Structure._entry, Structure._bulk_incidence)
         return self._inc
 
     def _entry(self, i):
-        """_incidence()[i], read on demand, by the rule _row follows: over
-        unary and binary symbols from the element's unary memberships and
-        its tuples found by _binary_at, and by _bulk_incidence() once an
-        eighth of the window has an entry or when some symbol is wider."""
-        inc = self._incidence()
-        if type(inc) is list or i in inc:
-            return inc[i]
-        if not self._local(inc):
-            return self._bulk_incidence()[i]
+        """_incidence()[i] read on its own, over unary and binary symbols:
+        from the element's unary memberships and its tuples found by
+        _binary_at."""
         e = self.elements[i]
-        pos, slot = self._positions(), self.language.slot
+        pos, slot = self._pos, self.language.slot
         entry = []
         for name, arity in self.language.symbols:
             if arity == 1:
-                if (e,) in self._tuple_sets[name]:
+                if self._holds(name, (e,)):
                     entry.append((slot[name, (0,)], (i,)))
                 continue
             out, into = self._binary_at(name, e)
@@ -409,8 +406,7 @@ class Structure:
                 entry.append((slot[name, (0,) if j != i else (0, 1)], (i, j)))
             entry += [(slot[name, (1,)], (pos[x], i)) for x, _ in into if x != e]
         entry.sort()
-        inc[i] = entry = tuple(entry)
-        return entry
+        return tuple(entry)
 
     def _incidence_columns(self):
         """The window's incidence read by argument columns: {slot key
@@ -420,7 +416,7 @@ class Structure:
         every position's entries. A unary or binary symbol's argument
         columns are mapped to positions once, and its pairs are iterators,
         read once."""
-        pos = self._positions()
+        pos = self._pos
         entries = {}
         for name, arity in self.language.symbols:
             ts = self.tuples_by_symbol[name]
@@ -503,7 +499,7 @@ class Structure:
         """
         if limit is not None and limit < 0:
             raise InvariantViolation("radius", f"negative radius {limit}")
-        dist = dict.fromkeys(map(self._positions().__getitem__, sources), 0)
+        dist = dict.fromkeys(map(self._pos.__getitem__, sources), 0)
         rows = self._gaifman() if limit is None else None
         for d, _ in enumerate(self._bfs(dist, rows)):
             if limit is not None and d >= limit:
@@ -513,7 +509,7 @@ class Structure:
     def _depth_list(self):
         """Depth of each position, from one int BFS over the whole window."""
         if self._depth is None:
-            self._depth = self._distance_list(map(self._positions().__getitem__, self.frontier))
+            self._depth = self._distance_list(map(self._pos.__getitem__, self.frontier))
         return self._depth
 
     def depths(self):
@@ -600,7 +596,7 @@ class Structure:
     def ball_elements(self, center, h):
         """BFS element set of B(center, h), without the faithfulness check;
         a negative h is rejected by distances()."""
-        if center not in self._eset:
+        if center not in self._pos:
             raise DanglingElement(center, lookup="ball centre")
         return self.distances((center,), h)
 
@@ -662,19 +658,25 @@ class Structure:
 
 
 class _Local(dict):
-    """A window's rows or incidence entries read so far, {position: entry};
-    a missing one is read by read(window, position), Structure._row or
-    _entry. The window is held weakly, so the two form no reference cycle."""
+    """A window's rows or incidence entries read so far, {position: entry}.
+    A missing one is read and kept by read(window, i), Structure._row or
+    _entry, while the window's _local allows, else taken from the table
+    bulk(window) builds whole, _gaifman or _bulk_incidence. The window is
+    held weakly, so the two form no reference cycle."""
 
-    __slots__ = ("window", "read")
+    __slots__ = ("window", "read", "bulk")
 
-    def __init__(self, window, read):
+    def __init__(self, window, read, bulk):
         super().__init__()
         self.window = weakref.ref(window)
-        self.read = read
+        self.read, self.bulk = read, bulk
 
     def __missing__(self, i):
-        return self.read(self.window(), i)
+        M = self.window()
+        if not M._local(self):
+            return self.bulk(M)[i]
+        self[i] = entry = self.read(M, i)
+        return entry
 
 
 @dataclass(frozen=True)

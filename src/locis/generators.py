@@ -300,17 +300,6 @@ class AddressSequence:
         return f"{head};{body}" if head else body
 
 
-def _window(language, elements, lists, frontier):
-    """The window with tuples {symbol: [args, ...]}, checked in bulk; lists
-    the bulk check rejects go through the per-tuple constructor, which raises
-    the error that names the faulty tuple."""
-    M = Structure._from_symbol_lists(language, elements, lists, frontier)
-    if M is None:
-        tuples = [(name, t) for name, ts in lists.items() for t in ts]
-        M = Structure(language, elements, tuples, frontier=frontier)
-    return M
-
-
 # ---------------------------------------------------------------------------
 # Example 1: Sturmian-type two-colorings of Z.
 
@@ -382,7 +371,7 @@ def gen_sturmian(r, s, half_width):
         "White": [(e,) for e, f in zip(ids, flags) if not f],
         "Black": [(e,) for e, f in zip(ids, flags) if f],
     }
-    return _window(language, ids, lists, (ids[0], ids[-1]))
+    return Structure._from_symbol_lists(language, ids, lists, (ids[0], ids[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +426,8 @@ def gen_kary_tree(k, address, depth, halo=14):
             elements.extend(nxt)
             layer, sep, labels = nxt, "-", range(1, k + 1)
         frontier.extend(layer)
-    return _window(Language([(f"P{i}", 2) for i in range(1, k + 1)]), elements, lists, frontier)
+    language = Language([(f"P{i}", 2) for i in range(1, k + 1)])
+    return Structure._from_symbol_lists(language, elements, lists, frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +499,8 @@ def gen_binary_hyperbolic(address, levels, half_width, support_radius=10):
         last = max(first - 1, min(hi - 1, p1, (highs[i - 1] - 1 + a[i]) // 2))
         frontier += row[: first - lo] + row[last + 1 - lo :]
     elements = [e for row in rows for e in row]
-    return _window(Language([("Above", 2), ("Right", 2)]), elements,
-                   {"Above": above, "Right": right}, frontier)
+    return Structure._from_symbol_lists(Language([("Above", 2), ("Right", 2)]), elements,
+                                        {"Above": above, "Right": right}, frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +543,7 @@ def gen_cayley_free(k, radius):
         elements.extend(v for v, _ in nxt)
         sphere = nxt
     language = Language([(f"R{i}", 2) for i in range(1, k + 1)])
-    return _window(language, elements, lists, [u for u, _ in sphere])
+    return Structure._from_symbol_lists(language, elements, lists, [u for u, _ in sphere])
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +571,8 @@ def gen_grid(dims, mode="window", periods=None, colormap=None, phase=None):
             raise InvariantViolation("coloring", "colormap requires matching periods")
         periods = tuple(int(p) for p in periods)
     phase = tuple(phase) if phase else (0,) * d
+    if len(phase) != d:
+        raise InvariantViolation("phase", f"phase of length {len(phase)} for {d} dimensions")
 
     if torus:
         ranges = [range(0, n) for n in dims]
@@ -616,7 +608,7 @@ def gen_grid(dims, mode="window", periods=None, colormap=None, phase=None):
         frontier = []
     else:
         frontier = [e for e, c in zip(ids, coords) if any(abs(x) == n for x, n in zip(c, dims))]
-    return _window(language, ids, lists, frontier)
+    return Structure._from_symbol_lists(language, ids, lists, frontier)
 
 
 def checkerboard_colormap(d=2):

@@ -62,7 +62,8 @@ class PartialIso:
         return not self.reversed_target and all(k == v for k, v in self.mapping.items())
 
     def verify(self):
-        """Re-check injectivity and two-way preservation on the domain.
+        """Re-check the ids, the anchor, injectivity and two-way
+        preservation on the domain.
 
         A reversed map is checked against the target's tuples read
         backwards, and a failing target tuple is named as read.
@@ -72,6 +73,8 @@ class PartialIso:
                 raise VerificationFailed("domain", f"{u!r} is not an element of the source")
             if v not in self.target:
                 raise VerificationFailed("image", f"{v!r} is not an element of the target")
+        if self.anchor not in self.mapping:
+            raise VerificationFailed("anchor", f"{self.anchor!r} is not in the domain")
         if len(set(self.mapping.values())) != len(self.mapping):
             raise VerificationFailed("injectivity", "mapping is not injective")
         if self.source.language != self.target.language:

@@ -373,7 +373,7 @@ def _word_between(M, a, b, bound):
     path = [b]
     while path[-1] != a:
         d = dist[path[-1]] - 1
-        back = (at(j) for j in M._row(pos[path[-1]]))
+        back = (at(j) for j in M._rows()[pos[path[-1]]])
         path.append(min((v for v in back if dist.get(v) == d), key=rank.__getitem__))
     path.reverse()
     steps = []

@@ -338,6 +338,20 @@ class TestPeriodsRigidityQuotient:
         assert captured.out == ""
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("phase", ["1", "1,2,3"])
+    def test_gen_grid_phase_of_the_wrong_length_is_named(self, tmp_path, capsys, phase):
+        out = str(tmp_path / "unused.locis")
+        argv = ["gen", "grid", "--dims", "3,3", "--colors", "checkerboard", "--phase", phase,
+                "--out", out]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        length = len(phase.split(","))
+        assert captured.err == (
+            f"error: invariant 'phase' violated: phase of length {length} for 2 dimensions\n"
+        )
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
     def test_rigid_limit_negative_steps_is_an_error(self, sturmian_file, capsys):
         assert_user_error(capsys, "rigid-limit", sturmian_file, "--steps", "-1", "--seed", "0")
 

@@ -415,7 +415,7 @@ class TestIntIndexAgainstReferences:
             # entry, the bulk store (at once over the ternary language).
             order = rng.sample(range(len(M)), len(M))
             for i in order:
-                assert M._entry(i) == store[i]
+                assert M._incidence()[i] == store[i]
             assert type(M._incidence()) is list or len(M) == 1
             for e in rng.sample(M.elements, len(M.elements)):
                 assert M.incident(e) == want[e]
@@ -424,7 +424,7 @@ class TestIntIndexAgainstReferences:
                 with monkeypatch.context() as patch:
                     patch.setattr(Structure, "_local", lambda self, store: True)
                     L = copy_window(M)
-                    assert [L._entry(i) for i in order] == [store[i] for i in order]
+                    assert [L._incidence()[i] for i in order] == [store[i] for i in order]
                     assert type(L._incidence()) is not list
 
 
@@ -462,7 +462,7 @@ def test_incident_and_restrict_match_the_references_on_every_family(monkeypatch)
             with monkeypatch.context() as patch:
                 patch.setattr(Structure, "_local", lambda self, store: True)
                 L = copy_window(M)
-                assert [L._entry(i) for i in range(len(L))] == store
+                assert [L._incidence()[i] for i in range(len(L))] == store
         for e in M.elements[::3]:
             members = M.ball_elements(e, 2)
             frontier = [u for u, d in members.items() if d == 2]
@@ -511,6 +511,61 @@ def test_unary_profile_of_an_unknown_id_names_the_lookup():
         with pytest.raises(DanglingElement) as exc:
             M.unary_profile("zz")
         assert str(exc.value) == "element 'zz' is not in the window (profile lookup)"
+
+
+def test_membership_queries_match_reference_sets():
+    """has_tuple, unary_profile and `in`, read by bisection of the sorted
+    tuple lists and from the positions map, against sets built from
+    all_tuples() and elements: dangling ids, wrong arities, ids that are
+    not str, an unknown symbol and an unknown profile id included."""
+    rng = random.Random(2014)
+    for trial in range(200):
+        M = mixed_window(rng, ternary=trial % 2 == 0)
+        held, ids = set(M.all_tuples()), set(M.elements)
+        strays = ["zz", M.elements[0] + "x", M.elements[-1][:-1], 7]
+        asked = list(M.elements) + strays
+        assert [e in M for e in asked] == [e in ids for e in asked]
+        for e in M.elements:
+            want = tuple(int((name, (e,)) in held) for name in M.language.unary_symbols)
+            assert M.unary_profile(e) == want
+        pool = list(M.elements) + strays[:3]
+        for name, arity in M.language.symbols:
+            for _ in range(30):
+                width = rng.choice([arity - 1, arity, arity + 1])
+                args = tuple(rng.choice(pool) for _ in range(width))
+                assert M.has_tuple(name, args) == ((name, args) in held)
+            for t in M.tuples_by_symbol[name]:
+                assert M.has_tuple(name, list(t))
+                assert not M.has_tuple(name, t[:-1]) and not M.has_tuple(name, t + t[-1:])
+                assert not M.has_tuple(name, t[:-1] + (7,))
+        with pytest.raises(UnknownSymbol):
+            M.has_tuple("R", ("zz",))
+        with pytest.raises(DanglingElement) as exc:
+            M.unary_profile("zz")
+        assert exc.value.lookup == "profile lookup"
+
+
+def test_symbol_lists_raise_what_the_constructor_raises():
+    """A list the bulk check rejects is read again tuple by tuple: the
+    error has the type and message Structure(...) gives for the same
+    tuples listed in declaration order, so it names the same tuple."""
+    rng = random.Random(2015)
+    for trial in range(200):
+        M = mixed_window(rng, ternary=trial % 2 == 0)
+        symbols = [name for name, _ in M.language.symbols]
+        lists = {name: list(M.tuples_by_symbol[name]) for name in symbols}
+        assert Structure._from_symbol_lists(M.language, M.elements, lists, M.frontier) == M
+        for _ in range(rng.randrange(1, 3)):
+            name = rng.choice(symbols)
+            t = tuple(rng.choice(M.elements) for _ in range(M.language.arities[name]))
+            bad = rng.choice([t[:-1], t[:-1] + ("zz",), ("zz",) + t[1:], ("zz",) + t])
+            lists[name].insert(rng.randrange(len(lists[name]) + 1), bad)
+        tuples = [(name, t) for name in symbols for t in lists[name]]
+        with pytest.raises((ArityMismatch, DanglingElement)) as want:
+            Structure(M.language, M.elements, tuples, frontier=M.frontier)
+        with pytest.raises(type(want.value)) as got:
+            Structure._from_symbol_lists(M.language, M.elements, lists, M.frontier)
+        assert str(got.value) == str(want.value)
 
 
 LANG_LOCAL = Language([("U", 1), ("P", 2), ("Q", 2)])
@@ -562,7 +617,7 @@ def test_local_rows_and_depths_match_the_bulk_tables(case, data):
 
     M = Structure(language, ids, tuples, frontier=frontier)
     for i in order:
-        assert M._row(i) == nbrs[i]
+        assert M._rows()[i] == nbrs[i]
 
     M = Structure(language, ids, tuples, frontier=frontier)
     caps = st.one_of(st.integers(min_value=0, max_value=6), st.just(math.inf))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locis.core import Language
+from locis.core import Language, Structure
 from locis.errors import (
     ArityMismatch,
     BadAddressEntry,
@@ -26,7 +26,6 @@ from locis.errors import (
 )
 from locis.generators import (
     AddressSequence,
-    _window,
     QuadraticIrrational,
     checkerboard_colormap,
     gen_binary_hyperbolic,
@@ -449,6 +448,15 @@ def test_grid_rejects_bad_arguments():
         gen_grid((3, 3), colormap={(0, 0): "C"})  # missing periods
 
 
+def test_grid_rejects_a_phase_of_the_wrong_length():
+    periods, cmap = checkerboard_colormap()
+    for phase in ((1,), (1, 2, 3)):
+        with pytest.raises(InvariantViolation) as exc:
+            gen_grid((3, 3), periods=periods, colormap=cmap, phase=phase)
+        assert exc.value.invariant == "phase"
+        assert exc.value.detail == f"phase of length {len(phase)} for 2 dimensions"
+
+
 # ---------------------------------------------------------------------------
 # Pinned content of every family
 
@@ -532,8 +540,8 @@ def test_tree_matches_set_based_reference(params):
 def test_rejected_symbol_lists_raise_the_named_error():
     language = Language([("P", 2)])
     with pytest.raises(DanglingElement):
-        _window(language, ["a", "b"], {"P": [("a", "c")]}, ())
+        Structure._from_symbol_lists(language, ["a", "b"], {"P": [("a", "c")]}, ())
     with pytest.raises(ArityMismatch):
-        _window(language, ["a", "b"], {"P": [("a",)]}, ())
-    M = _window(language, ["a", "b"], {"P": [("a", "b")]}, ("b",))
+        Structure._from_symbol_lists(language, ["a", "b"], {"P": [("a",)]}, ())
+    M = Structure._from_symbol_lists(language, ["a", "b"], {"P": [("a", "b")]}, ("b",))
     assert M.tuples_of("P") == (("a", "b"),) and M.frontier == {"b"}

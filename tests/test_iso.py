@@ -198,6 +198,13 @@ class TestEngineVerdicts:
                 PartialIso(M, M, mapping, "0_0", 0).verify()
             assert exc_info.value.stage == stage
 
+    def test_verify_rejects_an_anchor_outside_the_domain(self):
+        M = gen_grid((3, 3), mode="torus")
+        with pytest.raises(VerificationFailed, match="'1_1'") as exc_info:
+            PartialIso(M, M, {"0_0": "0_0"}, "1_1", 0).verify()
+        assert exc_info.value.stage == "anchor"
+        assert PartialIso(M, M, {"0_0": "0_0"}, "0_0", 0).verify()
+
     def test_verify_names_the_same_tuple_under_every_hash_seed(self):
         # swapping the coordinates of a torus breaks every E1 tuple; the one
         # named must not depend on set iteration order
