@@ -13,12 +13,13 @@ per-position tables (Gaifman rows, the incidence store, depths, the census
 index). An id is looked up in the map and a tuple found by bisection; the
 id-keyed views incident(), depths() and adjacency() serve public callers
 only. A local question is answered from the rows and entries it reaches,
-each read on demand from the sorted tuple lists, and a depth is searched
-for around its element up to the radius asked for. The whole-window
-tables (the bulk Gaifman index and incidence store, and the depth list)
-are built once enough of the window has been read, or by the readers that
-need all of it. Every distance, depth and ball, and every layer the
-isomorphism engine and the forest tokens read, comes from one
+each read on demand from the sorted tuple lists. A search reads its
+centre's depth off the layers it grows: it stops at the first layer that
+holds a frontier element, and no second search asks for that depth. The
+whole-window tables (the bulk Gaifman index and incidence store, and the
+depth list) are built once enough of the window has been read, or by the
+readers that need all of it. Every distance, depth and ball, and every
+layer the isomorphism engine and the forest tokens read, comes from one
 breadth-first search over the int rows, Structure._bfs, and an id-keyed
 result lists elements in the order that search discovers them.
 """
@@ -140,9 +141,8 @@ class Structure:
     argument positions) pairs (slots: see _Slots); its bulk form and the
     census index (iso._Index) fill from one read of the argument columns.
     Rows and entries are read per position until an eighth of the window
-    has one (see _Local), and depths by local searches until those have
-    visited as many elements as the window holds; then the whole table is
-    built in one pass.
+    has one (see _Local); then the whole table is built in one pass. A
+    search reads its centre's depth off its own layers (see _reach).
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -150,32 +150,32 @@ class Structure:
             language = Language(language)
         self.language = language
 
-        # Each check runs at C level; the loops behind them only name the
-        # offending id or tuple, in input order.
+        # Each check runs at C level, duplicates and the frontier on the
+        # positions map; the loops behind them only name the offending id or
+        # tuple, in input order. Sorting the input order keeps sorted input
+        # linear.
         elements = list(map(str, elements))
-        eset = frozenset(elements)
-        if len(eset) != len(elements):
+        self.elements = tuple(sorted(elements))
+        self._pos = dict(zip(self.elements, range(len(elements))))
+        if len(self._pos) != len(elements):
             raise InvariantViolation("elements-unique", "duplicate element ids")
         if not all(map(ELEMENT_RE.match, elements)):
             bad = next(e for e in elements if not ELEMENT_RE.match(e))
             raise InvariantViolation("element-id", f"bad element id {bad!r}")
-        # Sorting the input order, not the set's, makes sorted input linear.
-        elements.sort()
-        self.elements = tuple(elements)
-        self._pos = dict(zip(self.elements, range(len(elements))))
 
         frontier = list(map(str, frontier))
-        if not eset.issuperset(frontier):
-            bad = next(e for e in frontier if e not in eset)
+        if not all(map(self._pos.__contains__, frontier)):
+            bad = next(e for e in frontier if e not in self._pos)
             raise DanglingElement(bad, lookup="frontier list")
         self.frontier = frozenset(frontier)
 
         # Insertion-ordered dicts deduplicate; sorting their keys, which are
         # in input order, is linear on canonical (sorted) input. Canonical
-        # order is (declaration index, argument vector).
+        # order is (declaration index, argument vector). An empty container,
+        # as the bulk constructor passes, needs no id set for its tuples.
         by_symbol = {name: {} for name, _ in language.symbols}
         arities = language.arities
-        within = eset.issuperset
+        within = frozenset(self.elements).issuperset if tuples else None
         for symbol, args in tuples:
             args = tuple(args)
             bucket = by_symbol.get(symbol)
@@ -214,8 +214,7 @@ class Structure:
         self._adj = None
         self._inc = None  # _Local, then the bulk list once _bulk_incidence() builds it
         self._depth = None
-        self._near = {}  # position -> depth, from searches that found it exactly
-        self._searched = 0  # elements visited by those searches
+        self._searched = 0  # elements visited by depth()'s searches
         self._cache = {}
 
     def _checked_args(self, symbol, args):
@@ -499,7 +498,7 @@ class Structure:
         """
         if limit is not None and limit < 0:
             raise InvariantViolation("radius", f"negative radius {limit}")
-        dist = dict.fromkeys(map(self._pos.__getitem__, sources), 0)
+        dist = dict.fromkeys([self._position(e, "distance source") for e in sources], 0)
         rows = self._gaifman() if limit is None else None
         for d, _ in enumerate(self._bfs(dist, rows)):
             if limit is not None and d >= limit:
@@ -520,38 +519,33 @@ class Structure:
         """
         return dict(zip(self.elements, self._depth_list()))
 
-    def _depth_within(self, i, cap):
-        """min(depth of position i, cap), by a _bfs from i that stops at
-        the first layer holding a frontier element or at radius cap. Exact
-        depths are memoized; once these searches have visited as many
-        elements as the window holds, the depth list is built and read
-        instead, so asking for every depth stays linear.
+    def _reach(self, i, h):
+        """(dist, depth) from one _bfs around position i, run to radius h or
+        to the first layer holding a frontier element, whichever is nearer:
+        dist holds the positions reached, each at its distance, and depth is
+        that layer's radius, h, or math.inf when the search runs out of
+        positions first. Below h, depth is position i's depth.
         """
-        if self._depth is None and self._searched >= len(self.elements):
-            self._depth_list()
-        if self._depth is not None:
-            return min(self._depth[i], cap)
-        if not self.frontier:
-            return cap  # every depth is math.inf
-        if i in self._near:
-            return min(self._near[i], cap)
         frontier, at = self.frontier, self.elements.__getitem__
         dist = {i: 0}
         for d, layer in enumerate(self._bfs(dist)):
-            if not frontier.isdisjoint(map(at, layer)):
-                self._near[i] = d
-                break
-            if d >= cap:
-                break
-        else:
-            self._near[i] = d = math.inf  # the component holds no frontier element
-        self._searched += len(dist)
-        return min(d, cap)
+            if d >= h or frontier and not frontier.isdisjoint(map(at, layer)):
+                return dist, d
+        return dist, math.inf  # the component holds no frontier element
 
     def depth(self, element):
-        """Distance from the element to the nearest frontier element,
-        answered locally (see _depth_within)."""
-        return self._depth_within(self._position(element, "depth lookup"), math.inf)
+        """Distance from the element to the nearest frontier element, by a
+        search that stops at the first frontier layer (see _reach); once
+        these searches have visited as many elements as the window holds,
+        from the depth list, so asking for every depth stays linear."""
+        i = self._position(element, "depth lookup")
+        if self._depth is not None or self._searched >= len(self.elements):
+            return self._depth_list()[i]
+        if not self.frontier:
+            return math.inf
+        dist, d = self._reach(i, math.inf)
+        self._searched += len(dist)
+        return d
 
     def is_closed(self):
         return not self.frontier
@@ -570,7 +564,9 @@ class Structure:
         return self.elements[depths.index(max(depths))]  # positions follow id order
 
     def faithful_elements(self, h):
-        """Elements whose h-ball is certified by the window."""
+        """Elements whose h-ball is certified by the window (h >= 0)."""
+        if h < 0:
+            raise InvariantViolation("radius", f"negative radius {h}")
         return [e for e, d in zip(self.elements, self._depth_list()) if d >= h]
 
     def is_connected(self):
@@ -603,20 +599,20 @@ class Structure:
     def ball(self, center, h):
         """Extract (B(center,h), center) as a standalone closed structure.
 
-        Answered locally: only depth >= h is asked of the centre, so its
-        depth search stops at radius h (below h the depth is exact, and the
-        error names it), and the ball is read from the rows and incidence
-        entries of its members. No whole-window table is built unless the
-        window is mostly read already.
+        Answered locally, by one search around the centre (see _reach),
+        which stops at radius h or, below h, at the first frontier layer,
+        whose radius the error names; the ball is read from the rows and
+        incidence entries of its members. No whole-window table is built
+        unless the window is mostly read already.
         """
         i = self._position(center, "ball centre")
         h = int(h)
         if h < 0:
             raise InvariantViolation("radius", f"negative radius {h}")
-        d = self._depth_within(i, h)
+        members, d = self._reach(i, h)
         if d < h:
             raise UnfaithfulRadius(center, h, d)
-        sub = self.restrict(self.ball_elements(center, h), frontier=())
+        sub = self.restrict(map(self.elements.__getitem__, members), frontier=())
         return PointedBall(structure=sub, center=center, radius=h)
 
     def restrict(self, members, frontier):

@@ -223,17 +223,19 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     images backwards. The search reverses u's tuples once, when it builds
     the checks below, and reads N as it is.
 
-    Answered locally, on positions: depths are searched for up to
-    target_radius only, and each layer is read from the rows and store
-    entries of the layer before, so a small search builds no whole-window
-    table. Ids appear only in the mapping returned.
+    The search certifies up to min(depth a, depth b, target_radius),
+    reading both depths off the layers it grows; so a target of math.inf
+    gives 'iso' at math.inf on closed windows and 'exhausted' at the
+    smaller depth on open ones, unless the candidate dies. Each layer is
+    read from the rows and store entries of the layer before, so a small
+    search builds no whole-window table. Ids appear only in the mapping.
     """
     if M.language != N.language:
         raise LanguageMismatch(M.language, N.language)
     if target_radius < 0:
         raise InvariantViolation("radius", f"negative radius {target_radius}")
     i, j = M._position(a, "depth lookup"), N._position(b, "depth lookup")
-    certifiable = int(min(M._depth_within(i, target_radius), N._depth_within(j, target_radius)))
+    certifiable = target_radius  # lowered to the first layer with a frontier element
 
     # Each side's layers in position (so id) order, one per next(), and []
     # once its ball stops growing; dist holds the positions within the last
@@ -244,6 +246,8 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     inc_a, inc_b = M._incidence(), N._incidence()  # each read through its own slot table
     info_a, info_b, flip = M.language.slot.info, N.language.slot.info, M.language.slot.flip
     layers_b = []
+    front_a, front_b = M.frontier, N.frontier
+    at_a, at_b = M.elements.__getitem__, N.elements.__getitem__
 
     # The order grows a layer at a time, so when the search reaches u,
     # exactly the elements before u are mapped. _compatible() checks the
@@ -262,11 +266,14 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
 
     def enter(level):
         """Read layer `level` on both sides; False when the layers differ."""
+        nonlocal certifiable
         la, lb = next(grow_a), next(grow_b)
         if len(la) != len(lb) or (
             _layer_summary(M, la, dist_a, level) != _layer_summary(N, lb, dist_b, level)
         ):
             return False
+        if not front_a.isdisjoint(map(at_a, la)) or not front_b.isdisjoint(map(at_b, lb)):
+            certifiable = level
         layers_b.append(lb)
         start, end = len(order), len(order) + len(la)
         position.update(zip(la, range(start, end)))
@@ -293,7 +300,6 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
         return sorted([v for v in found if dist_b.get(v) == level and v not in bwd])
 
     def mapping():
-        at_a, at_b = M.elements.__getitem__, N.elements.__getitem__
         return {at_a(u): at_b(v) for u, v in fwd.items()}
 
     # Iterative DFS over layer-respecting assignments, in the order above;
@@ -308,7 +314,7 @@ def windowed_pointed_iso(M, a, N, b, target_radius, reverse=False):
     idx = 0
     while idx >= 0:
         if idx == len(order):
-            if level == certifiable:
+            if level >= certifiable:
                 if level >= target_radius:
                     return EngineResult("iso", target_radius, mapping())
                 return EngineResult("exhausted", level, mapping())

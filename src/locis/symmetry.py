@@ -9,7 +9,6 @@ limit yields a verified automorphism-approximant.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -81,26 +80,25 @@ def find_symmetries(
     """Pointed-ball symmetries anchored at one deep element.
 
     Each candidate y in B(anchor, displacement), in either orientation, gets
-    one engine search at the window limit, which reads layers only as far as
-    the candidate stays alive. Deaths are monotone, so a candidate killed at
-    a certified layer is ruled out at `radius` even when the window is
-    shallower than that; a candidate alive at a window limit below `radius`
-    leaves the verdict exhausted rather than negative. Where the window's
-    layout, detected once per window by iso._layout, carries chain arrays
-    (uniform forests, two-relation tilings, uncoloured paths and cycles),
-    upward chain words decide candidates directly (either way), which
-    reaches radii far past the window's ball depth. The identity candidate
-    (anchor, forward) is skipped unless requested, so reported maps are
-    nontrivial.
+    one engine search with target len(M), which reads layers only as far as
+    the candidate stays alive and certifies it at the smaller depth of
+    anchor and y (len(M) on a closed window). Deaths are monotone, so a
+    candidate killed at a certified layer is ruled out at `radius` even
+    when the window is shallower than that; a candidate alive at a window
+    limit below `radius` leaves the verdict exhausted rather than negative.
+    Where the window's layout, detected once per window by iso._layout,
+    carries chain arrays (uniform forests, two-relation tilings, uncoloured
+    paths and cycles), upward chain words decide candidates directly
+    (either way), which reaches radii far past the window's ball depth. The
+    identity candidate (anchor, forward) is skipped unless requested, so
+    reported maps are nontrivial.
 
-    With an explicit anchor the search is local: the anchor's depth is
-    searched for only up to `displacement`, and candidates, engine layers
-    and exact candidate depths (the certified radius a found map reports)
-    are read from the Gaifman rows they reach. A whole-window table is
-    built only when the search reads much of the window: the neighbour
-    index once an eighth of it has rows, the depth list once the depth
-    searches have visited as many elements as it holds. Without an anchor,
-    picking the deepest element reads every depth.
+    With an explicit anchor the search is local: one search around the
+    anchor, to radius `displacement`, yields the candidates and reads the
+    anchor's depth off its layers, and the engine's layers are read from
+    the Gaifman rows they reach. The neighbour index is built whole only
+    once an eighth of the window has rows, and the depth list not at all.
+    Without an anchor, picking the deepest element reads every depth.
     """
     negative = " and ".join(
         f"{name} {v}" for name, v in (("displacement", displacement), ("radius", radius)) if v < 0
@@ -110,13 +108,13 @@ def find_symmetries(
     if anchor is None:
         anchor = M.deepest_element()
     # a depth below displacement is exact
-    depth_x = M._depth_within(M._position(anchor, "depth lookup"), displacement)
+    reached, depth_x = M._reach(M._position(anchor, "depth lookup"), displacement)
     if depth_x < displacement:
         raise WindowExhausted(
             f"anchor depth {depth_x} below displacement {displacement}", displacement
         )
     x = anchor
-    candidates = sorted(M.ball_elements(x, displacement))
+    candidates = sorted(map(M.elements.__getitem__, reached))
     orientations = [False] + ([True] if include_reversals else [])
     # a chain death at radius 1 says nothing about radius 0
     layout = _layout(M) if radius >= 1 else None
@@ -140,11 +138,11 @@ def find_symmetries(
             if step is not None and step[0] == "dead":
                 detail.append((y, rev, "dead", step[1]))
                 continue
-            limit = _full_limit_pair(M, x, M, y)
-            full = windowed_pointed_iso(M, x, M, y, limit, rev)
+            full = windowed_pointed_iso(M, x, M, y, len(M), rev)
             if full.status == "dead":
                 detail.append((y, rev, "dead", full.radius))
                 continue
+            limit = full.radius
             p = PartialIso(M, M, full.mapping, x, limit, rev)
             p.verify()
             found.append(p)
@@ -456,13 +454,15 @@ def periodic_isomorphism(M, N, pre_radius=1, period_report=None):
     """Layered search for an isomorphism-approximant M -> N.
 
     A census comparison at pre_radius filters the hopeless case cheaply;
-    otherwise every target anchor gets one engine search at the window
-    limit, which stops at the first layer where it dies. Survival to the
-    limit returns a verified approximant; death of every candidate
-    returns None. Periodicity of N is what justifies reading the
-    window-limit certificate as evidence for a full isomorphism; the search
-    does not need N's period report. period_report is ignored and
-    deprecated: passing one emits a DeprecationWarning.
+    otherwise every target anchor gets one engine search with target
+    max(len(M), len(N)), which stops at the first layer where it dies and
+    certifies up to the smaller depth of the two anchors. Survival to a
+    certified radius of at least pre_radius returns a verified
+    approximant, and otherwise the search returns None. Periodicity of N
+    is what justifies reading the window-limit certificate as evidence for
+    a full isomorphism; the search does not need N's period report.
+    period_report is ignored and deprecated: passing one emits a
+    DeprecationWarning.
     """
     if period_report is not None:
         warnings.warn(
@@ -482,17 +482,9 @@ def periodic_isomorphism(M, N, pre_radius=1, period_report=None):
     for _, b in ranked:
         if N.unary_profile(b) != profile:
             continue
-        limit = _full_limit_pair(M, a, N, b)
-        if limit < pre_radius:
-            continue
-        full = windowed_pointed_iso(M, a, N, b, limit)
-        if full.status == "iso":
-            p = PartialIso(M, N, full.mapping, a, limit, False)
+        full = windowed_pointed_iso(M, a, N, b, max(len(M), len(N)))
+        if full.status != "dead" and full.radius >= pre_radius:
+            p = PartialIso(M, N, full.mapping, a, full.radius, False)
             p.verify()
             return p
     return None
-
-
-def _full_limit_pair(M, a, N, b):
-    d = min(M.depth(a), N.depth(b))
-    return max(len(M), len(N)) if d is math.inf else int(d)

@@ -148,7 +148,6 @@ class TestDepths:
         with pytest.raises(DanglingElement):
             path(3).depth("9")
 
-
 class TestAdjacency:
     def test_self_loop_is_not_an_edge(self):
         M = mk([("P", ("0", "0"))], n=1)
@@ -187,6 +186,9 @@ class TestDistances:
         with pytest.raises(DanglingElement) as exc:
             path(3).depth("nope")
         assert str(exc.value) == "element 'nope' is not in the window (depth lookup)"
+        with pytest.raises(DanglingElement) as exc:
+            path(3).distances(["1", "zz"])
+        assert str(exc.value) == "element 'zz' is not in the window (distance source)"
         with pytest.raises(DanglingElement, match="not in the window"):
             path(3).ball_elements("nope", 1)
 
@@ -234,12 +236,13 @@ class TestBalls:
         assert len(ball) == 4
 
     def test_negative_radius(self):
-        # ball_elements inherits the check from distances; all three say the same
+        # ball_elements inherits the check from distances; all four say the same
         M = path(3)
         for call, bound in (
             (lambda: M.ball("1", -1), -1),
             (lambda: M.ball_elements("1", -2), -2),
             (lambda: M.distances(("0", "1"), -1), -1),
+            (lambda: M.faithful_elements(-3), -3),
         ):
             with pytest.raises(InvariantViolation) as exc_info:
                 call()
@@ -608,7 +611,9 @@ def two_component_window(draw):
 def test_local_rows_and_depths_match_the_bulk_tables(case, data):
     """Rows and depths read on demand, in a random order so the switch to
     the bulk tables happens mid-test, equal the bulk Gaifman rows and the
-    depths of the id-keyed reference search."""
+    depths of the id-keyed reference search. A search to radius cap reads
+    the depth off its layers and reaches the ball of the radius it stops
+    at, or the element's whole component."""
     language, ids, tuples, frontier, order = case
     bulk = Structure(language, ids, tuples, frontier=frontier)
     nbrs = bulk._gaifman()
@@ -621,9 +626,16 @@ def test_local_rows_and_depths_match_the_bulk_tables(case, data):
 
     M = Structure(language, ids, tuples, frontier=frontier)
     caps = st.one_of(st.integers(min_value=0, max_value=6), st.just(math.inf))
+    pos = bulk._positions()
     for i in order:
         cap = data.draw(caps)
-        assert M._depth_within(i, cap) == min(depth[i], cap)
+        around = reference_distances(bulk, [bulk.elements[i]])
+        reached, d = M._reach(i, cap)
+        if depth[i] <= cap:
+            assert d == depth[i]
+        else:
+            assert d == (cap if max(around.values()) >= cap else math.inf)
+        assert reached == {pos[e]: k for e, k in around.items() if k <= d}
         assert M.depth(M.elements[i]) == depth[i]
 
 
@@ -643,6 +655,41 @@ def test_symmetry_search_with_an_anchor_reads_rows_and_depths_locally(
     assert rep.verdict == "none_found"
     assert M._depth is None
     assert not isinstance(M._nbrs, list) and 0 < len(M._nbrs) * 8 < len(M)
+
+
+def bfs_calls(monkeypatch):
+    """The positions each Structure._bfs call starts from, in call order."""
+    calls = []
+    bfs = Structure._bfs
+
+    def counted(self, dist, rows=None):
+        calls.append(sorted(dist))
+        return bfs(self, dist, rows)
+
+    monkeypatch.setattr(Structure, "_bfs", counted)
+    return calls
+
+
+def test_a_ball_is_one_search_around_its_centre(monkeypatch):
+    calls = bfs_calls(monkeypatch)
+    for h in (0, 3, 7):
+        M = gen_grid((8, 8), mode="window")  # fresh: no table is built yet
+        calls.clear()
+        ball = M.ball("0_0", h)
+        assert len(ball) == 2 * h * (h + 1) + 1
+        assert calls == [[M._positions()["0_0"]]]
+    with pytest.raises(UnfaithfulRadius):
+        M.ball("0_0", 9)
+    assert len(calls) == 2
+
+
+def test_an_anchored_search_with_survivors_builds_no_depth_list():
+    # Survivors of the periodic tree reach their certified radius inside
+    # the engine, which reads both depths off its own layers.
+    M = gen_kary_tree(2, AddressSequence.parse("periodic:122"), 2000, halo=12)
+    rep = find_symmetries(M, 3, 50, anchor="c0")
+    assert rep.found
+    assert M._depth is None
 
 
 def test_every_depth_of_a_grid_builds_the_depth_list_once(monkeypatch):

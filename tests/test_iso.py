@@ -172,6 +172,37 @@ class TestEngineVerdicts:
         res = windowed_pointed_iso(A, "0", A, "1", 99)
         assert res.status == "iso"
 
+    def test_an_infinite_target_certifies_what_the_windows_hold(self):
+        # closed: every radius, so iso at math.inf; open: up to the smaller
+        # of the two depths, 2 at "0_2" of the 9 x 9 grid around "0_0"
+        M = gen_grid((4, 4), mode="torus")
+        res = windowed_pointed_iso(M, "0_0", M, "1_1", math.inf)
+        assert (res.status, res.radius) == ("iso", math.inf)
+        assert len(res.mapping) == len(M)
+        M = gen_grid((4, 4), mode="window")
+        assert (M.depth("0_0"), M.depth("0_2")) == (4, 2)
+        res = windowed_pointed_iso(M, "0_0", M, "0_2", math.inf)
+        assert (res.status, res.radius) == ("exhausted", 2)
+        assert len(res.mapping) == 13  # the ball of radius 2
+
+    def test_one_search_per_centre(self, monkeypatch):
+        # each side's layers and its centre's depth come from one _bfs
+        starts = []
+        bfs = Structure._bfs
+
+        def counted(self, dist, rows=None):
+            starts.append((id(self), sorted(dist)))
+            return bfs(self, dist, rows)
+
+        monkeypatch.setattr(Structure, "_bfs", counted)
+        for target in (1, 3, 10):
+            M, N = gen_grid((6, 6), mode="window"), gen_grid((6, 6), mode="window")
+            starts.clear()
+            res = windowed_pointed_iso(M, "0_0", N, "1_0", target)
+            assert res.status == ("iso" if target <= 5 else "exhausted")
+            want = [(id(M), [M._positions()["0_0"]]), (id(N), [N._positions()["1_0"]])]
+            assert starts == want
+
     def test_language_mismatch(self):
         A = mk([("P", ("0", "1"))], n=2)
         B = Structure(Language([("R", 2)]), ["0", "1"], [("R", ("0", "1"))])

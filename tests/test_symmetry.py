@@ -40,7 +40,6 @@ from locis.iso import (
     windowed_pointed_iso,
 )
 from locis.symmetry import (
-    _full_limit_pair,
     _word_between,
     detect_periodicity,
     extend_partial_iso,
@@ -49,7 +48,13 @@ from locis.symmetry import (
     periodic_isomorphism,
 )
 
-from conftest import mk, on_loop, random_labeled_forest, reference_chain_words
+from conftest import (
+    mk,
+    on_loop,
+    random_labeled_forest,
+    reference_chain_words,
+    reference_distances,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +265,23 @@ def test_one_engine_search_per_candidate(monkeypatch):
     ids=["column", "tree", "tiling", "grid-window", "closed-torus"],
 )
 def test_engine_decides_every_candidate_at_the_full_limit(build, anchor):
-    # find_symmetries searches each candidate at _full_limit_pair, which is
-    # the engine's certifiable radius there, so the engine never answers
-    # "exhausted": it finds an iso or kills the candidate.
+    # find_symmetries searches each candidate with target len(M), and the
+    # engine reads the certified radius off its own layers: a survivor is
+    # certified at the smaller depth of x and y, by the id-keyed reference
+    # search from the frontier, or at len(M) on a closed window.
     M = build()
     x = anchor if anchor is not None else M.deepest_element()
+    near = reference_distances(M, sorted(M.frontier))
     statuses = Counter()
     for y in sorted(M.ball_elements(x, 2)):
         for rev in (False, True):
-            limit = _full_limit_pair(M, x, M, y)
-            if M.is_closed():
-                assert limit == len(M)
-            statuses[windowed_pointed_iso(M, x, M, y, limit, rev).status] += 1
-    assert set(statuses) <= {"iso", "dead"}
-    assert statuses["iso"] >= 1  # (x, forward) at least
+            res = windowed_pointed_iso(M, x, M, y, len(M), rev)
+            statuses[res.status] += 1
+            if res.status != "dead":
+                depth = min(near.get(x, math.inf), near.get(y, math.inf))
+                assert res.radius == (len(M) if M.is_closed() else depth)
+                assert res.status == ("iso" if M.is_closed() else "exhausted")
+    assert statuses["dead"] < sum(statuses.values())  # (x, forward) at least
 
 
 def test_chain_layout_reads_a_plain_path_as_a_forest():
