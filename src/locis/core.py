@@ -7,31 +7,32 @@ nearest frontier element, and bounds the radius at which balls around u are
 faithful to the infinite structure.
 
 Element ids are opaque strings. The core never interprets them. A window
-keeps each id and tuple once: its sorted ids with one id-to-position map
-(so int order is id order), each symbol's tuples as one sorted tuple, and
-per-position tables (Gaifman rows, the incidence store, depths, the census
-index). An id is looked up in the map and a tuple found by bisection; the
-id-keyed views incident(), depths() and adjacency() serve public callers
-only. A local question is answered from the rows and entries it reaches,
-each read on demand from the sorted tuple lists. A search reads its
-centre's depth off the layers it grows: it stops at the first layer that
-holds a frontier element, and no second search asks for that depth. The
-whole-window tables (the bulk Gaifman index and incidence store, and the
-depth list) are built once enough of the window has been read, or by the
-readers that need all of it. Every distance, depth and ball, and every
-layer the isomorphism engine and the forest tokens read, comes from one
-breadth-first search over the int rows, Structure._bfs, and an id-keyed
-result lists elements in the order that search discovers them.
+keeps each id once, in its sorted ids and one id-to-position map (so int
+order is id order), and each symbol's tuples as sorted integer columns. Ids
+become positions once, when a window is built; every table is built over
+positions, and ids come back only in views made for callers: tuples_of(),
+all_tuples(), tuples_by_symbol, incident(), depths() and adjacency(). A
+local question is answered from the rows and entries it reaches, each read
+by bisection of the columns; the whole-window tables (the bulk Gaifman
+index and incidence store, and the depth list) are built once enough of the
+window has been read, or by the readers that need all of it. Every
+distance, depth and ball, and every layer the engine and the forest tokens
+read, comes from one breadth-first search over the int rows, Structure._bfs
+(id-keyed results list elements in its discovery order), and a search
+reads its centre's depth off its layers, up to the first frontier layer.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import string
 import weakref
+from array import array
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from .errors import (
@@ -46,8 +47,9 @@ SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # The character class of element ids; textio builds its line patterns from it.
 ELEMENT_CHARS = r"[A-Za-z0-9_.+-]"
 ELEMENT_RE = re.compile(rf"{ELEMENT_CHARS}+\Z")
-
-_first, _second = itemgetter(0), itemgetter(1)
+# Deletes the characters of that class, so one C-level pass over a window's
+# joined ids leaves exactly the characters no id may hold.
+_DROP_ID_CHARS = str.maketrans("", "", string.ascii_letters + string.digits + "_.+-")
 
 
 class Language:
@@ -132,17 +134,18 @@ class Structure:
 
     `tuples` is any iterable of (symbol, argument sequence) pairs and is
     consumed once, so a generator streams straight in. Immutable after
-    construction. It keeps the sorted ids (`elements`) and their positions
-    map, each symbol's sorted tuples (`tuples_by_symbol`, searched by
-    bisection), and per-position tables, computed lazily and cached:
-    Gaifman rows, incidence and depths (and the id adjacency view);
-    recomputation is idempotent, so concurrent readers are safe. The one
-    incidence store lists position i's tuples once each as sorted (slot,
-    argument positions) pairs (slots: see _Slots); its bulk form and the
-    census index (iso._Index) fill from one read of the argument columns.
-    Rows and entries are read per position until an eighth of the window
-    has one (see _Local); then the whole table is built in one pass. A
-    search reads its centre's depth off its own layers (see _reach).
+    construction. It keeps the sorted ids (`elements`), their positions map,
+    and _cols, {symbol: one array('i') of positions per argument place}:
+    row r of a symbol's arrays is one tuple, the rows sorted and distinct.
+    Every reader bisects or scans the columns; the id tuples of the public
+    views hold the id objects of `elements`. Per-position tables are
+    computed lazily and cached: Gaifman rows, incidence and depths (and the
+    id adjacency view); recomputation is idempotent, so concurrent readers
+    are safe. The one incidence store lists position i's tuples once each as
+    sorted (slot, argument positions) pairs (slots: see _Slots); its bulk
+    form and the census index (iso._Index) fill from _slot_pairs(). Rows and
+    entries are read per position until an eighth of the window has one
+    (see _Local); then the whole table is built in one pass.
     """
 
     def __init__(self, language, elements, tuples, frontier=()):
@@ -151,29 +154,27 @@ class Structure:
         self.language = language
 
         # Each check runs at C level, duplicates and the frontier on the
-        # positions map; the loops behind them only name the offending id or
-        # tuple, in input order. Sorting the input order keeps sorted input
-        # linear.
+        # positions map; the loops behind them only name the offending id,
+        # in input order. Sorting the input order keeps sorted input linear.
         elements = list(map(str, elements))
         self.elements = tuple(sorted(elements))
         self._pos = dict(zip(self.elements, range(len(elements))))
         if len(self._pos) != len(elements):
             raise InvariantViolation("elements-unique", "duplicate element ids")
-        if not all(map(ELEMENT_RE.match, elements)):
+        if "" in elements or "".join(elements).translate(_DROP_ID_CHARS):
             bad = next(e for e in elements if not ELEMENT_RE.match(e))
             raise InvariantViolation("element-id", f"bad element id {bad!r}")
 
         frontier = list(map(str, frontier))
-        if not all(map(self._pos.__contains__, frontier)):
-            bad = next(e for e in frontier if e not in self._pos)
-            raise DanglingElement(bad, lookup="frontier list")
-        self.frontier = frozenset(frontier)
+        held = list(map(self._pos.get, frontier))
+        if None in held:
+            raise DanglingElement(frontier[held.index(None)], lookup="frontier list")
+        self.frontier = frozenset(map(self.elements.__getitem__, held))  # the ids of `elements`
 
-        # Insertion-ordered dicts deduplicate; sorting their keys, which are
-        # in input order, is linear on canonical (sorted) input. Canonical
-        # order is (declaration index, argument vector). An empty container,
-        # as the bulk constructor passes, needs no id set for its tuples.
-        by_symbol = {name: {} for name, _ in language.symbols}
+        # Each tuple is checked as it streams in, so the first bad one in
+        # input order is named; _set_tuples sorts and deduplicates. An empty
+        # container, as the bulk constructor passes, needs no id set.
+        by_symbol = {name: [] for name, _ in language.symbols}
         arities = language.arities
         within = frozenset(self.elements).issuperset if tuples else None
         for symbol, args in tuples:
@@ -182,33 +183,38 @@ class Structure:
             if bucket is None or len(args) != arities[symbol] or not within(args):
                 args = self._checked_args(symbol, args)
                 bucket = by_symbol[symbol]
-            bucket[args] = None
+            bucket.append(args)
         self._set_tuples(by_symbol)
 
     @classmethod
     def _from_symbol_lists(cls, language, elements, lists, frontier=()):
         """The structure whose tuples of each symbol are the str tuples in
-        lists[symbol], each list checked in bulk; a list the check rejects
-        is read again by _checked_args, which raises the constructor's error
-        for the same tuples in declaration order.
-
-        The constructor checks and stores the elements and frontier.
-        """
+        lists[symbol], each list checked in bulk by _set_tuples; the
+        constructor checks and stores the elements and frontier."""
         M = cls(language, elements, (), frontier=frontier)
-        within = frozenset(M.elements).issuperset  # held for these checks only
-        by_symbol = {}
-        for name, arity in M.language.symbols:
-            ts = lists.get(name, ())
-            if not set(map(len, ts)) <= {arity} or not within(chain.from_iterable(ts)):
-                ts = [M._checked_args(name, t) for t in ts]
-            by_symbol[name] = dict.fromkeys(ts)
-        M._set_tuples(by_symbol)
+        M._set_tuples({name: lists.get(name, ()) for name, _ in M.language.symbols})
         return M
 
     def _set_tuples(self, by_symbol):
-        """Store the deduplicated tuples, {symbol: {args: None}}, and start
-        the derived data empty."""
-        self.tuples_by_symbol = {name: tuple(sorted(ts)) for name, ts in by_symbol.items()}
+        """Store the tuples, {symbol: its id tuples, repeats allowed} in
+        declaration order, as _cols (ids sort as their positions), and start
+        the derived data empty. A list with a tuple of another length, an id
+        the window lacks or an argument that is no str is read again by
+        _checked_args, which converts with str() or raises the constructor's
+        error for the first bad tuple, so lists fail in declaration order."""
+        at = self._pos.__getitem__
+        self._cols = {}
+        for name, ts in by_symbol.items():
+            arity = self.language.arities[name]
+            flat = None
+            if set(map(len, ts)) <= {arity}:
+                rows = dict.fromkeys(ts)
+                with suppress(KeyError, TypeError):  # a missing id; ids that do not sort
+                    flat = list(map(at, chain.from_iterable(sorted(rows))))
+            if flat is None:
+                checked = dict.fromkeys(map(self._checked_args, repeat(name), ts))
+                flat = list(map(at, chain.from_iterable(sorted(checked))))
+            self._cols[name] = tuple(array("i", flat[p::arity]) for p in range(arity))
 
         self._nbrs = None  # _Local, then the bulk list once _gaifman() builds it
         self._adj = None
@@ -238,41 +244,53 @@ class Structure:
     def __len__(self):
         return len(self.elements)
 
+    def _id_rows(self, name):
+        """The id tuples of symbol `name` in sorted order, off its columns."""
+        ids = self.elements
+        return zip(*[[ids[i] for i in col] for col in self._cols[name]])
+
     def tuples_of(self, symbol):
         if symbol not in self.language.arities:
             raise UnknownSymbol(symbol, self.language)
-        return self.tuples_by_symbol[symbol]
+        return tuple(self._id_rows(symbol))
+
+    @property
+    def tuples_by_symbol(self):
+        """{symbol: tuples_of(symbol)} in declaration order, made afresh."""
+        return {name: self.tuples_of(name) for name, _ in self.language.symbols}
 
     def has_tuple(self, symbol, args):
         if symbol not in self.language.arities:
             raise UnknownSymbol(symbol, self.language)
         args = tuple(args)
+        if len(args) != self.language.arities[symbol]:
+            return False
         try:
-            return self._holds(symbol, args)
-        except TypeError:  # an argument that no str id compares with
+            return bool(self._span(symbol, map(self._pos.__getitem__, args)))
+        except (KeyError, TypeError):  # an argument that is no id of the window
             return False
 
-    def _holds(self, symbol, args):
-        """Whether the window holds symbol(args), by bisection of the
-        symbol's sorted tuple list."""
-        ts = self.tuples_by_symbol[symbol]
-        i = bisect_left(ts, args)
-        return i < len(ts) and ts[i] == args
+    def _span(self, name, args):
+        """The range of rows of `name` whose leading arguments are the
+        positions `args`, by bisection of one column after another."""
+        cols = self._cols[name]
+        lo, hi = 0, len(cols[0])
+        for col, x in zip(cols, args):
+            lo = bisect_left(col, x, lo, hi)
+            hi = bisect_right(col, x, lo, hi)
+        return range(lo, hi)
 
     def all_tuples(self):
         for name, _ in self.language.symbols:
-            for t in self.tuples_by_symbol[name]:
-                yield name, t
+            yield from zip(repeat(name), self._id_rows(name))
 
     def tuple_count(self):
-        return sum(len(ts) for ts in self.tuples_by_symbol.values())
+        return sum(len(cols[0]) for cols in self._cols.values())
 
     def unary_profile(self, element):
         """Tuple of 0/1 flags, one per unary symbol in declaration order."""
-        self._position(element, "profile lookup")
-        return tuple(
-            1 if self._holds(name, (element,)) else 0 for name in self.language.unary_symbols
-        )
+        i = self._position(element, "profile lookup")
+        return tuple(1 if self._span(name, (i,)) else 0 for name in self.language.unary_symbols)
 
     # -- derived maps ----------------------------------------------------
 
@@ -300,55 +318,46 @@ class Structure:
         """The int Gaifman index: nbrs[i] is the sorted tuple of positions
         co-occurring with position i in some tuple."""
         if type(self._nbrs) is not list:
-            pos = self._pos
             nbrs = [set() for _ in self.elements]
             for name, arity in self.language.symbols:
-                ts = self.tuples_by_symbol[name]
-                if arity == 1:
-                    continue
                 if arity == 2:
-                    for a, b in ts:
-                        if a != b:
-                            i, j = pos[a], pos[b]
+                    for i, j in zip(*self._cols[name]):
+                        if i != j:
                             nbrs[i].add(j)
                             nbrs[j].add(i)
-                    continue
-                for t in ts:
-                    distinct = {pos[a] for a in t}
-                    if len(distinct) < 2:
-                        continue
-                    for i in distinct:
-                        nbrs[i].update(distinct)
-                        nbrs[i].discard(i)
+                elif arity > 2:
+                    for t in zip(*self._cols[name]):
+                        distinct = set(t)
+                        for i in distinct:
+                            nbrs[i].update(distinct)
+                            nbrs[i].discard(i)
             self._nbrs = [tuple(sorted(s)) for s in nbrs]
         return self._nbrs
 
-    def _binary_at(self, name, e):
-        """(binary `name`'s tuples with e first, those with e second), by
-        bisection of the sorted list and of a copy sorted by the second
-        argument: the one local read for rows and store entries."""
-        ts = self.tuples_by_symbol[name]
-        lo = bisect_left(ts, e, key=_first)
-        out = ts[lo : bisect_right(ts, e, lo, key=_first)]
-        key = ("by second", name)
-        ts = self._cache.get(key)
-        if ts is None:
-            ts = self._cache[key] = sorted(self.tuples_by_symbol[name], key=_second)
-        lo = bisect_left(ts, e, key=_second)
-        return out, ts[lo : bisect_right(ts, e, lo, key=_second)]
+    def _binary_at(self, name, i):
+        """(second arguments of binary `name`'s rows led by position i, first
+        arguments of its rows with i second), by bisection of the first column
+        and of the row numbers in second-column order: the one local read."""
+        first, second = self._cols[name]
+        out = self._span(name, (i,))
+        by_second = self._cache.get(("by second", name))
+        if by_second is None:
+            by_second = array("i", sorted(range(len(second)), key=second.__getitem__))
+            self._cache["by second", name] = by_second
+        at = second.__getitem__
+        start = bisect_left(by_second, i, key=at)
+        rows = by_second[start : bisect_right(by_second, i, start, key=at)]
+        return second[out.start : out.stop], list(map(first.__getitem__, rows))
 
     def _row(self, i):
         """_gaifman()[i] read on its own, over unary and binary symbols:
         from the element's tuples found by _binary_at."""
-        e = self.elements[i]
         found = set()
         for name, arity in self.language.symbols:
             if arity == 2:
-                out, into = self._binary_at(name, e)
-                found.update(map(_second, out))
-                found.update(map(_first, into))
-        found.discard(e)
-        return tuple(map(self._pos.__getitem__, sorted(found)))
+                found.update(*self._binary_at(name, i))
+        found.discard(i)
+        return tuple(sorted(found))
 
     def _rows(self):
         """The row store, indexed by position: the bulk index once it is
@@ -391,63 +400,50 @@ class Structure:
         """_incidence()[i] read on its own, over unary and binary symbols:
         from the element's unary memberships and its tuples found by
         _binary_at."""
-        e = self.elements[i]
-        pos, slot = self._pos, self.language.slot
+        slot = self.language.slot
         entry = []
         for name, arity in self.language.symbols:
             if arity == 1:
-                if self._holds(name, (e,)):
+                if self._span(name, (i,)):
                     entry.append((slot[name, (0,)], (i,)))
                 continue
-            out, into = self._binary_at(name, e)
-            for _, y in out:
-                j = pos[y]
-                entry.append((slot[name, (0,) if j != i else (0, 1)], (i, j)))
-            entry += [(slot[name, (1,)], (pos[x], i)) for x, _ in into if x != e]
+            out, into = self._binary_at(name, i)
+            entry += [(slot[name, (0,) if j != i else (0, 1)], (i, j)) for j in out]
+            entry += [(slot[name, (1,)], (x, i)) for x in into if x != i]
         entry.sort()
         return tuple(entry)
 
-    def _incidence_columns(self):
-        """The window's incidence read by argument columns: {slot key
-        (symbol name, places): (position, argument positions) pairs} over
-        the keys that occur. Each key's pairs come in tuple order, so
-        filling per-position lists key by key in sorted key order sorts
-        every position's entries. A unary or binary symbol's argument
-        columns are mapped to positions once, and its pairs are iterators,
-        read once."""
-        pos = self._pos
+    def _slot_pairs(self):
+        """The rows split by slot: {slot key (symbol name, places): (position,
+        argument positions) pairs} over the keys that occur, each key's in row
+        order, so filling per-position lists key by key in sorted key order
+        sorts every entry. Unary and binary pairs are iterators, read once."""
         entries = {}
         for name, arity in self.language.symbols:
-            ts = self.tuples_by_symbol[name]
-            if not ts:
+            cols = self._cols[name]
+            if not cols[0]:
                 continue
-            if arity > 2:
-                for t in ts:
-                    args = tuple(map(pos.__getitem__, t))
+            if arity == 1:
+                entries[name, (0,)] = zip(cols[0], zip(cols[0]))
+            elif arity == 2:
+                moves = [t for t in zip(*cols) if t[0] != t[1]]
+                loops = [t for t in zip(*cols) if t[0] == t[1]]
+                for places, pairs in (((0,), moves), ((1,), moves), ((0, 1), loops)):
+                    if pairs:
+                        entries[name, places] = zip(map(itemgetter(places[0]), pairs), pairs)
+            else:
+                for args in zip(*cols):
                     for x in set(args):
                         key = (name, tuple([k for k, y in enumerate(args) if y == x]))
                         entries.setdefault(key, []).append((x, args))
-                continue
-            cols = [list(map(pos.__getitem__, map(itemgetter(k), ts))) for k in range(arity)]
-            if arity == 1:
-                entries[name, (0,)] = zip(cols[0], zip(cols[0]))
-                continue
-            pairs = list(zip(*cols))
-            moves = [t for t in pairs if t[0] != t[1]]
-            loops = [t for t in pairs if t[0] == t[1]]
-            if moves:
-                entries[name, (0,)] = zip(map(_first, moves), moves)
-                entries[name, (1,)] = zip(map(_second, moves), moves)
-            if loops:
-                entries[name, (0, 1)] = zip(map(_first, loops), loops)
         return entries
 
     def _bulk_incidence(self):
-        """The whole incidence store, filled from _incidence_columns()."""
+        """The whole incidence store, filled from _slot_pairs()."""
         if type(self._inc) is not list:
             slot = self.language.slot
             store = [[] for _ in self.elements]
-            for key, pairs in sorted(self._incidence_columns().items()):
+            for key, pairs in sorted(self._slot_pairs().items()):
                 s = slot[key]
                 for x, args in pairs:
                     store[x].append((s, args))
@@ -617,18 +613,27 @@ class Structure:
 
     def restrict(self, members, frontier):
         """Induced substructure on a member set with an explicit frontier,
-        read from the members' store entries: each tuple inside the set
-        once, from the entry of its first argument."""
-        inside = {self._position(e, "restrict member") for e in members}
-        keys, inc = self.language.slot.key, self._incidence()
-        at = self.elements.__getitem__
-        lists = {name: [] for name, _ in self.language.symbols}
-        within = inside.issuperset
-        for i in inside:
-            for s, t in inc[i]:
-                if t[0] == i and within(t):
-                    lists[keys[s][0]].append(tuple(map(at, t)))
-        return Structure._from_symbol_lists(self.language, map(at, inside), lists, frontier)
+        read off the columns: of the rows led by members, found by bisection
+        of the sorted first column per member or, for many members, by one
+        scan of it, those whose arguments are all members are kept in order,
+        each member renumbered to its rank. No table is built."""
+        inside = sorted({self._position(e, "restrict member") for e in members})
+        rank = dict(zip(inside, range(len(inside))))
+        sub = Structure(self.language, map(self.elements.__getitem__, inside), (), frontier)
+        for name, cols in self._cols.items():
+            first = cols[0]
+            if len(inside) * 16 < len(first):
+                spans = map(range, map(bisect_left, repeat(first), inside),
+                            map(bisect_right, repeat(first), inside))
+                rows = list(chain.from_iterable(spans))
+            else:
+                rows = list(compress(range(len(first)), map(rank.__contains__, first)))
+            for col in cols[1:]:
+                rows = list(compress(rows, map(rank.__contains__, map(col.__getitem__, rows))))
+            sub._cols[name] = tuple(
+                array("i", map(rank.__getitem__, map(col.__getitem__, rows))) for col in cols
+            )
+        return sub
 
     # -- equality ----------------------------------------------------------
 
@@ -637,7 +642,7 @@ class Structure:
             self.language._key,
             self.elements,
             tuple(sorted(self.frontier)),
-            tuple((n, self.tuples_by_symbol[n]) for n, _ in self.language.symbols),
+            tuple((n, self.tuples_of(n)) for n, _ in self.language.symbols),
         )
 
     def __eq__(self, other):

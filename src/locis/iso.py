@@ -384,9 +384,10 @@ class _Index:
     built once per window (see _index).
 
     Each element's entries are its incidence store entry, filled from the
-    same read of argument columns, with slots renumbered to rank only the
-    pairs (symbol name, places) that occur in M; they still order the pairs
-    of any ball of M. slots[s] is the language's slot info of slot s.
+    same split of the window's columns by slot (Structure._slot_pairs), with
+    slots renumbered to rank only the pairs (symbol name, places) that occur
+    in M; they still order the pairs of any ball of M. slots[s] is the
+    language's slot info of slot s.
 
     An element's template spells its entry count c as the marker
     n + len(slots) + c, then per entry the slot s as the marker n + s and
@@ -407,7 +408,7 @@ class _Index:
     def __init__(self, M):
         self.language = M.language
         n = len(M.elements)
-        entries = M._incidence_columns()
+        entries = M._slot_pairs()
         keys = sorted(entries)
         slot = M.language.slot
         self.slots = [slot.info[slot[key]] for key in keys]
@@ -758,11 +759,9 @@ def _linear_layout(M):
     binaries = [n for n, a in M.language.symbols if a == 2]
     if len(binaries) != 1 or any(a > 2 for _, a in M.language.symbols) or not M.elements:
         return None
-    pos = M._positions()
     succ = [-1] * len(M)
     pred = [-1] * len(M)
-    for x, y in M.tuples_by_symbol[binaries[0]]:
-        i, j = pos[x], pos[y]
+    for i, j in zip(*M._cols[binaries[0]]):
         if i == j or succ[i] >= 0 or pred[j] >= 0:
             return None
         succ[i] = j
@@ -801,15 +800,13 @@ def _forest_layout(M):
         return None
     if any(a != 2 for _, a in M.language.symbols):
         return None
-    pos = M._positions()
     n = len(M.elements)
     par = [-1] * n
     lab = [0] * n
     kids = [0] * n  # bit si set when the element parents a child by symbol si
     for si, (name, _) in enumerate(M.language.symbols):
         bit = 1 << si
-        for p, c in M.tuples_by_symbol[name]:
-            i, j = pos[p], pos[c]
+        for i, j in zip(*M._cols[name]):
             if par[j] >= 0 or kids[i] & bit:
                 return None
             par[j] = i
@@ -841,24 +838,21 @@ def _tiling_layout(M):
     syms = M.language.symbols
     if len(syms) != 2 or M.language.unary_symbols or any(a != 2 for _, a in syms):
         return None
-    pos = M._positions()
     n = len(M.elements)
     for (a_name, _), (r_name, _) in (syms, syms[::-1]):
-        levels, rows = M.tuples_by_symbol[a_name], M.tuples_by_symbol[r_name]
-        if len({u for u, _ in levels}) < len(levels):
+        (up, down), rows = M._cols[a_name], M._cols[r_name]
+        if len(set(up)) < len(up):
             continue
         succ, links = [-1] * n, [0] * n
-        for u, v in levels:
-            j = pos[v]
-            succ[pos[u]] = j
+        for i, j in zip(up, down):
+            succ[i] = j
             links[j] += 1
         if 2 not in links or max(links) > 2:
             continue
-        if len({u for u, _ in rows}) < len(rows) or len({v for _, v in rows}) < len(rows):
+        if any(len(set(col)) < len(col) for col in rows):
             continue
         par, lab = [-1] * n, [0] * n
-        for u, v in rows:
-            i, j = pos[u], pos[v]
+        for i, j in zip(*rows):
             p = succ[i]
             if p >= 0 and succ[j] == p:
                 par[i], lab[i] = p, 0  # a witnessed slot 0 wins over slot 1
@@ -908,11 +902,10 @@ def _layout(M):
     linear = _linear_layout(M)
     if linear is not None:
         kind, order = linear
-        pos = M._positions()
         bits = [0] * len(M)  # unary symbol i sets bit i
         for i, name in enumerate(M.language.unary_symbols):
-            for (e,) in M.tuples_by_symbol[name]:
-                bits[pos[e]] |= 1 << i
+            for j in M._cols[name][0]:
+                bits[j] |= 1 << i
         depths = M._depth_list()
         layout = _Layout(
             kind,

@@ -91,8 +91,7 @@ def dumps(M):
     lines.extend(sorted(M.frontier))
     lines.append("tuples:")
     for name, _ in M.language.symbols:
-        for t in M.tuples_by_symbol[name]:
-            lines.append(f"{name}({','.join(t)})")
+        lines += [f"{name}({args})" for args in map(",".join, M._id_rows(name))]
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locis import textio
 from locis.core import Language, PointedBall, Structure, faithful_radius, validate_structure
 from locis.errors import (
     ArityMismatch,
@@ -262,6 +263,37 @@ class TestRestrictAndEquality:
         assert sub.has_tuple("E", ("1", "2"))
         assert not sub.has_tuple("E", ("0", "1"))
         assert sub.frontier == frozenset({"1", "3"})
+
+    def test_writing_into_the_tuple_views_leaves_the_window_unchanged(self):
+        # tuples_by_symbol is a fresh dict on each read, so no write into it
+        # reaches membership, counts, the content key, the hash or the rows
+        periods, cmap = checkerboard_colormap()
+        build = lambda: gen_grid((4, 4), mode="window", periods=periods, colormap=cmap)
+        M = build()
+        held = list(M.all_tuples())
+        want = (M.tuple_count(), M.content_key(), hash(M))
+        views = M.tuples_by_symbol
+        for name in views:
+            views[name] = ()
+            M.tuples_by_symbol[name] = ()
+        M.tuples_by_symbol.clear()
+        assert all(M.has_tuple(name, t) for name, t in held)
+        assert M.tuples_by_symbol == build().tuples_by_symbol != views
+        assert (M.tuple_count(), M.content_key(), hash(M)) == want
+        assert M._gaifman() == build()._gaifman()
+        assert [M.incident(e) for e in M.elements] == [build().incident(e) for e in M.elements]
+
+    def test_restrict_on_a_fresh_window_builds_no_incidence(self):
+        # restrict reads the argument columns only: neither the store
+        # entries nor the rows of the members are read
+        text = textio.dumps(gen_sturmian(QuadraticIrrational.sqrt(2), 0, 300))
+        M, N = textio.loads(text), textio.loads(text)
+        c = N.deepest_element()
+        for h in (0, 3, 100):
+            sub = M.restrict(N.ball_elements(c, h), frontier=())
+            assert M._inc is None and M._nbrs is None
+            assert sub == reference_restrict(M, N.ball_elements(c, h), ())
+            assert len(sub) == 2 * h + 1
 
     def test_content_key_ignores_input_order(self):
         a = Structure(LANG2, ["1", "0"], [("P", ("0", "1")), ("Q", ("1", "0"))])

@@ -1,5 +1,8 @@
 """Serialization round-trips and parse failures."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,12 @@ from hypothesis import strategies as st
 from locis import textio
 from locis.core import Language, Structure
 from locis.errors import ArityMismatch, DanglingElement, ParseError, UnknownSymbol
-from locis.generators import AddressSequence, gen_kary_tree, gen_sturmian
+from locis.generators import (
+    AddressSequence,
+    gen_binary_hyperbolic,
+    gen_kary_tree,
+    gen_sturmian,
+)
 
 from conftest import LANG2, mk, reference_loads
 
@@ -37,6 +45,31 @@ def test_roundtrip_generated_windows():
     stur = gen_sturmian(textio_sqrt2(), 0, 30)
     for M in (tree, stur):
         assert textio.loads(textio.dumps(M)) == M
+
+
+def test_a_loaded_window_holds_each_id_once():
+    """Every id a loaded window's tuple views and frontier hand out, also
+    after a restrict, is the id object in `elements`; and with its tuples
+    as integer columns the window holds under 300 bytes per element (as
+    id tuples, over 350)."""
+    tiling = gen_binary_hyperbolic(AddressSequence.parse("tm"), 12, 32, support_radius=6)
+    tree = gen_kary_tree(2, AddressSequence.parse("tm12"), 1000, halo=6)
+    for W in (tiling, tree):
+        text = textio.dumps(W)
+        textio.loads(text)  # compiles and caches the line patterns
+        gc.collect()
+        tracemalloc.start()
+        try:
+            M = textio.loads(text)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert M == W and held < 300 * len(M)
+        sub = M.restrict(M.ball_elements(M.deepest_element(), 3), frontier=())
+        for N in (M, sub):
+            at, pos = N.elements, N._positions()
+            assert all(a is at[pos[a]] for _, t in N.all_tuples() for a in t)
+            assert all(e is at[pos[e]] for e in N.frontier)
 
 
 def textio_sqrt2():
