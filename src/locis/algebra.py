@@ -142,7 +142,7 @@ def equational_check(M):
     for name, arity in M.language.symbols:
         if arity < 2:
             continue
-        tuples = list(zip(*M._cols[name]))  # argument positions; ids in the witness
+        tuples = M.tuples_of(name)
         for i in range(arity):
             groups = {}
             for t in tuples:
@@ -156,9 +156,7 @@ def equational_check(M):
                         continue
                     for t in t_list[1:]:
                         if t[j] != first[j]:
-                            ids = M.elements.__getitem__
-                            witness = (tuple(map(ids, first)), tuple(map(ids, t)))
-                            return EquationalReport(False, (name, i + 1, j + 1, *witness))
+                            return EquationalReport(False, (name, i + 1, j + 1, first, t))
     return EquationalReport(True, None)
 
 

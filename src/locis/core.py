@@ -44,12 +44,11 @@ from .errors import (
 )
 
 SYMBOL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-# The character class of element ids; textio builds its line patterns from it.
-ELEMENT_CHARS = r"[A-Za-z0-9_.+-]"
+# Element id characters, spelled once for textio's patterns and the translate check.
+_ID_CHARS = string.ascii_letters + string.digits + "_.+-"
+ELEMENT_CHARS = f"[{re.escape(_ID_CHARS)}]"
 ELEMENT_RE = re.compile(rf"{ELEMENT_CHARS}+\Z")
-# Deletes the characters of that class, so one C-level pass over a window's
-# joined ids leaves exactly the characters no id may hold.
-_DROP_ID_CHARS = str.maketrans("", "", string.ascii_letters + string.digits + "_.+-")
+_DROP_ID_CHARS = str.maketrans("", "", _ID_CHARS)
 
 
 class Language:
@@ -597,9 +596,9 @@ class Structure:
 
         Answered locally, by one search around the centre (see _reach),
         which stops at radius h or, below h, at the first frontier layer,
-        whose radius the error names; the ball is read from the rows and
-        incidence entries of its members. No whole-window table is built
-        unless the window is mostly read already.
+        whose radius the error names; restrict reads the ball's tuples off
+        the columns, building no incidence entries. No whole-window table is
+        built unless the window is mostly read already.
         """
         i = self._position(center, "ball centre")
         h = int(h)
@@ -614,9 +613,10 @@ class Structure:
     def restrict(self, members, frontier):
         """Induced substructure on a member set with an explicit frontier,
         read off the columns: of the rows led by members, found by bisection
-        of the sorted first column per member or, for many members, by one
-        scan of it, those whose arguments are all members are kept in order,
-        each member renumbered to its rank. No table is built."""
+        of the sorted first column per member or, from a sixteenth of its
+        rows on (where the two cost the same), by one scan of it, those whose
+        arguments are all members are kept in order, each renumbered to its
+        rank. No table is built."""
         inside = sorted({self._position(e, "restrict member") for e in members})
         rank = dict(zip(inside, range(len(inside))))
         sub = Structure(self.language, map(self.elements.__getitem__, inside), (), frontier)
@@ -645,11 +645,14 @@ class Structure:
             tuple((n, self.tuples_of(n)) for n, _ in self.language.symbols),
         )
 
-    def __eq__(self, other):
-        return isinstance(other, Structure) and self.content_key() == other.content_key()
+    def __eq__(self, other):  # same ids, same positions: equal columns are equal tuples
+        return isinstance(other, Structure) and (
+            self.language._key, self.elements, self.frontier, self._cols
+        ) == (other.language._key, other.elements, other.frontier, other._cols)
 
     def __hash__(self):
-        return hash(self.content_key())
+        cols = tuple(c.tobytes() for cs in self._cols.values() for c in cs)
+        return hash((self.language._key, self.elements, self.frontier, cols))
 
     def __repr__(self):
         return (

@@ -383,11 +383,9 @@ class _Index:
     """Integer incidence index of a window, by position in M.elements,
     built once per window (see _index).
 
-    Each element's entries are its incidence store entry, filled from the
-    same split of the window's columns by slot (Structure._slot_pairs), with
-    slots renumbered to rank only the pairs (symbol name, places) that occur
-    in M; they still order the pairs of any ball of M. slots[s] is the
-    language's slot info of slot s.
+    Entries are the incidence store's, from Structure._slot_pairs(), slots
+    renumbered to rank only the pairs (symbol name, places) in M, which
+    still orders the pairs of any ball of M; slots[s] is slot s's info.
 
     An element's template spells its entry count c as the marker
     n + len(slots) + c, then per entry the slot s as the marker n + s and

@@ -101,7 +101,7 @@ def bfs_ball(M, center, h):
         nxt = []
         for u in frontier:
             for name, _ in M.language.symbols:
-                for t in M.tuples_by_symbol[name]:
+                for t in M.tuples_of(name):
                     if u in t:
                         for v in t:
                             if v not in seen:
@@ -193,7 +193,7 @@ def reference_linear_layout(M):
     sym = binaries[0]
     succ = {}
     pred = {}
-    for x, y in M.tuples_by_symbol[sym]:
+    for x, y in M.tuples_of(sym):
         if x == y or x in succ or y in pred:
             return None
         succ[x] = y
@@ -211,7 +211,7 @@ def reference_linear_layout(M):
         if len(order) != n:
             return None
         return "path", order
-    if not heads and len(M.tuples_by_symbol[sym]) == n:
+    if not heads and len(M.tuples_of(sym)) == n:
         start = M.elements[0]
         order = [start]
         while True:
@@ -262,7 +262,7 @@ def reference_forest_parent(M):
         return None
     parent, child_slots = {}, set()
     for si, (name, _) in enumerate(symbols):
-        for p, c in M.tuples_by_symbol[name]:
+        for p, c in M.tuples_of(name):
             if c in parent or (p, si) in child_slots:
                 return None
             parent[c] = (p, si)
@@ -288,7 +288,7 @@ def reference_tiling_parent(M):
     if len(syms) != 2 or M.language.unary_symbols or any(a != 2 for _, a in syms):
         return None
     for (a_name, _), (r_name, _) in (syms, syms[::-1]):
-        levels, rows = M.tuples_by_symbol[a_name], M.tuples_by_symbol[r_name]
+        levels, rows = M.tuples_of(a_name), M.tuples_of(r_name)
         a_out = dict(levels)
         a_in = Counter(v for _, v in levels)
         if len(a_out) < len(levels) or 2 not in a_in.values() or max(a_in.values()) > 2:
@@ -375,7 +375,7 @@ def reference_index(M):
     pos = M._positions()
     keyed = [[] for _ in M.elements]
     for name, _ in M.language.symbols:
-        for t in M.tuples_by_symbol[name]:
+        for t in M.tuples_of(name):
             args = tuple(pos[x] for x in t)
             for x in set(args):
                 key = (name, tuple(i for i, y in enumerate(args) if y == x))
@@ -824,8 +824,8 @@ def brute_force_pointed_iso(A, a, B, b):
         f.update(zip(rest_a, perm))
         ok = True
         for name, _ in A.language.symbols:
-            fwd = {tuple(f[x] for x in t) for t in A.tuples_by_symbol[name]}
-            if fwd != set(B.tuples_by_symbol[name]):
+            fwd = {tuple(f[x] for x in t) for t in A.tuples_of(name)}
+            if fwd != set(B.tuples_of(name)):
                 ok = False
                 break
         if ok:

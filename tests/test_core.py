@@ -358,6 +358,19 @@ def test_depths_are_bfs_distances(M):
         assert depths[u] == h
 
 
+@given(random_window(), random_window())
+@settings(max_examples=120, deadline=None)
+def test_equality_and_hash_agree_with_content_key(A, B):
+    # == and hash() compare the argument columns, content_key() the id views
+    rebuilt = Structure(A.language, A.elements, A.all_tuples(), frontier=A.frontier)
+    pairs = [(A, B), (A, rebuilt), (A, A.restrict(A.elements, A.frontier)),
+             (A, A.restrict(A.elements, ())), (A, A.restrict(A.elements[1:], A.frontier - {"0"}))]
+    for X, Y in pairs:
+        assert (X == Y) == (X.content_key() == Y.content_key())
+        if X == Y:
+            assert hash(X) == hash(Y)
+
+
 def _oracle_distances(M, sources, limit):
     """Distance to the nearest source via the hand BFS, within limit."""
     reach = len(M.elements) if limit is None else limit
